@@ -63,8 +63,9 @@ def _parse_exponent(text: str):
     return Fraction(text)
 
 
-def _exponent_to_float(x):
-    return math.inf if x == math.inf else float(Fraction(x))
+def _config_exponent(x):
+    """A config exponent kept exact: 4, "16/3", "inf", or a decimal (4.5 is 9/2)."""
+    return _parse_exponent(x if isinstance(x, str) else repr(x))
 
 
 class _Run:
@@ -110,13 +111,6 @@ def _load_config(args) -> dict:
     return cfg
 
 
-def _require(cfg: dict, section: str, key: str):
-    try:
-        return cfg[section][key]
-    except KeyError:
-        raise ValueError(f"config missing field {section}.{key}") from None
-
-
 def _build_solve_config(cfg: dict, seed: int) -> solver.SolveConfig:
     g = cfg.get("grid", {})
     grid = make_grid(
@@ -143,9 +137,9 @@ def _build_solve_config(cfg: dict, seed: int) -> solver.SolveConfig:
         nt=int(w.get("nt", 129)),
         delta=float(sol.get("delta", 0.2)),
         s=float(norms.get("s", 0.0)),
-        q=_exponent_to_float(norms.get("q", 1)),
-        r=_exponent_to_float(norms.get("r", 4)),
-        p=_exponent_to_float(norms.get("p", 6)),
+        q=_config_exponent(norms.get("q", 1)),
+        r=_config_exponent(norms.get("r", 4)),
+        p=_config_exponent(norms.get("p", 6)),
         partition_kind=norms.get("partition", "trigonometric-window"),
         k_max=int(norms.get("k_max", 4)),
         max_iters=int(sol.get("max_iters", 25)),
@@ -157,7 +151,8 @@ def _build_solve_config(cfg: dict, seed: int) -> solver.SolveConfig:
     )
 
 
-def _initial_datum(cfg: dict, scfg: solver.SolveConfig, seed: int) -> SpectralField:
+def _initial_datum(cfg: dict, scfg: solver.SolveConfig, seed: int,
+                   partition: modspace.Partition) -> SpectralField:
     spec = cfg.get("initial_data", {})
     if "file" in spec:
         return read_field(spec["file"])
@@ -170,24 +165,22 @@ def _initial_datum(cfg: dict, scfg: solver.SolveConfig, seed: int) -> SpectralFi
         band=int(spec.get("band", 1)),
     )
     f = harness.sample_field(scfg.grid, ens, 0)
-    partition = scfg.partition()
     norm = modspace.mod_norm(f, scfg.mod_spec(), partition).value
     target = float(spec.get("mod_norm", scfg.delta / 2.0))
     return SpectralField(scfg.grid, spectrum=f.spectrum * (target / norm))
 
 
-def _series_csv(run: _Run, name: str, cfg: solver.SolveConfig, traj) -> None:
-    partition = cfg.partition()
-    mod2 = cfg.mod_spec()
-    modp = modspace.ModNormSpec(p=cfg.p, q=cfg.q, s=cfg.s)
+def _series_csv(run: _Run, name: str, cfg: solver.SolveConfig, traj,
+                partition: modspace.Partition) -> None:
+    norm_l2 = modspace.mod_norm_series(traj, cfg.mod_spec(), partition)
+    norm_lp = modspace.mod_norm_series(
+        traj, modspace.ModNormSpec(p=cfg.p, q=cfg.q, s=cfg.s), partition)
     with open(run.path(name), "w") as fh:
         fh.write("t,mass,mod_norm_l2,mod_norm_lp\n")
         for j in range(traj.n_samples):
-            fj = traj.field(j)
             fh.write(
-                f"{float(traj.times[j])!r},{solver.mass(fj)!r},"
-                f"{modspace.mod_norm(fj, mod2, partition).value!r},"
-                f"{modspace.mod_norm(fj, modp, partition).value!r}\n"
+                f"{float(traj.times[j])!r},{solver.mass(traj.field(j))!r},"
+                f"{float(norm_l2[j])!r},{float(norm_lp[j])!r}\n"
             )
 
 
@@ -229,9 +222,9 @@ def _cmd_norm(args, run: _Run) -> int:
     f = read_field(args.field)
     part_spec = modspace.PartitionSpec(kind=args.partition, k_max=args.k_max)
     partition = modspace.build_partition(part_spec, f.grid)
-    p = _exponent_to_float(_parse_exponent(args.p))
-    q = _exponent_to_float(_parse_exponent(args.q))
-    res = modspace.mod_norm(f, modspace.ModNormSpec(p=p, q=q, s=args.s), partition)
+    spec = modspace.ModNormSpec(p=_parse_exponent(args.p), q=_parse_exponent(args.q),
+                                s=args.s)
+    res = modspace.mod_norm(f, spec, partition)
     out = {
         "spec": {"p": args.p, "q": args.q, "s": args.s,
                  "partition": args.partition, "k_max": args.k_max},
@@ -248,10 +241,11 @@ def _cmd_evolve(args, run: _Run) -> int:
     cfg = _load_config(args)
     run.config_text = json.dumps(cfg, sort_keys=True)
     scfg = _build_solve_config(cfg, args.seed)
-    u0 = _initial_datum(cfg, scfg, args.seed)
+    partition = scfg.partition()
+    u0 = _initial_datum(cfg, scfg, args.seed, partition)
     traj = solver.split_step_oracle(scfg, u0)
     write_trajectory(run.path("trajectory.bin"), traj)
-    _series_csv(run, "series.csv", scfg, traj)
+    _series_csv(run, "series.csv", scfg, traj, partition)
     masses = [solver.mass(traj.field(j)) for j in range(traj.n_samples)]
     report = {
         "samples": traj.n_samples,
@@ -268,9 +262,10 @@ def _cmd_picard(args, run: _Run) -> int:
     cfg = _load_config(args)
     run.config_text = json.dumps(cfg, sort_keys=True)
     scfg = _build_solve_config(cfg, args.seed)
-    u0 = _initial_datum(cfg, scfg, args.seed)
+    partition = scfg.partition()
+    u0 = _initial_datum(cfg, scfg, args.seed, partition)
     if args.bisect_delta:
-        result = solver.delta_bisection(scfg, u0)
+        result = solver.delta_bisection(scfg, u0, partition=partition)
         rep = result["report"]
         out = {
             "delta": result["delta"],
@@ -281,12 +276,12 @@ def _cmd_picard(args, run: _Run) -> int:
         print(json.dumps({"delta": result["delta"],
                           "theta_hat": rep.theta_hat}, sort_keys=True))
         return EXIT_OK
-    traj, rep = solver.picard_solve(scfg, u0)
+    traj, rep = solver.picard_solve(scfg, u0, partition)
     if cfg.get("solver", {}).get("compare_oracle", True):
         oracle = solver.split_step_oracle(scfg, u0)
         rep.oracle_deviation = solver.oracle_deviation(traj, oracle)
     write_trajectory(run.path("trajectory.bin"), traj)
-    _series_csv(run, "series.csv", scfg, traj)
+    _series_csv(run, "series.csv", scfg, traj, partition)
     _dump_json(run.path("report.json"), rep.to_json())
     print(json.dumps({"iterations": rep.iterations, "theta_hat": rep.theta_hat,
                       "oracle_deviation": rep.oracle_deviation},
@@ -298,8 +293,9 @@ def _cmd_scatter(args, run: _Run) -> int:
     cfg = _load_config(args)
     run.config_text = json.dumps(cfg, sort_keys=True)
     scfg = _build_solve_config(cfg, args.seed)
-    u0_minus = _initial_datum(cfg, scfg, args.seed)
-    u0_plus, traj, rep = solver.scattering_map(scfg, u0_minus)
+    partition = scfg.partition()
+    u0_minus = _initial_datum(cfg, scfg, args.seed, partition)
+    u0_plus, traj, rep = solver.scattering_map(scfg, u0_minus, partition)
     write_field(run.path("u0_plus.bin"), u0_plus)
     write_trajectory(run.path("trajectory.bin"), traj)
     with open(run.path("tails.csv"), "w") as fh:

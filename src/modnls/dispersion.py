@@ -258,8 +258,8 @@ def dual_pair(r, l: int, d: int, gamma: float) -> DualPair:
     """(p~, r~) with r~ = r/(l+1) and (p~', r~') on the admissibility line.
 
     The defect of the conjugate pair vanishes identically by construction;
-    that is asserted. Whether the conjugates actually lie in [2, inf]
-    (equivalently p~ >= 1) is reported via range_valid: for small
+    a nonzero defect raises HypothesisError. Whether the conjugates actually
+    lie in [2, inf] (equivalently p~ >= 1) is reported via range_valid: for small
     d - 1/c_gamma the left edge of the 1/r interval produces p~ < 1.
     """
     r = _as_exponent(r)
@@ -272,7 +272,8 @@ def dual_pair(r, l: int, d: int, gamma: float) -> DualPair:
     inv_p_conj = 1 - inv_p_tilde
     inv_r_conj = 1 - Fraction(1) / r_tilde
     defect = 2 * inv_r_conj + w * inv_p_conj - w / 2
-    assert defect == 0, f"dual-pair construction broken: defect {defect}"
+    if defect != 0:
+        raise HypothesisError(f"dual-pair construction broken: defect {defect}")
     return DualPair(
         p_tilde=Fraction(1) / inv_p_tilde,
         r_tilde=r_tilde,
@@ -327,7 +328,7 @@ def build_param_ledger(d: int, m: int, gamma_nonzero: bool,
     led.r_tilde = dp.r_tilde
     led.dual_range_valid = dp.range_valid
     led.checks["p_a_admissible"] = admissible_defect(d, c, led.p_a, r) == 0
-    led.checks["dual_defect_zero"] = True  # asserted inside dual_pair
+    led.checks["dual_defect_zero"] = True  # dual_pair raises otherwise
     led.checks["dual_range_valid"] = dp.range_valid
     if p is not None:
         p = _as_exponent(p)

@@ -392,10 +392,7 @@ def check_embeddings(grid: GridSpec, coeffs: disp.EquationCoeffs,
 
     def one(i):
         u = sample_trajectory(grid, coeffs, ens, i, times)
-        per_t = np.array([
-            modspace.mod_norm(u.field(j), mod1, partition).value
-            for j in range(u.n_samples)
-        ])
+        per_t = modspace.mod_norm_series(u, mod1, partition)
         mink = (time_lp_norm(per_t, u.times, r),
                 modspace.planchon_norm(u, pl1, partition).value)
         bern = (modspace.planchon_norm(u, pl2, partition).value,

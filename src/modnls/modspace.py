@@ -7,23 +7,26 @@ shipped (a normalized polynomial bump and a cos^2 window) so that the
 equivalence of the resulting norms can be measured instead of assumed.
 
 Norm evaluation is exact but avoids full-grid inverse transforms where
-possible: a box piece is band-limited to a (2M+1)-wide frequency window,
-so its L^2 norm is a Plancherel sum over the window, and for even p its
-L^p quadrature can be evaluated on a reduced grid of R >= p*M + 1 points
-per axis, where the Riemann sum of the trigonometric polynomial |g|^p is
-already the exact integral (hence equal to the full-grid sum). Odd,
-fractional and infinite p fall back to the full grid. The `reference`
-method forces the full-grid path everywhere; it exists to validate and
-benchmark the fast path.
+possible, and handles all boxes and samples of a stack in one call: a box
+piece is band-limited to a (2M+1)-wide frequency window, so the L^2 norms
+of all boxes are one Plancherel pass (|F|^2 contracted with the squared
+window along each axis), and for even p the L^p quadrature is evaluated on
+a reduced grid of R = p*M + 1 points per axis, where the Riemann sum of the
+trigonometric polynomial |g|^p is already the exact integral (hence equal
+to the full-grid sum). Odd, fractional and infinite p fall back to the
+full grid. The `reference` method forces the full-grid path everywhere;
+it exists to validate and benchmark the fast path.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from itertools import product
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .spectral import (
     GridSpec,
@@ -42,6 +45,7 @@ __all__ = [
     "build_partition",
     "box",
     "mod_norm",
+    "mod_norm_series",
     "planchon_norm",
     "x_norm",
     "x_norm_diff",
@@ -115,7 +119,7 @@ class Partition:
         self.window_1d = _WINDOWS[spec.kind](offsets)
         # window must vanish at the ends so supp sigma_k stays inside B_sqrt(d)(k)
         if self.window_1d[0] != 0.0 or self.window_1d[-1] != 0.0:
-            raise AssertionError("window does not vanish at |offset| = 1")
+            raise ValueError("window does not vanish at |offset| = 1")
         self._validate_partition_of_unity()
         # achieved lower bound of sigma_k on Q_k (attained at box corners)
         half = slice(M // 2, 3 * M // 2 + 1)  # offsets in [-1/2, 1/2]
@@ -127,6 +131,11 @@ class Partition:
             cov[lo : lo + 2 * M + 1] += self.window_1d
         self.coverage_1d = cov
         self.boxes = [k for k in product(range(-K, K + 1), repeat=grid.d)]
+        self.brackets = np.array([japanese_bracket(k) for k in self.boxes])
+        # lattice rows of one axis covered by the boxes k = -K .. K
+        self.inner_slice = slice(n // 2 - (K + 1) * M, n // 2 + (K + 1) * M + 1)
+        self._synthesis: dict[int, np.ndarray] = {}
+        self._residual = 1.0 - reduce(np.multiply.outer, [cov] * grid.d)
 
     def _validate_partition_of_unity(self):
         # 1-d translates must sum to one on the covered lattice range; the
@@ -146,26 +155,11 @@ class Partition:
     # -- per-box geometry ---------------------------------------------------
 
     def box_slices(self, k) -> tuple[slice, ...]:
-        n, M = self.grid.n, self.grid.M
-        out = []
-        for ki in k:
-            lo = n // 2 + (int(ki) - 1) * M
-            out.append(slice(lo, lo + 2 * M + 1))
-        return tuple(out)
+        c, M = self.grid.n // 2, self.grid.M
+        return tuple(slice(c + (int(ki) - 1) * M, c + (int(ki) + 1) * M + 1) for ki in k)
 
     def window_nd(self) -> np.ndarray:
-        w = self.window_1d
-        out = w
-        for _ in range(self.grid.d - 1):
-            out = np.multiply.outer(out, w)
-        return out
-
-    def sigma_table(self, k) -> np.ndarray:
-        """sigma_k sampled on the full frequency lattice (math order)."""
-        self._check_k(k)
-        table = np.zeros(self.grid.shape)
-        table[self.box_slices(k)] = self.window_nd()
-        return table
+        return reduce(np.multiply.outer, [self.window_1d] * self.grid.d)
 
     def _check_k(self, k):
         if len(k) != self.grid.d:
@@ -175,11 +169,23 @@ class Partition:
 
     def residual_multiplier(self) -> np.ndarray:
         """1 - sum_k sigma_k on the lattice (tensor product of coverages)."""
-        cov = self.coverage_1d
-        total = cov
-        for _ in range(self.grid.d - 1):
-            total = np.multiply.outer(total, cov)
-        return 1.0 - total
+        return self._residual
+
+    def weights(self, s) -> np.ndarray:
+        """<k>^s for every box, in `boxes` order."""
+        return self.brackets ** float(s)
+
+    def synthesis_matrix(self, R: int) -> np.ndarray:
+        """(2M+1, R) matrix taking one axis of a box window to R equispaced
+        points: window_1d[m] (dxi / 2 pi) exp(2 pi i j m / R). The box offset
+        only adds a unimodular phase, which no |.|^p norm sees."""
+        mat = self._synthesis.get(R)
+        if mat is None:
+            m = np.arange(2 * self.grid.M + 1)
+            phase = np.exp(2j * np.pi * (np.outer(m, np.arange(R)) % R) / R)
+            mat = (self.grid.dxi / (2.0 * math.pi)) * self.window_1d[:, None] * phase
+            self._synthesis[R] = mat
+        return mat
 
 
 def build_partition(spec: PartitionSpec, grid: GridSpec) -> Partition:
@@ -237,39 +243,56 @@ class XNormResult:
         return self.value
 
 
-def _next_fast_len(target: int) -> int:
-    """Smallest 5-smooth integer >= target (pocketfft is fast for these)."""
-    if target <= 1:
-        return 1
-    best = 1 << (target - 1).bit_length()  # power of two always works
-    p5 = 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            q = -(-target // p35)  # ceil(target / p35)
-            cand = p35 * (1 << max(0, (q - 1).bit_length()))
-            if target <= cand < best:
-                best = cand
-            p35 *= 3
-        p5 *= 5
-    return best
-
-
-def _lq_aggregate(values: np.ndarray, q) -> float:
+def _lq_aggregate(values: np.ndarray, q, axis=None):
+    """l^q over boxes: of a (n_boxes,) vector, or along `axis` of a table."""
     if q == math.inf:
-        return float(values.max()) if values.size else 0.0
-    q = float(q)
-    if q == 1.0:
-        return float(values.sum())
-    return float(np.sum(values**q) ** (1.0 / q))
+        out = values.max(axis=axis, initial=0.0)
+    elif float(q) == 1.0:
+        out = values.sum(axis=axis)
+    else:
+        out = np.sum(values ** float(q), axis=axis) ** (1.0 / float(q))
+    return out if axis is not None else float(out)
+
+
+def _box_windows(x: np.ndarray, M: int, axis: int) -> np.ndarray:
+    """Strided view of the (2M+1)-wide box windows along `axis`, one per box.
+
+    Boxes start M lattice points apart, so stepping the sliding-window view
+    by M is a basic slice: nothing is copied. The window becomes the last
+    axis; `axis` enumerates the boxes.
+    """
+    view = sliding_window_view(x, 2 * M + 1, axis=axis)
+    return view[(slice(None),) * axis + (slice(None, None, M),)]
+
+
+def _abs2(x: np.ndarray) -> np.ndarray:
+    return np.square(x.real) + np.square(x.imag)
+
+
+def _n_samples(stacks) -> int:
+    return (stacks[0] if isinstance(stacks, tuple) else stacks).shape[0]
+
+
+def _chunks(total: int, size: int) -> list[tuple[int, int]]:
+    """Near-equal [lo, hi) ranges of at most max(size, 1) covering total."""
+    step = -(-total // -(-total // max(1, size)))
+    return [(lo, min(lo + step, total)) for lo in range(0, total, step)]
+
+
+_CHUNK_BYTES = 1 << 19  # working set of one chunk of the all-box passes
 
 
 class _BoxNormEngine:
     """Per-box L^p norms of (stacks of) spectra for one partition.
 
-    method: "fast" uses the Plancherel / reduced-grid paths where they are
-    exact and falls back to the full grid otherwise; "reference" always
-    takes the full grid. Both agree to FFT roundoff.
+    `series` returns the (n_boxes, T) table of norms for every box and
+    sample in one call. method "fast" takes the Plancherel pass for p = 2,
+    the pruned DFT for even p and the full grid otherwise; "reference"
+    takes the full grid for every p. Both agree to roundoff.
+
+    `stacks` is a spectra array (T, n, ..) or a pair (A, B) whose
+    difference is measured; the difference is formed chunk by chunk, so
+    the full difference stack is never materialized.
     """
 
     def __init__(self, partition: Partition, method: str = "fast"):
@@ -279,114 +302,136 @@ class _BoxNormEngine:
         self.method = method
         grid = partition.grid
         self._l2_factor = (grid.dxi / (2.0 * math.pi)) ** grid.d
-        self._wnd = partition.window_nd()
 
-    # choose the reduced grid size for even p, or None for full grid
-    def _reduced_size(self, p) -> int | None:
-        if self.method == "reference":
-            return None
-        if p == math.inf:
-            return None
-        p = float(p)
-        if p != int(p) or int(p) % 2:
-            return None
+    @staticmethod
+    def _region(stacks, rows: slice, sl: tuple) -> np.ndarray:
+        """Samples `rows` of the stack (or of A - B) restricted to `sl`."""
+        if isinstance(stacks, tuple):
+            return stacks[0][rows][sl] - stacks[1][rows][sl]
+        return stacks[rows][sl]
+
+    @staticmethod
+    def _by_box(table: np.ndarray) -> np.ndarray:
+        """(T, nb, .., nb) -> (n_boxes, T), boxes in partition order."""
+        return np.ascontiguousarray(table.reshape(table.shape[0], -1).T)
+
+    def series(self, stacks, p, l2: np.ndarray | None = None) -> np.ndarray:
+        """(n_boxes, T) table of per-box L^p norms; `l2` may pass the p = 2
+        table when the caller already has it."""
+        p = math.inf if p == math.inf else float(p)  # exact exponents end here
         grid = self.partition.grid
         # |g|^p = (g conj(g))^(p/2) for a window-limited g has index bandwidth
-        # (p/2) * 2M per axis, so R >= p*M + 1 points integrate it exactly
-        need = int(p) * grid.M + 1
-        if need > grid.n:
-            return None  # the n-point sum is the defining quadrature; keep it
-        return _next_fast_len(need)
+        # p*M per axis, so R = p*M + 1 points integrate it exactly; beyond n
+        # points the n-point sum is the defining quadrature, so keep it
+        reduced = p != math.inf and p % 2 == 0 and p * grid.M < grid.n
+        if self.method == "reference" or not (p == 2.0 or reduced):
+            return self._full_grid(stacks, p)
+        if l2 is None:
+            l2 = self._plancherel(stacks)
+        return l2 if p == 2.0 else self._pruned_dft(stacks, int(p), l2)
 
-    def box_series(self, k, stacks, p) -> np.ndarray:
-        """L^p norms of the box-k piece for every sample in the stack(s).
+    def _plancherel(self, stacks) -> np.ndarray:
+        """All box L^2 norms at once: |F|^2 on the region covering every box,
+        contracted with window_1d**2 along each axis."""
+        part = self.partition
+        d, M = part.grid.d, part.grid.M
+        inner = (slice(None),) + (part.inner_slice,) * d
+        w2 = part.window_1d**2
+        T = _n_samples(stacks)
+        out = np.empty((T,) + (2 * part.k_max + 1,) * d)
+        width = part.inner_slice.stop - part.inner_slice.start
+        for t0, t1 in _chunks(T, _CHUNK_BYTES // (16 * width**d)):
+            sq = _abs2(self._region(stacks, slice(t0, t1), inner))
+            for axis in range(1, d + 1):
+                sq = _box_windows(sq, M, axis) @ w2
+            out[t0:t1] = sq
+        return np.sqrt(self._l2_factor * self._by_box(out))
 
-        `stacks` is a spectra array (T, n, ..) or a pair (A, B) whose
-        difference is measured; subtraction happens inside the small
-        window so the full difference stack is never materialized.
-        Returns the (T,) array of norms; all zeros are detected early.
+    def _pruned_dft(self, stacks, p: int, l2: np.ndarray) -> np.ndarray:
+        """Even p: synthesize each box piece on R = p*M + 1 points per axis.
+
+        One (2M+1, R) synthesis matrix serves every box (the box offset only
+        adds a unimodular phase), so each axis of the box windows is one
+        matrix product. Only the boxes inside the bounding box of the
+        nonzero L^2 series are synthesized; the others are exactly zero.
         """
         part = self.partition
-        sl = (slice(None),) + part.box_slices(k)
-        if isinstance(stacks, tuple):
-            block = stacks[0][sl] - stacks[1][sl]
-        else:
-            block = stacks[sl]
-        if not np.any(block):
-            T = block.shape[0]
-            return np.zeros(T)
-        block = block * self._wnd
-        if p == 2:
-            sq = np.sum(np.abs(block) ** 2, axis=tuple(range(1, block.ndim)))
-            return np.sqrt(self._l2_factor * sq)
-        R = self._reduced_size(p)
-        if R is None:
-            return self._full_grid_norms(k, block, p)
-        return self._reduced_grid_norms(k, block, p, R)
+        grid = part.grid
+        d, M, nb, T = grid.d, grid.M, 2 * part.k_max + 1, l2.shape[1]
+        out = np.zeros((T,) + (nb,) * d)
+        live = l2.reshape((nb,) * d + (T,)).any(axis=-1)
+        if not live.any():
+            return self._by_box(out)
+        R = p * M + 1
+        synth = part.synthesis_matrix(R)
+        lows, counts = [], []
+        for axis in range(d):
+            alive = np.flatnonzero(live.any(axis=tuple(set(range(d)) - {axis})))
+            lows.append(int(alive[0]))
+            counts.append(int(alive[-1]) + 1 - lows[-1])
+        start = part.inner_slice.start
+        rest = tuple(slice(start + lo * M, start + (lo + c + 1) * M + 1)
+                     for lo, c in zip(lows[1:], counts[1:]))
+        # chunks of (samples, boxes along axis 1) of about _CHUNK_BYTES each
+        row_bytes = 16 * R**d * math.prod(counts[1:])
+        k_step = _CHUNK_BYTES // row_bytes
+        sums = np.empty((T,) + tuple(counts))
+        for t0, t1 in _chunks(T, k_step // counts[0]):
+            for k0, k1 in _chunks(counts[0], k_step):
+                lo = start + (lows[0] + k0) * M
+                x = self._region(stacks, slice(t0, t1),
+                                 (slice(None), slice(lo, lo + (k1 - k0 + 1) * M + 1)) + rest)
+                for axis in range(1, d + 1):  # one gemm on a compact copy of the windows
+                    win = np.ascontiguousarray(_box_windows(x, M, axis))
+                    x = (win.reshape(-1, 2 * M + 1) @ synth).reshape(win.shape[:-1] + (R,))
+                # sum over the reduced grid of |v|^p = (re^2 + im^2)^(p/2)
+                a = _abs2(x.reshape(-1, R**d))
+                sums[t0:t1, k0:k1] = np.einsum(*[a, [0, 1]] * (p // 2), [0]).reshape(
+                    x.shape[:-d])
+        live_boxes = tuple(slice(lo, lo + c) for lo, c in zip(lows, counts))
+        out[(slice(None),) + live_boxes] = sums ** (1.0 / p) * (2.0 * grid.L / R) ** (d / p)
+        return self._by_box(out)
 
-    def _reduced_grid_norms(self, k, block, p, R) -> np.ndarray:
-        grid = self.partition.grid
-        d, M, n = grid.d, grid.M, grid.n
-        T = block.shape[0]
-        # fold window frequency indices kappa = idx - n/2 into Z_R per axis
-        idx = [
-            np.mod((int(ki) - 1) * M + np.arange(2 * M + 1), R) for ki in k
-        ]
-        A = np.zeros((T,) + (R,) * d, dtype=np.complex128)
-        A[(slice(None),) + np.ix_(*idx)] = block
-        vals = np.fft.ifftn(A, axes=tuple(range(1, d + 1)))
-        # ifftn divides by R^d; undo it and apply the synthesis factor
-        vals *= (R**d) * self._l2_factor
-        hR = 2.0 * grid.L / R
-        p = float(p)
-        s = np.sum(np.abs(vals) ** p, axis=tuple(range(1, d + 1)))
-        return s ** (1.0 / p) * hR ** (d / p)
-
-    def _full_grid_norms(self, k, block, p) -> np.ndarray:
-        grid = self.partition.grid
-        d, n = grid.d, grid.n
-        T = block.shape[0]
-        sl = self.partition.box_slices(k)
-        out = np.empty(T)
+    def _full_grid(self, stacks, p: float) -> np.ndarray:
+        """Box by box and sample by sample on the full n^d grid."""
+        part = self.partition
+        grid = part.grid
+        wnd = part.window_nd()
+        out = np.zeros((len(part.boxes), _n_samples(stacks)))
         full = np.zeros(grid.shape, dtype=np.complex128)
-        axes = tuple(range(d))
-        for j in range(T):
-            full[sl] = block[j]
-            vals = np.fft.fftshift(np.fft.ifftn(np.fft.ifftshift(full)))
-            vals *= (n**d) * self._l2_factor
-            a = np.abs(vals)
-            if p == math.inf:
-                out[j] = a.max()
-            else:
-                out[j] = np.sum(a ** float(p)) ** (1.0 / float(p)) * grid.h ** (
-                    d / float(p)
-                )
+        for i, k in enumerate(part.boxes):
+            sl = part.box_slices(k)
+            block = self._region(stacks, slice(None), (slice(None),) + sl)
+            if not np.any(block):
+                continue
+            for j, piece in enumerate(block * wnd):
+                full[sl] = piece
+                vals = np.fft.fftshift(np.fft.ifftn(np.fft.ifftshift(full)))
+                vals *= grid.size * self._l2_factor
+                a = np.abs(vals)
+                out[i, j] = a.max() if p == math.inf else (
+                    np.sum(a**p) ** (1.0 / p) * grid.h ** (grid.d / p))
             full[sl] = 0.0
         return out
 
     def truncation_residual(self, stacks) -> float:
         """max_t L^2 norm of the part of the spectrum outside all boxes."""
         mult = self.partition.residual_multiplier()
-        if isinstance(stacks, tuple):
-            a, b = stacks
-            worst = 0.0
-            for j in range(a.shape[0]):  # avoid materializing the difference stack
-                sq = float(np.sum(np.abs((a[j] - b[j]) * mult) ** 2))
-                worst = max(worst, sq)
-        else:
-            worst = 0.0
-            for j in range(stacks.shape[0]):
-                sq = float(np.sum(np.abs(stacks[j] * mult) ** 2))
-                worst = max(worst, sq)
+        worst = 0.0
+        for t0, t1 in _chunks(_n_samples(stacks), _CHUNK_BYTES // (16 * mult.size)):
+            sq = _abs2(self._region(stacks, slice(t0, t1), ()) * mult)
+            worst = max(worst, float(sq.reshape(t1 - t0, -1).sum(axis=1).max()))
         return float(np.sqrt(self._l2_factor * worst))
 
 
-def _as_stack(obj) -> np.ndarray:
+def _as_stack(obj):
     if isinstance(obj, SpectralField):
         return obj.spectrum[None, ...]
     if isinstance(obj, Trajectory):
         return obj.spectra
-    raise TypeError(f"expected SpectralField or Trajectory, got {type(obj)}")
+    if isinstance(obj, (np.ndarray, tuple)):
+        return obj
+    raise TypeError(f"expected SpectralField, Trajectory, array or pair, got {type(obj)}")
 
 
 def mod_norm(f: SpectralField, spec: ModNormSpec, partition: Partition,
@@ -394,12 +439,21 @@ def mod_norm(f: SpectralField, spec: ModNormSpec, partition: Partition,
     """Weighted l^q over boxes of per-box L^p norms of a single field."""
     engine = _BoxNormEngine(partition, method)
     stack = _as_stack(f)
-    per_box = np.empty(len(partition.boxes))
-    for i, k in enumerate(partition.boxes):
-        per_box[i] = engine.box_series(k, stack, spec.p)[0]
-    weights = np.array([japanese_bracket(k) ** spec.s for k in partition.boxes])
-    value = _lq_aggregate(weights * per_box, spec.q)
+    per_box = engine.series(stack, spec.p)[:, 0]
+    value = _lq_aggregate(partition.weights(spec.s) * per_box, spec.q)
     return NormResult(value, engine.truncation_residual(stack))
+
+
+def mod_norm_series(stack, spec: ModNormSpec, partition: Partition,
+                    method: str = "fast") -> np.ndarray:
+    """mod_norm of every sample, as a (T,) array.
+
+    `stack` is a (T, n, ..) spectra array, a Trajectory, or a pair (A, B)
+    of spectra arrays whose difference is measured (B may be a broadcast
+    view). The truncation residual is not computed.
+    """
+    table = _BoxNormEngine(partition, method).series(_as_stack(stack), spec.p)
+    return _lq_aggregate(partition.weights(spec.s)[:, None] * table, spec.q, axis=0)
 
 
 def planchon_norm(u: Trajectory, spec: PlanchonNormSpec, partition: Partition,
@@ -407,30 +461,21 @@ def planchon_norm(u: Trajectory, spec: PlanchonNormSpec, partition: Partition,
     """l^{s,q} over boxes of (L^r in time of (L^p in space)) of a trajectory."""
     engine = _BoxNormEngine(partition, method)
     stack = _as_stack(u)
-    times = u.times
-    per_box = np.empty(len(partition.boxes))
-    for i, k in enumerate(partition.boxes):
-        series = engine.box_series(k, stack, spec.p)
-        per_box[i] = time_lp_norm(series, times, spec.r)
-    weights = np.array([japanese_bracket(k) ** spec.s for k in partition.boxes])
-    value = _lq_aggregate(weights * per_box, spec.q)
+    per_box = time_lp_norm(engine.series(stack, spec.p), u.times, spec.r)
+    value = _lq_aggregate(partition.weights(spec.s) * per_box, spec.q)
     return NormResult(value, engine.truncation_residual(stack))
 
 
 def _x_norm_impl(stacks, times, s, q, r, p, partition, method) -> XNormResult:
     engine = _BoxNormEngine(partition, method)
-    boxes = partition.boxes
-    per_box_l2 = np.empty(len(boxes))
-    per_box_lp = np.empty(len(boxes))
-    for i, k in enumerate(boxes):
-        series2 = engine.box_series(k, stacks, 2)
-        per_box_l2[i] = float(series2.max())
-        if p == 2 and r == math.inf:
-            per_box_lp[i] = per_box_l2[i]
-        else:
-            series_p = series2 if p == 2 else engine.box_series(k, stacks, p)
-            per_box_lp[i] = time_lp_norm(series_p, times, r)
-    weights = np.array([japanese_bracket(k) ** s for k in boxes])
+    series2 = engine.series(stacks, 2)
+    per_box_l2 = series2.max(axis=1)
+    if p == 2 and r == math.inf:
+        per_box_lp = per_box_l2
+    else:
+        series_p = series2 if p == 2 else engine.series(stacks, p, series2)
+        per_box_lp = time_lp_norm(series_p, times, r)
+    weights = partition.weights(s)
     part_l2 = _lq_aggregate(weights * per_box_l2, q)
     part_lp = _lq_aggregate(weights * per_box_lp, q)
     return XNormResult(

@@ -248,8 +248,8 @@ _FLOOR_REL = 1e-13  # below this (relative to the first difference) ratios are n
 
 
 def _run_fixed_point(cfg: SolveConfig, u0: SpectralField, lower_limit: str,
-                     ledger: dict) -> tuple[Trajectory, SolveReport, np.ndarray | None]:
-    partition = cfg.partition()
+                     ledger: dict, partition: modspace.Partition
+                     ) -> tuple[Trajectory, SolveReport, np.ndarray | None]:
     times = cfg.times()
     u = disp.propagate_trajectory(cfg.coeffs, times, u0)
     report = SolveReport(hypothesis_ledger=ledger)
@@ -314,11 +314,15 @@ def _run_fixed_point(cfg: SolveConfig, u0: SpectralField, lower_limit: str,
     return u, report, prefix
 
 
-def picard_solve(cfg: SolveConfig, u0: SpectralField) -> tuple[Trajectory, SolveReport]:
+def picard_solve(cfg: SolveConfig, u0: SpectralField,
+                 partition: modspace.Partition | None = None
+                 ) -> tuple[Trajectory, SolveReport]:
     """Iterate the Duhamel operator from the free flow until the X-norm of
-    successive differences drops below eps_fix; fails loudly otherwise."""
+    successive differences drops below eps_fix; fails loudly otherwise.
+    `partition` defaults to cfg.partition()."""
     ledger = verify_hypotheses(cfg)
-    u, report, _ = _run_fixed_point(cfg, u0, "zero", ledger)
+    u, report, _ = _run_fixed_point(cfg, u0, "zero", ledger,
+                                    partition or cfg.partition())
     return u, report
 
 
@@ -398,11 +402,6 @@ def oracle_deviation(a: Trajectory, b: Trajectory) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _mod_norm_of_spectrum(partition, mod_spec, grid, spectrum) -> float:
-    f = SpectralField(grid, spectrum=spectrum)
-    return modspace.mod_norm(f, mod_spec, partition).value
-
-
 def _quad_tolerance(times, g_norms) -> float:
     """Trapezoid error estimate (dt^2/12) int ||d^2 g/dt^2|| via second
     differences of the integrand norms (a concrete, reported proxy)."""
@@ -413,21 +412,20 @@ def _quad_tolerance(times, g_norms) -> float:
     return float(dt**2 / 12.0 * np.sum(d2) * dt)
 
 
-def scatter_minus(cfg: SolveConfig, u0_minus: SpectralField):
+def scatter_minus(cfg: SolveConfig, u0_minus: SpectralField,
+                  partition: modspace.Partition | None = None):
     """Fixed point of the Duhamel operator with lower limit -infinity,
     approximated on the window from T_min; reports the tail sequence
     ||u(t) - W(t) u0minus|| near the left end (it must shrink to zero)."""
     ledger = verify_hypotheses(cfg)
-    u, report, prefix = _run_fixed_point(cfg, u0_minus, "minus_inf", ledger)
+    partition = partition or cfg.partition()
+    u, report, prefix = _run_fixed_point(cfg, u0_minus, "minus_inf", ledger, partition)
 
-    partition = cfg.partition()
     mspec = cfg.mod_spec()
-    grid = cfg.grid
+    g_norms = modspace.mod_norm_series(
+        nonlinear.apply_to_trajectory(cfg.nonlin, u), mspec, partition)
     # integrand magnitude at the window edges: the recorded decay assumption
-    fu_start = _nonlin_spectrum(cfg, u, 0)
-    fu_end = _nonlin_spectrum(cfg, u, u.n_samples - 1)
-    report.tail_rate_start = _mod_norm_of_spectrum(partition, mspec, grid, fu_start)
-    report.tail_rate_end = _mod_norm_of_spectrum(partition, mspec, grid, fu_end)
+    report.tail_rate_start, report.tail_rate_end = float(g_norms[0]), float(g_norms[-1])
     report.warnings.append(
         "integral below T_min neglected; window-edge integrand norms recorded"
     )
@@ -438,21 +436,14 @@ def scatter_minus(cfg: SolveConfig, u0_minus: SpectralField):
                 f"tail not negligible: edge integrand norm {worst:.3e} > "
                 f"tail_tol {cfg.tail_tol:.3e}", report)
 
-    g_norms = np.array([
-        _mod_norm_of_spectrum(partition, mspec, grid, _nonlin_spectrum(cfg, u, j))
-        for j in range(u.n_samples)
-    ])
     report.quad_tol = _quad_tolerance(u.times, g_norms)
-
-    report.tail_minus = [
-        _mod_norm_of_spectrum(partition, mspec, grid, prefix[j])
-        for j in range(u.n_samples)
-    ]
+    report.tail_minus = modspace.mod_norm_series(prefix, mspec, partition).tolist()
     return u, report, prefix
 
 
 def wave_operator_plus(cfg: SolveConfig, u: Trajectory, u0_minus: SpectralField,
-                       prefix: np.ndarray | None = None):
+                       prefix: np.ndarray | None = None,
+                       partition: modspace.Partition | None = None):
     """u0plus = u0minus + i * integral over the whole window of W(-s) f(u(s)).
 
     Also returns the outgoing tail sequence ||W(-t)u(t) - u0plus|| in the
@@ -460,24 +451,23 @@ def wave_operator_plus(cfg: SolveConfig, u: Trajectory, u0_minus: SpectralField,
     """
     if prefix is None:
         _, prefix = duhamel_apply(cfg, u, u0_minus, "minus_inf", return_prefix=True)
-    partition = cfg.partition()
-    mspec = cfg.mod_spec()
     full = prefix[-1]
     u0_plus = SpectralField(cfg.grid, spectrum=u0_minus.spectrum + 1j * full)
-    tail_plus = [
-        _mod_norm_of_spectrum(partition, mspec, cfg.grid, full - prefix[j])
-        for j in range(u.n_samples)
-    ]
-    return u0_plus, tail_plus
+    tail_plus = modspace.mod_norm_series(
+        (np.broadcast_to(full, prefix.shape), prefix), cfg.mod_spec(),
+        partition or cfg.partition())
+    return u0_plus, tail_plus.tolist()
 
 
-def scattering_map(cfg: SolveConfig, u0_minus: SpectralField):
-    """Compose scatter_minus and wave_operator_plus: u0minus -> u0plus."""
+def scattering_map(cfg: SolveConfig, u0_minus: SpectralField,
+                   partition: modspace.Partition | None = None):
+    """Compose scatter_minus and wave_operator_plus: u0minus -> u0plus.
+    `partition` defaults to cfg.partition(); either way it is built once."""
     verify_hypotheses(cfg, scattering=True)
-    u, report, prefix = scatter_minus(cfg, u0_minus)
-    u0_plus, tail_plus = wave_operator_plus(cfg, u, u0_minus, prefix)
+    partition = partition or cfg.partition()
+    u, report, prefix = scatter_minus(cfg, u0_minus, partition)
+    u0_plus, tail_plus = wave_operator_plus(cfg, u, u0_minus, prefix, partition)
     report.tail_plus = tail_plus
-    partition = cfg.partition()
     out_norm = modspace.mod_norm(u0_plus, cfg.mod_spec(), partition).value
     if not math.isfinite(out_norm):
         raise NumericsError("scattered datum has non-finite modulation norm", report)
@@ -488,14 +478,16 @@ def scattering_map(cfg: SolveConfig, u0_minus: SpectralField):
 def delta_bisection(cfg: SolveConfig, profile: SpectralField,
                     theta_max: float = 0.9, delta_init: float = 0.05,
                     growth: float = 2.0, bisect_steps: int = 5,
-                    delta_cap: float = 16.0):
+                    delta_cap: float = 16.0,
+                    partition: modspace.Partition | None = None):
     """Largest tested delta whose Picard run contracts with theta < theta_max.
 
     The profile is rescaled so that ||u0|| = delta/2 for each trial. Grows
     delta geometrically until a trial fails, then bisects. Returns a dict
-    with the accepted delta, its report, and the full trial history.
+    with the accepted delta, its report, and the full trial history. If
+    the first trial already fails, the NumericsError carries its report.
     """
-    partition = cfg.partition()
+    partition = partition or cfg.partition()
     base = modspace.mod_norm(profile, cfg.mod_spec(), partition).value
     if base <= 0:
         raise ValueError("profile must be nonzero")
@@ -505,7 +497,7 @@ def delta_bisection(cfg: SolveConfig, profile: SpectralField,
                                spectrum=profile.spectrum * (delta / 2.0 / base))
         trial_cfg = replace(cfg, delta=delta)
         try:
-            _, rep = picard_solve(trial_cfg, scaled)
+            _, rep = picard_solve(trial_cfg, scaled, partition)
         except NumericsError as exc:
             return False, exc.report
         ok = rep.converged and rep.theta_hat is not None and rep.theta_hat < theta_max
@@ -523,7 +515,7 @@ def delta_bisection(cfg: SolveConfig, profile: SpectralField,
         best = (delta, rep)
         delta *= growth
     if best is None:
-        raise NumericsError("no delta accepted at the initial scale", None)
+        raise NumericsError("no delta accepted at the initial scale", rep)
     if delta > delta_cap:
         return {"delta": best[0], "report": best[1], "history": history}
 

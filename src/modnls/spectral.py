@@ -43,8 +43,6 @@ __all__ = [
     "read_field",
     "write_trajectory",
     "read_trajectory",
-    "field_metadata",
-    "write_abs_csv",
 ]
 
 
@@ -95,10 +93,6 @@ class GridSpec:
     def point_mesh(self) -> tuple[np.ndarray, ...]:
         ax = self.axis_points()
         return np.meshgrid(*([ax] * self.d), indexing="ij")
-
-    def max_k_index(self) -> int:
-        """Largest box index K such that n >= 2M(2K + 2)."""
-        return self.n // (4 * self.M) - 1
 
 
 def make_grid(d: int, L: float, n: int, k_max: int | None = None) -> GridSpec:
@@ -167,14 +161,6 @@ class SpectralField:
         a = a.copy()
         a.flags.writeable = False
         return a
-
-    @classmethod
-    def from_values(cls, grid: GridSpec, values) -> "SpectralField":
-        return cls(grid, values=values)
-
-    @classmethod
-    def from_spectrum(cls, grid: GridSpec, spectrum) -> "SpectralField":
-        return cls(grid, spectrum=spectrum)
 
     @classmethod
     def zero(cls, grid: GridSpec) -> "SpectralField":
@@ -408,26 +394,3 @@ def read_trajectory(path) -> Trajectory:
         fields = [_read_field_block(fh) for _ in range(nt)]
     return Trajectory.from_fields(times, fields)
 
-
-def field_metadata(f: SpectralField) -> dict:
-    return {
-        "d": f.grid.d,
-        "L": f.grid.L,
-        "L_over_pi": f.grid.M,
-        "n": f.grid.n,
-        "l2_norm": lp_norm(f, 2),
-        "linf_norm": lp_norm(f, math.inf),
-    }
-
-
-def write_abs_csv(path, f: SpectralField) -> None:
-    """Dump |f| samples with their grid coordinates as CSV."""
-    mesh = f.grid.point_mesh()
-    a = np.abs(f.values)
-    with open(path, "w") as fh:
-        cols = ",".join(f"x{i + 1}" for i in range(f.grid.d))
-        fh.write(f"{cols},abs\n")
-        flat = [m.ravel() for m in mesh]
-        for idx in range(a.size):
-            coords = ",".join(repr(float(c[idx])) for c in flat)
-            fh.write(f"{coords},{float(a.ravel()[idx])!r}\n")

@@ -6,6 +6,38 @@ import pytest
 from modnls import modspace, spectral
 
 
+def sigma_table(partition, k):
+    """sigma_k sampled on the full frequency lattice (math order)."""
+    partition._check_k(k)
+    table = np.zeros(partition.grid.shape)
+    table[partition.box_slices(k)] = partition.window_nd()
+    return table
+
+
+def field_metadata(f):
+    return {
+        "d": f.grid.d,
+        "L": f.grid.L,
+        "L_over_pi": f.grid.M,
+        "n": f.grid.n,
+        "l2_norm": spectral.lp_norm(f, 2),
+        "linf_norm": spectral.lp_norm(f, math.inf),
+    }
+
+
+def write_abs_csv(path, f):
+    """Dump |f| samples with their grid coordinates as CSV."""
+    mesh = f.grid.point_mesh()
+    a = np.abs(f.values)
+    with open(path, "w") as fh:
+        cols = ",".join(f"x{i + 1}" for i in range(f.grid.d))
+        fh.write(f"{cols},abs\n")
+        flat = [m.ravel() for m in mesh]
+        for idx in range(a.size):
+            coords = ",".join(repr(float(c[idx])) for c in flat)
+            fh.write(f"{coords},{float(a.ravel()[idx])!r}\n")
+
+
 def band_limited_field(grid, band, rng, amplitude=None):
     """Random field with spectrum supported in |xi|_inf <= band (box units)."""
     w = band * grid.M

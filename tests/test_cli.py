@@ -130,6 +130,56 @@ class TestSolveCommands:
         assert code == 2
 
 
+def _picard_with_norms(tmp_path, r, p, extra_args=(), solver=None):
+    cfg = json.loads(json.dumps(PICARD_CONFIG))
+    cfg["window"]["nt"] = 9
+    cfg["norms"].update(r=r, p=p)
+    cfg["solver"].update(solver or {})
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out_dir = tmp_path / "out"
+    code = run_cli(["picard", "--config", str(cfg_path), "--out", str(out_dir),
+                    *extra_args])
+    return code, out_dir
+
+
+class TestExactExponents:
+    """(r, p) = (16/3, p) with J = [5/24, 1/4]: fractional exponents from the
+    config reach the norm engine exactly."""
+
+    def test_fractional_r_even_p(self, tmp_path):
+        code, out_dir = _picard_with_norms(tmp_path, "16/3", 4)
+        assert code == 0
+        rep = read_json(out_dir / "report.json")
+        assert rep["converged"] and rep["hypothesis_ledger"]["J"] == ["5/24", "1/4"]
+
+    def test_fractional_r_fractional_p(self, tmp_path):
+        code, out_dir = _picard_with_norms(tmp_path, "16/3", "9/2")
+        assert code == 0
+        assert read_json(out_dir / "report.json")["converged"]
+
+    def test_decimal_p_is_read_exactly(self, tmp_path):
+        code, _ = _picard_with_norms(tmp_path, "16/3", 4.5)
+        assert code == 0
+
+    def test_p_outside_J_rejected_with_ledger(self, tmp_path, capsys):
+        code, out_dir = _picard_with_norms(tmp_path, "16/3", 6)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "outside J" in err and "5/24" in err and "1/4" in err
+        assert (out_dir / "manifest.json").exists()
+
+
+class TestBisectionFailure:
+    def test_failed_first_trial_writes_report(self, tmp_path):
+        code, out_dir = _picard_with_norms(tmp_path, 4, 6, ["--bisect-delta"],
+                                           solver={"max_iters": 1, "eps_fix": 1e-30})
+        assert code == 1
+        rep = read_json(out_dir / "report.json")
+        assert rep["iterations"] == 1 and not rep["converged"]
+        assert "report.json" in read_json(out_dir / "manifest.json")["outputs"]
+
+
 VERIFY_CONFIG = {
     "verify": {"d": 2, "L_over_pi": 4, "n": 64, "gamma": 1.0, "k_max": 2,
                "count": 3, "nt": 9, "t_max": 2.0, "band": 1},

@@ -1,11 +1,12 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from modnls import dispersion as dsp, modspace as ms, spectral as sp
 
-from conftest import band_limited_field
+from conftest import band_limited_field, sigma_table
 
 
 class TestPartition:
@@ -21,7 +22,7 @@ class TestPartition:
         # direct summation of all retained sigma_k over the inner lattice
         total = np.zeros(grid1d.n)
         for k in part.boxes:
-            total += part.sigma_table(k)
+            total += sigma_table(part, k)
         xi = grid1d.axis_frequencies()
         inner = np.abs(xi) <= part.k_max - 1
         assert np.max(np.abs(total[inner] - 1.0)) <= 1e-12
@@ -30,7 +31,7 @@ class TestPartition:
     @pytest.mark.parametrize("kind", ms.PARTITION_KINDS)
     def test_center_value_and_lower_bound(self, grid2d, kind):
         part = ms.build_partition(ms.PartitionSpec(kind, 5), grid2d)
-        table = part.sigma_table((2, -1))
+        table = sigma_table(part, (2, -1))
         center = (grid2d.n // 2 + 2 * grid2d.M, grid2d.n // 2 - 1 * grid2d.M)
         assert table[center] >= 0.5  # sigma_k(k) is actually 1 for both kinds
         # recorded C: minimum over the closed box Q_k on the lattice
@@ -39,7 +40,7 @@ class TestPartition:
     @pytest.mark.parametrize("kind", ms.PARTITION_KINDS)
     def test_support_inside_ball(self, grid2d, kind):
         part = ms.build_partition(ms.PartitionSpec(kind, 5), grid2d)
-        table = part.sigma_table((0, 0))
+        table = sigma_table(part, (0, 0))
         mesh = grid2d.frequency_mesh()
         dist = np.sqrt(sum(x * x for x in mesh))
         outside = dist > math.sqrt(grid2d.d)
@@ -99,6 +100,13 @@ class TestModNorm:
         f = sp.SpectralField.single_mode(grid2d, (grid2d.M + 2, -3))
         res = ms.mod_norm(f, ms.ModNormSpec(2, 1, 0.0), partition2d)
         assert res.value == pytest.approx(sp.lp_norm(f, 2), rel=1e-12)
+
+    def test_single_mode_box_weight(self, grid2d, partition2d):
+        # a mode at the center of Q_k lies in no other box: the norm is <k>^s ||f||_2
+        k = (2, -1)
+        f = sp.SpectralField.single_mode(grid2d, (k[0] * grid2d.M, k[1] * grid2d.M))
+        res = ms.mod_norm(f, ms.ModNormSpec(2, 1, 1.5), partition2d)
+        assert res.value == pytest.approx(6.0**0.75 * sp.lp_norm(f, 2), rel=1e-12)
 
     def test_homogeneity(self, grid2d, partition2d):
         rng = np.random.default_rng(2)
@@ -261,3 +269,140 @@ class TestEmbeddings:
                                   partition2d).value
             ratios.append(hi / lo)
         assert max(ratios) <= 10 * float(np.median(ratios))
+
+
+P_VALUES = [2, 4, 6, 3, Fraction(9, 2), math.inf]
+
+
+def _engine_grid(d):
+    grid = sp.make_grid(d, 4 * math.pi, 64)
+    return grid, ms.build_partition(ms.PartitionSpec("trigonometric-window", 2), grid)
+
+
+def _random_stack(grid, T, rng, band_points):
+    """T random spectra supported in |xi_index|_inf <= band_points."""
+    c, w = grid.n // 2, band_points
+    spectra = np.zeros((T,) + grid.shape, dtype=complex)
+    shape = (T,) + (2 * w + 1,) * grid.d
+    spectra[(slice(None),) + (slice(c - w, c + w + 1),) * grid.d] = (
+        rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    return spectra
+
+
+def _assert_tables_close(fast, ref):
+    scale = max(float(np.max(ref)), 1e-300)
+    assert fast.shape == ref.shape
+    assert np.max(np.abs(fast - ref)) <= 1e-12 * scale
+
+
+class TestEngine:
+    """The all-box fast path against the full-grid reference, box by box."""
+
+    @pytest.mark.parametrize("p", P_VALUES)
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_stack_and_pair_tables(self, d, p):
+        grid, part = _engine_grid(d)
+        rng = np.random.default_rng(20 + d)
+        # d = 3 keeps the data near the origin so the reference stays cheap
+        band = grid.M // 2 if d == 3 else 2 * grid.M
+        a = _random_stack(grid, 2, rng, band)
+        b = _random_stack(grid, 2, rng, band)
+        for stacks in (a, (a, b)):
+            fast = ms._BoxNormEngine(part, "fast").series(stacks, p)
+            ref = ms._BoxNormEngine(part, "reference").series(stacks, p)
+            assert fast.shape == (len(part.boxes), 2)
+            _assert_tables_close(fast, ref)
+
+    @pytest.mark.parametrize("p", P_VALUES)
+    def test_public_norms_match_reference(self, p):
+        grid, part = _engine_grid(2)
+        rng = np.random.default_rng(30)
+        times = np.linspace(0.0, 1.0, 3)
+        u = sp.Trajectory(grid, times, _random_stack(grid, 3, rng, 2 * grid.M))
+        v = sp.Trajectory(grid, times, _random_stack(grid, 3, rng, 2 * grid.M))
+        calls = [
+            lambda m: ms.mod_norm(u.field(1), ms.ModNormSpec(p, 2, 0.5), part, m),
+            lambda m: ms.planchon_norm(u, ms.PlanchonNormSpec(0.5, 1, 4, p), part, m),
+            lambda m: ms.x_norm(u, 0.0, 1, 4, p, part, m),
+            lambda m: ms.x_norm_diff(u, v, 0.3, 2, math.inf, p, part, m),
+        ]
+        for call in calls:
+            fast, ref = call("fast"), call("reference")
+            assert fast.value == pytest.approx(ref.value, rel=1e-12)
+            assert fast.truncation_residual == pytest.approx(ref.truncation_residual,
+                                                             rel=1e-12)
+
+    @pytest.mark.parametrize("p", P_VALUES)
+    def test_edge_boxes(self, p):
+        grid, part = _engine_grid(2)
+        K, M, c = part.k_max, grid.M, grid.n // 2
+        rng = np.random.default_rng(40)
+        spectra = np.zeros((2,) + grid.shape, dtype=complex)
+        # blocks inside the corner boxes k = (K, -K) and (-K, K) only
+        for k1, k2 in ((K, -K), (-K, K)):
+            sl = (slice(c + k1 * M - 2, c + k1 * M + 3), slice(c + k2 * M - 2, c + k2 * M + 3))
+            spectra[(slice(None),) + sl] = rng.standard_normal((2, 5, 5)) + 1j
+        fast = ms._BoxNormEngine(part, "fast").series(spectra, p)
+        ref = ms._BoxNormEngine(part, "reference").series(spectra, p)
+        _assert_tables_close(fast, ref)
+        live = {part.boxes[i] for i in np.flatnonzero(fast.any(axis=1))}
+        assert {(K, -K), (-K, K)} <= live
+
+    @pytest.mark.parametrize("p", P_VALUES)
+    def test_zero_and_partly_zero_stacks(self, p):
+        grid, part = _engine_grid(2)
+        rng = np.random.default_rng(50)
+        zero = np.zeros((3,) + grid.shape, dtype=complex)
+        fast = ms._BoxNormEngine(part, "fast").series(zero, p)
+        assert fast.shape == (len(part.boxes), 3) and not fast.any()
+        stack = _random_stack(grid, 3, rng, grid.M)
+        stack[1] = 0.0
+        other = stack.copy()
+        other[2] += _random_stack(grid, 1, rng, grid.M)[0]
+        for stacks in (stack, (stack, other)):
+            fast = ms._BoxNormEngine(part, "fast").series(stacks, p)
+            ref = ms._BoxNormEngine(part, "reference").series(stacks, p)
+            _assert_tables_close(fast, ref)
+        pair = ms._BoxNormEngine(part, "fast").series((stack, other), p)
+        assert not pair[:, :2].any() and pair[:, 2].any()
+
+    def test_even_p_beyond_the_grid_takes_the_full_grid(self):
+        grid, part = _engine_grid(2)
+        rng = np.random.default_rng(60)
+        stack = _random_stack(grid, 1, rng, grid.M)
+        p = grid.n // grid.M  # p * M = n: the reduced grid would not be smaller
+        fast = ms._BoxNormEngine(part, "fast").series(stack, p)
+        ref = ms._BoxNormEngine(part, "reference").series(stack, p)
+        _assert_tables_close(fast, ref)
+
+    def test_plancherel_pass_equals_box_operator(self, grid2d, partition2d):
+        rng = np.random.default_rng(70)
+        f = band_limited_field(grid2d, partition2d.k_max, rng)
+        table = ms._BoxNormEngine(partition2d, "fast").series(f.spectrum[None], 2)
+        per_box = [sp.lp_norm(ms.box(partition2d, k, f), 2) for k in partition2d.boxes]
+        np.testing.assert_allclose(table[:, 0], per_box, rtol=1e-12, atol=0.0)
+
+
+class TestModNormSeries:
+    @pytest.mark.parametrize("spec", [ms.ModNormSpec(2, 1, 0.0), ms.ModNormSpec(6, 2, 0.5),
+                                      ms.ModNormSpec(3, math.inf, 1.0)])
+    def test_series_equals_per_sample_mod_norm(self, grid2d, partition2d, spec):
+        rng = np.random.default_rng(80)
+        coeffs = dsp.EquationCoeffs(1.0, 0.0, 1.0)
+        f = band_limited_field(grid2d, 2, rng)
+        traj = dsp.propagate_trajectory(coeffs, np.linspace(0, 1, 5), f)
+        series = ms.mod_norm_series(traj, spec, partition2d)
+        expected = [ms.mod_norm(traj.field(j), spec, partition2d).value
+                    for j in range(traj.n_samples)]
+        np.testing.assert_allclose(series, expected, rtol=1e-12, atol=0.0)
+
+    def test_pair_with_broadcast_operand(self, grid2d, partition2d):
+        rng = np.random.default_rng(81)
+        stack = _random_stack(grid2d, 4, rng, grid2d.M)
+        spec = ms.ModNormSpec(4, 1, 0.0)
+        series = ms.mod_norm_series((np.broadcast_to(stack[-1], stack.shape), stack),
+                                    spec, partition2d)
+        expected = [ms.mod_norm(sp.SpectralField(grid2d, spectrum=stack[-1] - stack[j]),
+                                spec, partition2d).value for j in range(4)]
+        np.testing.assert_allclose(series, expected, rtol=1e-12, atol=0.0)
+        assert series[-1] == 0.0

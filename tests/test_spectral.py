@@ -6,7 +6,7 @@ import pytest
 from modnls import spectral as sp
 from modnls.errors import GridMismatchError
 
-from conftest import band_limited_field
+from conftest import band_limited_field, field_metadata, write_abs_csv
 
 
 class TestMakeGrid:
@@ -191,10 +191,10 @@ class TestSerialization:
     def test_metadata_and_csv(self, tmp_path, grid2d_small):
         rng = np.random.default_rng(9)
         f = band_limited_field(grid2d_small, 1, rng)
-        meta = sp.field_metadata(f)
+        meta = field_metadata(f)
         assert meta["n"] == grid2d_small.n and meta["l2_norm"] > 0
         csv = tmp_path / "abs.csv"
-        sp.write_abs_csv(csv, f)
+        write_abs_csv(csv, f)
         lines = csv.read_text().splitlines()
         assert lines[0] == "x1,x2,abs"
         assert len(lines) == 1 + grid2d_small.size

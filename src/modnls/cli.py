@@ -175,11 +175,12 @@ def _series_csv(run: _Run, name: str, cfg: solver.SolveConfig, traj,
     norm_l2 = modspace.mod_norm_series(traj, cfg.mod_spec(), partition)
     norm_lp = modspace.mod_norm_series(
         traj, modspace.ModNormSpec(p=cfg.p, q=cfg.q, s=cfg.s), partition)
+    masses = solver.mass_series(traj)
     with open(run.path(name), "w") as fh:
         fh.write("t,mass,mod_norm_l2,mod_norm_lp\n")
         for j in range(traj.n_samples):
             fh.write(
-                f"{float(traj.times[j])!r},{solver.mass(traj.field(j))!r},"
+                f"{float(traj.times[j])!r},{float(masses[j])!r},"
                 f"{float(norm_l2[j])!r},{float(norm_lp[j])!r}\n"
             )
 
@@ -246,11 +247,11 @@ def _cmd_evolve(args, run: _Run) -> int:
     traj = solver.split_step_oracle(scfg, u0)
     write_trajectory(run.path("trajectory.bin"), traj)
     _series_csv(run, "series.csv", scfg, traj, partition)
-    masses = [solver.mass(traj.field(j)) for j in range(traj.n_samples)]
+    masses = solver.mass_series(traj)
     report = {
         "samples": traj.n_samples,
-        "mass_initial": masses[0],
-        "mass_drift": max(abs(m - masses[0]) for m in masses) / masses[0]
+        "mass_initial": float(masses[0]),
+        "mass_drift": float(np.max(np.abs(masses - masses[0])) / masses[0])
         if masses[0] > 0 else 0.0,
     }
     _dump_json(run.path("report.json"), report)

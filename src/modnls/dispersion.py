@@ -4,11 +4,16 @@ The linear flow is diagonal in frequency with the real phase
 
     phi(xi) = alpha |xi|^2 + beta xi_1^3 + gamma xi_1^4,
 
-so W(t) is applied exactly on the grid (no time-stepping error). All the
-exponent bookkeeping (admissibility defects, minimal degree m0, the 1/r
-and 1/p intervals, the effective degree l, dual pairs) is done in exact
-rational arithmetic with infinity as a distinguished exponent (1/inf = 0):
-interval endpoints like 1/8 vs 1/6 must never be blurred by floats.
+so W(t) is applied exactly on the grid (no time-stepping error). phi is a
+sum of one-variable terms, so its phasor exp(i t phi) is an outer product
+of d per-axis factors; propagation and the Duhamel prefix sum (shared by
+the solver and the harness) are built on it.
+
+All the exponent bookkeeping (admissibility defects, minimal degree m0,
+the 1/r and 1/p intervals, the effective degree l, dual pairs) is done in
+exact rational arithmetic with infinity as a distinguished exponent
+(1/inf = 0): interval endpoints like 1/8 vs 1/6 must never be blurred by
+floats.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 
@@ -27,8 +33,10 @@ __all__ = [
     "ParamLedger",
     "symbol",
     "phase_table",
+    "phasor",
     "propagate",
     "propagate_trajectory",
+    "duhamel_sum",
     "inv_exponent",
     "exponent_from_inv",
     "conjugate_exponent",
@@ -83,29 +91,80 @@ def symbol(coeffs: EquationCoeffs, xi) -> np.ndarray | float:
     return coeffs.alpha * sq + coeffs.beta * xi1**3 + coeffs.gamma * xi1**4
 
 
+def _axis_terms(coeffs: EquationCoeffs, grid: GridSpec) -> list[np.ndarray]:
+    """phi as a sum of one-variable terms phi_k(xi_k) on the lattice axis:
+    alpha xi^2 on every axis, plus beta xi_1^3 + gamma xi_1^4 on the first."""
+    xi = grid.axis_frequencies()
+    quad = coeffs.alpha * xi**2
+    return [quad + coeffs.beta * xi**3 + coeffs.gamma * xi**4] + [quad] * (grid.d - 1)
+
+
 def phase_table(coeffs: EquationCoeffs, grid: GridSpec) -> np.ndarray:
     """phi(xi) sampled on the grid's frequency lattice (math order)."""
-    mesh = grid.frequency_mesh()
-    return symbol(coeffs, np.stack(mesh))
+    return reduce(np.add.outer, _axis_terms(coeffs, grid))
 
 
-def propagate(coeffs: EquationCoeffs, t: float, f: SpectralField,
-              phase: np.ndarray | None = None) -> SpectralField:
+def phasor(coeffs: EquationCoeffs, grid: GridSpec, t: float) -> np.ndarray:
+    """exp(i t phi(xi)) on the lattice (math order).
+
+    phi is separable, so the phasor is the outer product of the per-axis
+    factors exp(i t phi_k(xi_k)): d exps of length n (two distinct ones)
+    and d - 1 broadcast products instead of one complex exp over n^d points.
+    """
+    return _outer_phasor(_axis_terms(coeffs, grid), t)
+
+
+def _outer_phasor(terms: list[np.ndarray], t: float) -> np.ndarray:
+    factors = [np.exp(1j * t * terms[0])]
+    if len(terms) > 1:  # the remaining axes share one term
+        factors += [np.exp(1j * t * terms[1])] * (len(terms) - 1)
+    return reduce(np.multiply.outer, factors)
+
+
+def propagate(coeffs: EquationCoeffs, t: float, f: SpectralField) -> SpectralField:
     """Apply W(t): multiply the spectrum by exp(i phi(xi) t)."""
-    if phase is None:
-        phase = phase_table(coeffs, f.grid)
-    return SpectralField(f.grid, spectrum=f.spectrum * np.exp(1j * t * phase))
+    return SpectralField(f.grid, spectrum=f.spectrum * phasor(coeffs, f.grid, t))
 
 
 def propagate_trajectory(coeffs: EquationCoeffs, times, u0: SpectralField) -> Trajectory:
     """Free flow t -> W(t) u0 sampled at `times`."""
     times = np.asarray(times, dtype=np.float64)
-    phase = phase_table(coeffs, u0.grid)
+    terms = _axis_terms(coeffs, u0.grid)
     spec0 = u0.spectrum
     stack = np.empty((times.size,) + u0.grid.shape, dtype=np.complex128)
     for j, t in enumerate(times):
-        stack[j] = spec0 * np.exp(1j * t * phase)
+        np.multiply(spec0, _outer_phasor(terms, t), out=stack[j])
     return Trajectory(u0.grid, times, stack)
+
+
+def duhamel_sum(coeffs: EquationCoeffs, grid: GridSpec, times, stack: np.ndarray,
+                base: np.ndarray | None = None, coef: complex = 1.0,
+                prefix: np.ndarray | None = None) -> None:
+    """The Duhamel prefix sum, in place over the source stack.
+
+    On entry stack[j] holds the source spectrum F(t_j); on return it holds
+    W(t_j) (base + coef acc_j), where acc_j is the trapezoid integral of
+    W(-s) F(s) over [t_0, t_j]: the integrand g_j = conj(E_j) F_j with
+    E_j = phasor(t_j) is formed before stack[j] is overwritten, so one
+    sample of work space is all it takes. `prefix`, if given, receives acc_j.
+    """
+    terms = _axis_terms(coeffs, grid)
+    acc = np.zeros(grid.shape, dtype=np.complex128)
+    g, g_prev, tmp = (np.empty_like(acc) for _ in range(3))
+    for j, t in enumerate(times):
+        e = _outer_phasor(terms, t)
+        np.multiply(np.conjugate(e, out=tmp), stack[j], out=g)
+        if j > 0:
+            g_prev += g
+            g_prev *= (times[j] - times[j - 1]) * 0.5
+            acc += g_prev
+        g, g_prev = g_prev, g
+        if prefix is not None:
+            prefix[j] = acc
+        np.multiply(acc, coef, out=tmp)
+        if base is not None:
+            tmp += base
+        np.multiply(e, tmp, out=stack[j])
 
 
 # ---------------------------------------------------------------------------

@@ -187,18 +187,10 @@ def _map_indices(fn, count: int, threads: int = 1) -> list:
 
 def duhamel_integral(coeffs: disp.EquationCoeffs, times,
                      source: Trajectory) -> Trajectory:
-    """int_0^t W(t - s) F(s) ds via a spectral trapezoid prefix sum."""
-    phase = disp.phase_table(coeffs, source.grid)
+    """int_0^t W(t - s) F(s) ds via the spectral trapezoid prefix sum."""
     times = np.asarray(times, dtype=np.float64)
-    out = np.empty_like(source.spectra)
-    acc = np.zeros(source.grid.shape, dtype=np.complex128)
-    g_prev = None
-    for j, t in enumerate(times):
-        g = np.exp(-1j * t * phase) * source.spectra[j]
-        if j > 0:
-            acc = acc + (times[j] - times[j - 1]) * 0.5 * (g_prev + g)
-        g_prev = g
-        out[j] = np.exp(1j * t * phase) * acc
+    out = source.spectra.copy()
+    disp.duhamel_sum(coeffs, source.grid, times, out)
     return Trajectory(source.grid, times, out)
 
 

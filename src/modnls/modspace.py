@@ -11,9 +11,9 @@ possible, and handles all boxes and samples of a stack in one call: a box
 piece is band-limited to a (2M+1)-wide frequency window, so the L^2 norms
 of all boxes are one Plancherel pass (|F|^2 contracted with the squared
 window along each axis), and for even p the L^p quadrature is evaluated on
-a reduced grid of R = p*M + 1 points per axis, where the Riemann sum of the
-trigonometric polynomial |g|^p is already the exact integral (hence equal
-to the full-grid sum). Odd, fractional and infinite p fall back to the
+a reduced grid of R = p*(M-1) + 1 points per axis, where the Riemann sum of
+the trigonometric polynomial |g|^p is already the exact integral (hence
+equal to the full-grid sum). Odd, fractional and infinite p fall back to the
 full grid. The `reference` method forces the full-grid path everywhere;
 it exists to validate and benchmark the fast path.
 """
@@ -29,9 +29,11 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .spectral import (
+    _CHUNK_BYTES,
     GridSpec,
     SpectralField,
     Trajectory,
+    _chunks,
     time_lp_norm,
 )
 
@@ -273,15 +275,6 @@ def _n_samples(stacks) -> int:
     return (stacks[0] if isinstance(stacks, tuple) else stacks).shape[0]
 
 
-def _chunks(total: int, size: int) -> list[tuple[int, int]]:
-    """Near-equal [lo, hi) ranges of at most max(size, 1) covering total."""
-    step = -(-total // -(-total // max(1, size)))
-    return [(lo, min(lo + step, total)) for lo in range(0, total, step)]
-
-
-_CHUNK_BYTES = 1 << 19  # working set of one chunk of the all-box passes
-
-
 class _BoxNormEngine:
     """Per-box L^p norms of (stacks of) spectra for one partition.
 
@@ -320,9 +313,9 @@ class _BoxNormEngine:
         table when the caller already has it."""
         p = math.inf if p == math.inf else float(p)  # exact exponents end here
         grid = self.partition.grid
-        # |g|^p = (g conj(g))^(p/2) for a window-limited g has index bandwidth
-        # p*M per axis, so R = p*M + 1 points integrate it exactly; beyond n
-        # points the n-point sum is the defining quadrature, so keep it
+        # while p*M < n the reduced grid (R < n points, see _pruned_dft) gives
+        # the n-point sum exactly; beyond that the n-point sum is the
+        # defining quadrature, so keep it
         reduced = p != math.inf and p % 2 == 0 and p * grid.M < grid.n
         if self.method == "reference" or not (p == 2.0 or reduced):
             return self._full_grid(stacks, p)
@@ -348,9 +341,12 @@ class _BoxNormEngine:
         return np.sqrt(self._l2_factor * self._by_box(out))
 
     def _pruned_dft(self, stacks, p: int, l2: np.ndarray) -> np.ndarray:
-        """Even p: synthesize each box piece on R = p*M + 1 points per axis.
+        """Even p: synthesize each box piece on R = p*(M-1) + 1 points per axis.
 
-        One (2M+1, R) synthesis matrix serves every box (the box offset only
+        Both window ends vanish (Partition enforces it), so along each axis a
+        box piece has 2M-1 nonzero coefficients and |g|^p = (g conj(g))^(p/2)
+        has index bandwidth p*(M-1): R points integrate it exactly. One
+        (2M+1, R) synthesis matrix serves every box (the box offset only
         adds a unimodular phase), so each axis of the box windows is one
         matrix product. Only the boxes inside the bounding box of the
         nonzero L^2 series are synthesized; the others are exactly zero.
@@ -362,7 +358,7 @@ class _BoxNormEngine:
         live = l2.reshape((nb,) * d + (T,)).any(axis=-1)
         if not live.any():
             return self._by_box(out)
-        R = p * M + 1
+        R = p * (M - 1) + 1
         synth = part.synthesis_matrix(R)
         lows, counts = [], []
         for axis in range(d):

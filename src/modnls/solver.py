@@ -11,8 +11,13 @@ independent split-step oracle rather than assumed.
 
 All Duhamel integrals are evaluated spectrally: W(t-s) is diagonal, so
 the integral is a trapezoid prefix sum of exp(-i phi s) fhat(u(s)),
-multiplied by exp(i phi t) afterwards. This makes one operator
-application O(N_t) transforms instead of O(N_t^2).
+multiplied by exp(i phi t) afterwards. One operator application is one
+pass of the nonlinearity over the stack (`nonlinear.apply_to_trajectory`,
+a transform pair per chunk of samples) followed by the prefix sum
+`dispersion.duhamel_sum`, which works in place on that stack with
+separable phasors: O(N_t) transforms instead of O(N_t^2), and no second
+stack. `delta_bisection` stops a trial as soon as an observed contraction
+ratio reaches its theta_max.
 """
 
 from __future__ import annotations
@@ -24,7 +29,14 @@ import numpy as np
 from . import dispersion as disp
 from . import modspace, nonlinear
 from .errors import HypothesisError, NumericsError
-from .spectral import GridSpec, SpectralField, Trajectory, lp_norm
+from .spectral import (
+    GridSpec,
+    SpectralField,
+    Trajectory,
+    _centered_fft,
+    _centered_ifft,
+    lp_norm,
+)
 
 __all__ = [
     "SolveConfig",
@@ -33,6 +45,7 @@ __all__ = [
     "picard_solve",
     "split_step_oracle",
     "mass",
+    "mass_series",
     "scatter_minus",
     "wave_operator_plus",
     "scattering_map",
@@ -191,11 +204,6 @@ def verify_hypotheses(cfg: SolveConfig, scattering: bool = False) -> dict:
     return ledger
 
 
-def _nonlin_spectrum(cfg: SolveConfig, u: Trajectory, j: int) -> np.ndarray:
-    vals = nonlinear.evaluate(cfg.nonlin, u.values(j))
-    return SpectralField(u.grid, values=vals).spectrum
-
-
 def duhamel_apply(cfg: SolveConfig, u: Trajectory, u0: SpectralField,
                   lower_limit: str = "zero",
                   return_prefix: bool = False):
@@ -217,23 +225,10 @@ def duhamel_apply(cfg: SolveConfig, u: Trajectory, u0: SpectralField,
     if u.n_samples != cfg.nt or abs(times[0] - cfg.t_min) > 1e-12:
         raise ValueError("trajectory is not on the configured time grid")
 
-    phase = disp.phase_table(cfg.coeffs, cfg.grid)
-    spec0 = u0.spectrum
-    out = np.empty_like(u.spectra)
-    prefix_stack = np.empty_like(u.spectra) if return_prefix else None
-
-    zero_nonlin = cfg.nonlin.kind == "zero"
-    acc = np.zeros(cfg.grid.shape, dtype=np.complex128)
-    g_prev = None
-    for j, t in enumerate(times):
-        if not zero_nonlin:
-            g = np.exp(-1j * t * phase) * _nonlin_spectrum(cfg, u, j)
-            if j > 0:
-                acc += (times[j] - times[j - 1]) * 0.5 * (g_prev + g)
-            g_prev = g
-        if prefix_stack is not None:
-            prefix_stack[j] = acc
-        out[j] = np.exp(1j * t * phase) * (spec0 + 1j * acc)
+    out = nonlinear.apply_to_trajectory(cfg.nonlin, u).spectra
+    prefix_stack = np.empty_like(out) if return_prefix else None
+    disp.duhamel_sum(cfg.coeffs, cfg.grid, times, out, base=u0.spectrum, coef=1j,
+                     prefix=prefix_stack)
     result = Trajectory(cfg.grid, times, out)
     if return_prefix:
         return result, prefix_stack
@@ -248,8 +243,13 @@ _FLOOR_REL = 1e-13  # below this (relative to the first difference) ratios are n
 
 
 def _run_fixed_point(cfg: SolveConfig, u0: SpectralField, lower_limit: str,
-                     ledger: dict, partition: modspace.Partition
+                     ledger: dict, partition: modspace.Partition,
+                     theta_max: float | None = None
                      ) -> tuple[Trajectory, SolveReport, np.ndarray | None]:
+    """Picard iteration from the free flow. With `theta_max`, a ratio of
+    successive differences reaching it (denominator above the noise floor)
+    raises NumericsError at once: theta_hat, the maximum of those ratios,
+    can then only end at or above theta_max."""
     times = cfg.times()
     u = disp.propagate_trajectory(cfg.coeffs, times, u0)
     report = SolveReport(hypothesis_ledger=ledger)
@@ -264,6 +264,7 @@ def _run_fixed_point(cfg: SolveConfig, u0: SpectralField, lower_limit: str,
     want_prefix = lower_limit == "minus_inf"
     prefix = None
     converged = False
+    ratios = []  # successive-difference ratios whose denominator is above the floor
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(1, cfg.max_iters + 1):
             stepped = duhamel_apply(cfg, u, u0, lower_limit, return_prefix=want_prefix)
@@ -277,15 +278,17 @@ def _run_fixed_point(cfg: SolveConfig, u0: SpectralField, lower_limit: str,
                 raise NumericsError(
                     f"divergence: non-finite difference at iteration {it}", report)
             floor = max(cfg.eps_fix, _FLOOR_REL * (report.diff_norms[0] or 1.0))
+            if it > 1 and report.diff_norms[-2] > floor:
+                ratios.append(diff / report.diff_norms[-2])
+                if theta_max is not None and ratios[-1] >= theta_max:
+                    report.theta_hat = max(ratios)
+                    raise NumericsError(
+                        f"ratio {ratios[-1]:.3f} >= theta_max = {theta_max} "
+                        f"at iteration {it}", report)
             if diff <= floor:
                 converged = True
                 break
 
-    ratios = [
-        b / a
-        for a, b in zip(report.diff_norms, report.diff_norms[1:])
-        if a > max(cfg.eps_fix, _FLOOR_REL * (report.diff_norms[0] or 1.0))
-    ]
     report.theta_hat = max(ratios) if ratios else 0.0
     report.converged = converged
 
@@ -304,10 +307,9 @@ def _run_fixed_point(cfg: SolveConfig, u0: SpectralField, lower_limit: str,
         raise NumericsError(
             f"non-contraction: observed theta = {report.theta_hat:.3f} >= 1", report)
 
-    masses = [mass(u.field(j)) for j in range(0, u.n_samples, max(1, u.n_samples // 64))]
-    m0v = masses[0]
-    if m0v > 0:
-        report.mass_drift = max(abs(mv - m0v) for mv in masses) / m0v
+    masses = mass_series(u)
+    if masses[0] > 0:
+        report.mass_drift = float(np.max(np.abs(masses - masses[0])) / masses[0])
     if cfg.nonlin.kind != "zero":
         report.aliasing_residual = nonlinear.aliasing_residual(
             cfg.nonlin, u.field(u.n_samples - 1))
@@ -315,20 +317,28 @@ def _run_fixed_point(cfg: SolveConfig, u0: SpectralField, lower_limit: str,
 
 
 def picard_solve(cfg: SolveConfig, u0: SpectralField,
-                 partition: modspace.Partition | None = None
-                 ) -> tuple[Trajectory, SolveReport]:
+                 partition: modspace.Partition | None = None, *,
+                 theta_max: float | None = None) -> tuple[Trajectory, SolveReport]:
     """Iterate the Duhamel operator from the free flow until the X-norm of
     successive differences drops below eps_fix; fails loudly otherwise.
-    `partition` defaults to cfg.partition()."""
+    `partition` defaults to cfg.partition(). With `theta_max` the solve
+    also fails as soon as an observed contraction ratio reaches it."""
     ledger = verify_hypotheses(cfg)
     u, report, _ = _run_fixed_point(cfg, u0, "zero", ledger,
-                                    partition or cfg.partition())
+                                    partition or cfg.partition(), theta_max)
     return u, report
 
 
 def mass(f: SpectralField) -> float:
     """Squared L^2 norm, the conserved quantity of the real-symbol flow."""
     return lp_norm(f, 2) ** 2
+
+
+def mass_series(u: Trajectory) -> np.ndarray:
+    """mass of every sample, by Plancherel on the stored spectra:
+    (dxi / 2 pi)^d sum |fhat|^2, with no transform."""
+    factor = (u.grid.dxi / (2.0 * math.pi)) ** u.grid.d
+    return np.array([factor * np.vdot(spec, spec).real for spec in u.spectra])
 
 
 # ---------------------------------------------------------------------------
@@ -364,23 +374,19 @@ def split_step_oracle(cfg: SolveConfig, u0: SpectralField) -> Trajectory:
     """Strang splitting: exact linear half-steps around a pointwise
     nonlinear step; second-order, verified by step halving in the tests."""
     times = cfg.times()
-    phase = disp.phase_table(cfg.coeffs, cfg.grid)
     sub = max(1, int(cfg.oracle_substeps))
     grid = cfg.grid
-    h = grid.h
 
     stack = np.empty((times.size,) + grid.shape, dtype=np.complex128)
     spec = u0.spectrum.copy()
     stack[0] = spec
     for j in range(1, times.size):
         dt = (times[j] - times[j - 1]) / sub
-        half = np.exp(0.5j * dt * phase)
+        half = disp.phasor(cfg.coeffs, grid, 0.5 * dt)
         for _ in range(sub):
-            spec = spec * half
-            vals = np.fft.fftshift(np.fft.ifftn(np.fft.ifftshift(spec))) / (h**grid.d)
+            vals = _centered_ifft(spec * half, grid.h, grid.d)
             vals = _nonlinear_substep(cfg.nonlin, vals, dt)
-            spec = np.fft.fftshift(np.fft.fftn(np.fft.ifftshift(vals))) * (h**grid.d)
-            spec = spec * half
+            spec = _centered_fft(vals, grid.h, grid.d) * half
         stack[j] = spec
     return Trajectory(grid, times, stack)
 
@@ -483,9 +489,11 @@ def delta_bisection(cfg: SolveConfig, profile: SpectralField,
     """Largest tested delta whose Picard run contracts with theta < theta_max.
 
     The profile is rescaled so that ||u0|| = delta/2 for each trial. Grows
-    delta geometrically until a trial fails, then bisects. Returns a dict
-    with the accepted delta, its report, and the full trial history. If
-    the first trial already fails, the NumericsError carries its report.
+    delta geometrically until a trial fails, then bisects. A trial stops as
+    soon as a contraction ratio reaches theta_max, so a rejected trial's
+    theta_hat describes the truncated run. Returns a dict with the accepted
+    delta, its report, and the full trial history. If the first trial
+    already fails, the NumericsError carries its report.
     """
     partition = partition or cfg.partition()
     base = modspace.mod_norm(profile, cfg.mod_spec(), partition).value
@@ -497,7 +505,7 @@ def delta_bisection(cfg: SolveConfig, profile: SpectralField,
                                spectrum=profile.spectrum * (delta / 2.0 / base))
         trial_cfg = replace(cfg, delta=delta)
         try:
-            _, rep = picard_solve(trial_cfg, scaled, partition)
+            _, rep = picard_solve(trial_cfg, scaled, partition, theta_max=theta_max)
         except NumericsError as exc:
             return False, exc.report
         ok = rep.converged and rep.theta_hat is not None and rep.theta_hat < theta_max

@@ -122,17 +122,30 @@ def make_grid(d: int, L: float, n: int, k_max: int | None = None) -> GridSpec:
     return GridSpec(d=d, L=math.pi * M_int, n=n, M=M_int)
 
 
+_CHUNK_BYTES = 1 << 19  # working set of one chunk of a pass over a stack
+
+
+def _chunks(total: int, size: int) -> list[tuple[int, int]]:
+    """Near-equal [lo, hi) ranges of at most max(size, 1) covering total."""
+    step = -(-total // -(-total // max(1, size)))
+    return [(lo, min(lo + step, total)) for lo in range(0, total, step)]
+
+
 def _centered_fft(values: np.ndarray, h: float, d: int) -> np.ndarray:
-    # math-ordered input (x ascending from -L) -> math-ordered spectrum
-    work = np.fft.ifftshift(values)
-    spec = np.fft.fftn(work)
-    return np.fft.fftshift(spec) * (h**d)
+    """Math-ordered samples (x ascending from -L) -> math-ordered spectra,
+    over the trailing d axes: one field or a stack of them."""
+    axes = tuple(range(-d, 0))
+    spec = np.fft.fftshift(np.fft.fftn(np.fft.ifftshift(values, axes), axes=axes), axes)
+    spec *= h**d
+    return spec
 
 
 def _centered_ifft(spectrum: np.ndarray, h: float, d: int) -> np.ndarray:
-    work = np.fft.ifftshift(spectrum)
-    vals = np.fft.ifftn(work)
-    return np.fft.fftshift(vals) / (h**d)
+    """Inverse of _centered_fft, over the trailing d axes."""
+    axes = tuple(range(-d, 0))
+    vals = np.fft.fftshift(np.fft.ifftn(np.fft.ifftshift(spectrum, axes), axes=axes), axes)
+    vals /= h**d
+    return vals
 
 
 class SpectralField:

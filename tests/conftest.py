@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from modnls import modspace, spectral
+from modnls import dispersion as dsp, modspace, spectral
 
 
 def sigma_table(partition, k):
@@ -50,6 +50,31 @@ def band_limited_field(grid, band, rng, amplitude=None):
     if amplitude is not None:
         f = spectral.SpectralField(grid, spectrum=spec * (amplitude / spectral.lp_norm(f, 2)))
     return f
+
+
+def reference_duhamel(coeffs, grid, times, source, base=None, coef=1.0):
+    """The per-sample Duhamel loop the kernel replaced: one full-grid exp of
+    the phase table each way per sample. Returns (out, prefix) stacks with
+    out[j] = W(t_j)(base + coef acc_j)."""
+    phase = dsp.phase_table(coeffs, grid)
+    out = np.empty_like(source)
+    prefix = np.empty_like(source)
+    acc = np.zeros(grid.shape, dtype=np.complex128)
+    g_prev = None
+    for j, t in enumerate(times):
+        g = np.exp(-1j * t * phase) * source[j]
+        if j > 0:
+            acc = acc + (times[j] - times[j - 1]) * 0.5 * (g_prev + g)
+        g_prev = g
+        prefix[j] = acc
+        out[j] = np.exp(1j * t * phase) * ((0.0 if base is None else base) + coef * acc)
+    return out, prefix
+
+
+def assert_rel_close(got, expected, rel):
+    """max |got - expected| <= rel * max |expected| (exact when expected is 0)."""
+    assert got.shape == expected.shape
+    assert np.max(np.abs(got - expected)) <= rel * np.max(np.abs(expected))
 
 
 @pytest.fixture(scope="session")

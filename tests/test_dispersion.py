@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from modnls import dispersion as dsp, modspace, spectral as sp
 from modnls.errors import HypothesisError
@@ -88,6 +89,52 @@ class TestPropagate:
         b = dsp.propagate(c, 0.8, modspace.box(part, (1, 0), f))
         scale = np.max(np.abs(f.values))
         assert np.max(np.abs(a.values - b.values)) < 1e-12 * scale
+
+
+def _phase_scale(c, grid):
+    """|alpha| |xi|^2 + |beta| |xi_1|^3 + |gamma| xi_1^4 on the lattice."""
+    mesh = grid.frequency_mesh()
+    sq = sum(x * x for x in mesh)
+    xi1 = np.abs(mesh[0])
+    return abs(c.alpha) * sq + abs(c.beta) * xi1**3 + abs(c.gamma) * xi1**4
+
+
+EPS = np.finfo(float).eps
+PHASOR_GRIDS = {1: sp.make_grid(1, 4 * math.pi, 64), 2: sp.make_grid(2, 4 * math.pi, 64),
+                3: sp.make_grid(3, 4 * math.pi, 16)}
+
+
+class TestPhasor:
+    @pytest.mark.parametrize("beta,gamma", [(0.0, 1.0), (1.0, 0.0), (0.5, 2.0)])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_exp_of_phase_table(self, d, beta, gamma):
+        grid = PHASOR_GRIDS[d]
+        c = dsp.EquationCoeffs(-0.7, beta, gamma)
+        scale = _phase_scale(c, grid)
+        for t in (-8.0, -1.3, 0.0, 0.37, 2.5, 8.0):
+            got = dsp.phasor(c, grid, t)
+            expected = np.exp(1j * t * dsp.phase_table(c, grid))
+            assert got.shape == grid.shape
+            assert np.all(np.abs(got - expected) <= 4 * EPS * (1 + abs(t) * scale))
+
+    def test_phase_table_is_the_symbol(self):
+        grid = PHASOR_GRIDS[3]
+        c = dsp.EquationCoeffs(1.0, 0.5, 2.0)
+        expected = dsp.symbol(c, np.stack(grid.frequency_mesh()))
+        np.testing.assert_allclose(dsp.phase_table(c, grid), expected,
+                                   rtol=4 * EPS, atol=4 * EPS)
+
+    @settings(max_examples=60, deadline=None)
+    @given(t=st.floats(-8.0, 8.0), s=st.floats(-8.0, 8.0),
+           alpha=st.floats(0.1, 2.0), beta=st.floats(-2.0, 2.0),
+           gamma=st.floats(0.1, 2.0), flip=st.booleans(), d=st.sampled_from([1, 2]))
+    def test_group_law(self, t, s, alpha, beta, gamma, flip, d):
+        grid = PHASOR_GRIDS[d]
+        c = dsp.EquationCoeffs(-alpha if flip else alpha, beta, gamma)
+        lhs = dsp.phasor(c, grid, t) * dsp.phasor(c, grid, s)
+        rhs = dsp.phasor(c, grid, t + s)
+        bound = 8 * EPS * (1 + (abs(t) + abs(s)) * _phase_scale(c, grid))
+        assert np.all(np.abs(lhs - rhs) <= bound)
 
 
 class TestAdmissibility:
@@ -237,3 +284,34 @@ class TestLedger:
     def test_r_outside_I_rejected(self):
         with pytest.raises(HypothesisError):
             dsp.build_param_ledger(2, 3, True, r=F(2))
+
+
+_LEDGER_INPUTS = dict(d=st.integers(2, 6), extra=st.integers(0, 4),
+                      gamma_nonzero=st.booleans())
+
+
+class TestLedgerProperties:
+    """Random (d, m, gamma, r) through the exact-rational ledger."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(**_LEDGER_INPUTS, u=st.fractions(0, 1))
+    def test_p_a_has_zero_defect(self, d, extra, gamma_nonzero, u):
+        gamma = 1.0 if gamma_nonzero else 0.0
+        m = dsp.compute_m0(d, gamma) + extra
+        lo, hi = dsp.interval_I(m, d, gamma)
+        r = 1 / (lo + u * (hi - lo))  # 1/r anywhere in I
+        led = dsp.build_param_ledger(d, m, gamma_nonzero, r=r)
+        assert dsp.admissible_defect(d, led.c_gamma, led.p_a, r) == 0
+        assert led.checks["p_a_admissible"]
+
+    @settings(max_examples=80, deadline=None)
+    @given(**_LEDGER_INPUTS, inv_r=st.fractions(F(1, 64), 1, max_denominator=64))
+    def test_interval_J_ordered_or_rejected(self, d, extra, gamma_nonzero, inv_r):
+        gamma = 1.0 if gamma_nonzero else 0.0
+        m0 = dsp.compute_m0(d, gamma)
+        try:
+            l = dsp.effective_l(1 / inv_r, m0 + extra, m0)
+            lower, upper = dsp.interval_J(1 / inv_r, d, gamma, l)
+        except HypothesisError:
+            return
+        assert lower <= upper

@@ -7,6 +7,8 @@ from modnls import dispersion as dsp, harness as hn, modspace as ms, nonlinear a
 from modnls import spectral as sp
 from modnls.errors import HypothesisError
 
+from conftest import assert_rel_close, reference_duhamel
+
 COEFFS = dsp.EquationCoeffs(alpha=1.0, beta=0.0, gamma=1.0)
 TIMES = np.linspace(0.0, 2.0, 9)
 
@@ -109,6 +111,12 @@ class TestStrichartz:
         rep = hn.check_inhomogeneous_strichartz(
             grid2d, COEFFS, small_ensemble(), 6, 4, 2, 1, 1, 0.0, TIMES, partition2d)
         assert not rep["lebesgue"].flagged and not rep["lifted"].flagged
+
+    def test_duhamel_integral_matches_per_sample_reference(self, grid2d):
+        forcing = hn.sample_trajectory(grid2d, COEFFS, small_ensemble(), 0, TIMES)
+        ref, _ = reference_duhamel(COEFFS, grid2d, TIMES, forcing.spectra)
+        got = hn.duhamel_integral(COEFFS, TIMES, forcing)
+        assert_rel_close(got.spectra, ref, 1e-13)
 
     def test_inhomogeneous_separable_closed_form(self, grid2d):
         # forcing g(t) e^{i x xi0}: the Duhamel integral collapses to the

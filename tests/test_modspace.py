@@ -396,6 +396,17 @@ class TestModNormSeries:
                     for j in range(traj.n_samples)]
         np.testing.assert_allclose(series, expected, rtol=1e-12, atol=0.0)
 
+    @pytest.mark.parametrize("p", [2, 4, 6])
+    def test_fast_matches_reference(self, grid2d, partition2d, p):
+        rng = np.random.default_rng(82)
+        stack = _random_stack(grid2d, 3, rng, 2 * grid2d.M)
+        other = _random_stack(grid2d, 3, rng, 2 * grid2d.M)
+        spec = ms.ModNormSpec(p, 1, 0.5)
+        for stacks in (stack, (stack, other)):
+            fast = ms.mod_norm_series(stacks, spec, partition2d)
+            ref = ms.mod_norm_series(stacks, spec, partition2d, method="reference")
+            np.testing.assert_allclose(fast, ref, rtol=1e-12, atol=0.0)
+
     def test_pair_with_broadcast_operand(self, grid2d, partition2d):
         rng = np.random.default_rng(81)
         stack = _random_stack(grid2d, 4, rng, grid2d.M)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,12 +8,13 @@ from modnls import dispersion as dsp, modspace as ms, nonlinear as nl, solver as
 from modnls import spectral as sp
 from modnls.errors import HypothesisError, NumericsError
 
-from conftest import band_limited_field
+from conftest import assert_rel_close, band_limited_field, reference_duhamel
 
 COEFFS = dsp.EquationCoeffs(alpha=1.0, beta=0.0, gamma=1.0)
 QUARTIC = nl.NonlinSpec(kind="power", pattern=("u", "conj", "u", "u"), coeff=-1.0)
 QUINTIC = nl.NonlinSpec.odd_power(2, -1.0)  # |u|^4 u, m = 4, conserves mass
 ZERO = nl.NonlinSpec(kind="zero")
+EXPONENTIAL = nl.NonlinSpec(kind="exponential", lam=-1.0, rho=0.5)
 
 
 def small_config(grid, nonlin=QUARTIC, nt=33, t_max=2.0, t_min=0.0, **kw):
@@ -77,6 +79,27 @@ class TestHypothesisGate:
 
 
 class TestDuhamel:
+    # at n = 64 one chunk of the nonlinearity pass holds 8 samples
+    @pytest.mark.parametrize("nt", [5, 17])
+    @pytest.mark.parametrize("lower_limit", ["zero", "minus_inf"])
+    @pytest.mark.parametrize("nonlin", [ZERO, QUARTIC, EXPONENTIAL],
+                             ids=["zero", "power", "exponential"])
+    def test_matches_per_sample_reference(self, grid2d_small, nonlin, lower_limit, nt):
+        t_min = 0.0 if lower_limit == "zero" else -1.0
+        cfg = small_config(grid2d_small, nonlin=nonlin, nt=nt, t_min=t_min, t_max=1.0)
+        u0 = small_datum(cfg)
+        u = dsp.propagate_trajectory(COEFFS, cfg.times(), small_datum(cfg, seed=1))
+        u.spectra *= (1.0 + 0.5 * np.sin(3.0 * u.times))[:, None, None]
+        source = np.array([
+            sp.SpectralField(cfg.grid, values=nl.evaluate(nonlin, u.values(j))).spectrum
+            for j in range(nt)])
+        ref, ref_prefix = reference_duhamel(COEFFS, cfg.grid, u.times, source,
+                                            base=u0.spectrum, coef=1j)
+        assert_rel_close(sv.duhamel_apply(cfg, u, u0, lower_limit).spectra, ref, 1e-13)
+        out, prefix = sv.duhamel_apply(cfg, u, u0, lower_limit, return_prefix=True)
+        assert_rel_close(out.spectra, ref, 1e-13)
+        assert_rel_close(prefix, ref_prefix, 1e-13)
+
     def test_zero_nonlinearity_is_free_flow(self, grid2d_small):
         cfg = small_config(grid2d_small, nonlin=ZERO)
         u0 = small_datum(cfg)
@@ -265,6 +288,16 @@ class TestOracle:
 
 
 class TestMass:
+    def test_series_is_per_sample_mass(self, grid2d_small):
+        rng = np.random.default_rng(8)
+        f = band_limited_field(grid2d_small, 2, rng)
+        traj = dsp.propagate_trajectory(COEFFS, np.linspace(0.0, 1.0, 5), f)
+        traj.spectra[2] = 0.0
+        series = sv.mass_series(traj)
+        expected = [sv.mass(traj.field(j)) for j in range(traj.n_samples)]
+        np.testing.assert_allclose(series, expected, rtol=1e-12, atol=0.0)
+        assert series[2] == 0.0
+
     def test_zero(self, grid2d_small):
         assert sv.mass(sp.SpectralField.zero(grid2d_small)) == 0.0
 
@@ -349,3 +382,40 @@ class TestDeltaBisection:
         assert result["delta"] > 0
         assert result["report"].theta_hat < 0.9
         assert any(not h["accepted"] for h in result["history"])
+
+    def test_early_reject_stops_at_first_ratio_over_theta_max(self, grid2d_small):
+        cfg = small_config(grid2d_small, nt=9, t_max=4.0, max_iters=30, delta=36.0,
+                           override_hypotheses=True)
+        u0 = small_datum(cfg, seed=13, mod_norm=18.0)
+        with pytest.raises(NumericsError) as early:
+            sv.picard_solve(cfg, u0, theta_max=0.9)
+        with pytest.raises(NumericsError) as full:
+            sv.picard_solve(cfg, u0)
+        rep, full_rep = early.value.report, full.value.report
+        ratios = [b / a for a, b in zip(rep.diff_norms, rep.diff_norms[1:])]
+        assert ratios[-1] >= 0.9 and all(r < 0.9 for r in ratios[:-1])
+        assert rep.theta_hat == max(ratios)
+        # the same iterates, cut where the verdict is already certain
+        assert full_rep.iterations > rep.iterations
+        assert full_rep.diff_norms[:rep.iterations] == rep.diff_norms
+
+    def test_early_reject_keeps_every_decision(self, grid2d_small):
+        cfg = small_config(grid2d_small, nt=9, t_max=4.0, max_iters=30,
+                           override_hypotheses=True)
+        profile = small_datum(cfg, seed=13, mod_norm=1.0)
+        part = cfg.partition()
+        result = sv.delta_bisection(cfg, profile, delta_init=4.5, bisect_steps=3,
+                                    delta_cap=64.0, partition=part)
+        # delta = 36 and 33.75 are rejected early, on a ratio above 0.9
+        assert sum(h["theta_hat"] >= 0.9 for h in result["history"]) == 2
+        base = ms.mod_norm(profile, cfg.mod_spec(), part).value
+        for h in result["history"]:
+            trial = replace(cfg, delta=h["delta"])
+            scaled = sp.SpectralField(cfg.grid,
+                                      spectrum=profile.spectrum * (h["delta"] / 2 / base))
+            try:
+                _, rep = sv.picard_solve(trial, scaled, part)
+                ok = rep.converged and rep.theta_hat < 0.9
+            except NumericsError:
+                ok = False
+            assert ok == h["accepted"]

@@ -16,6 +16,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 import time
 from fractions import Fraction
@@ -147,7 +148,7 @@ def _build_solve_config(cfg: dict, seed: int) -> solver.SolveConfig:
         oracle_substeps=int(sol.get("oracle_substeps", 2)),
         override_hypotheses=bool(sol.get("override_hypotheses", False)),
         exp_s_rule=sol.get("exp_s_rule", "s>=0"),
-        tail_tol=sol.get("tail_tol"),
+        tail_tol=None if sol.get("tail_tol") is None else float(sol["tail_tol"]),
     )
 
 
@@ -230,7 +231,7 @@ def _cmd_norm(args, run: _Run) -> int:
         "spec": {"p": args.p, "q": args.q, "s": args.s,
                  "partition": args.partition, "k_max": args.k_max},
         "value": res.value,
-        "truncation_residual": res.truncation_residual,
+        "truncation_residual": modspace.truncation_residual(f, partition),
         "l2_norm": lp_norm(f, 2),
     }
     _dump_json(run.path("norm.json"), out)
@@ -463,13 +464,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    import os
-
     args = build_parser().parse_args(argv)
-    if args.threads is None:
-        args.threads = int(os.environ.get("MODNLS_THREADS", "1"))
     run = _Run(args, args.subcommand)
     try:
+        if args.threads is None:
+            args.threads = int(os.environ.get("MODNLS_THREADS", "1"))
         code = args.func(args, run)
     except HypothesisError as exc:
         print(f"rejected: hypothesis violation: {exc}", file=sys.stderr)

@@ -42,7 +42,6 @@ __all__ = [
     "conjugate_exponent",
     "c_gamma_of",
     "admissible_defect",
-    "subadmissible_defect",
     "compute_m0",
     "interval_I",
     "effective_l",
@@ -232,11 +231,6 @@ def admissible_defect(d: int, c_gamma: int, p, r) -> Fraction:
     """2/r + (d - 1/c)/p - (d - 1/c)/2; zero iff (p, r) is admissible."""
     w = _weight(d, c_gamma)
     return 2 * inv_exponent(r) + w * inv_exponent(p) - w / 2
-
-
-def subadmissible_defect(d: int, c_gamma: int, sigma, rho) -> Fraction:
-    """Same left-minus-right quantity for the relaxed (<=) condition."""
-    return admissible_defect(d, c_gamma, sigma, rho)
 
 
 def _ceil_fraction(x: Fraction) -> int:

@@ -16,13 +16,15 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 
 from . import dispersion as disp
 from . import modspace, nonlinear
 from .errors import HypothesisError
-from .spectral import GridSpec, SpectralField, Trajectory, lp_norm, time_lp_norm
+from .spectral import (GridSpec, SpectralField, Trajectory, _lp_series, _pointwise_map,
+                       lp_norm, time_lp_norm)
 
 __all__ = [
     "EnsembleSpec",
@@ -195,8 +197,7 @@ def duhamel_integral(coeffs: disp.EquationCoeffs, times,
 
 
 def _lebesgue_space_time(traj: Trajectory, p, r) -> float:
-    per_t = np.array([lp_norm(traj.field(j), p) for j in range(traj.n_samples)])
-    return time_lp_norm(per_t, traj.times, r)
+    return time_lp_norm(_lp_series(traj.spectra, traj.grid, p), traj.times, r)
 
 
 def _require_admissible(d: int, c_gamma: int, p, r, probe: bool, what: str):
@@ -319,12 +320,8 @@ def check_hoelder_like(grid: GridSpec, coeffs: disp.EquationCoeffs,
             return lhs, rhs
         trajs = [sample_trajectory(grid, coeffs, ens, i * len(p_factors) + j, times)
                  for j in range(len(p_factors))]
-        stack = np.empty_like(trajs[0].spectra)
-        for jt in range(stack.shape[0]):
-            vals = trajs[0].values(jt)
-            for tr in trajs[1:]:
-                vals = vals * tr.values(jt)
-            stack[jt] = SpectralField(grid, values=vals).spectrum
+        stack = _pointwise_map(lambda *vals: reduce(np.multiply, vals), grid,
+                               *(tr.spectra for tr in trajs))
         prod_traj = Trajectory(grid, trajs[0].times, stack)
         lhs = modspace.planchon_norm(
             prod_traj, modspace.PlanchonNormSpec(s=s, q=q, r=r_target, p=p_target),

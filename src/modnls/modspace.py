@@ -33,7 +33,12 @@ from .spectral import (
     GridSpec,
     SpectralField,
     Trajectory,
+    _abs2,
     _chunks,
+    _lp_series,
+    _n_samples,
+    _plancherel,
+    _stack_rows,
     time_lp_norm,
 )
 
@@ -51,6 +56,7 @@ __all__ = [
     "planchon_norm",
     "x_norm",
     "x_norm_diff",
+    "truncation_residual",
     "japanese_bracket",
 ]
 
@@ -104,8 +110,7 @@ class Partition:
     """A partition of unity realized on one grid.
 
     Stores the single 1-d window sample vector (identical for every box up
-    to translation, which is what makes the windowed norm path cheap) and
-    the per-axis coverage sum used for truncation residuals.
+    to translation, which is what makes the windowed norm path cheap).
     """
 
     def __init__(self, spec: PartitionSpec, grid: GridSpec):
@@ -126,18 +131,11 @@ class Partition:
         # achieved lower bound of sigma_k on Q_k (attained at box corners)
         half = slice(M // 2, 3 * M // 2 + 1)  # offsets in [-1/2, 1/2]
         self.achieved_C = float(np.min(self.window_1d[half])) ** grid.d
-        # per-axis coverage: sum of retained translates at every lattice frequency
-        cov = np.zeros(n)
-        for j in range(-K, K + 1):
-            lo = n // 2 + (j - 1) * M
-            cov[lo : lo + 2 * M + 1] += self.window_1d
-        self.coverage_1d = cov
         self.boxes = [k for k in product(range(-K, K + 1), repeat=grid.d)]
         self.brackets = np.array([japanese_bracket(k) for k in self.boxes])
         # lattice rows of one axis covered by the boxes k = -K .. K
         self.inner_slice = slice(n // 2 - (K + 1) * M, n // 2 + (K + 1) * M + 1)
         self._synthesis: dict[int, np.ndarray] = {}
-        self._residual = 1.0 - reduce(np.multiply.outer, [cov] * grid.d)
 
     def _validate_partition_of_unity(self):
         # 1-d translates must sum to one on the covered lattice range; the
@@ -168,10 +166,6 @@ class Partition:
             raise ValueError(f"box index {k} has wrong length for d = {self.grid.d}")
         if max(abs(int(ki)) for ki in k) > self.k_max:
             raise ValueError(f"box index {k} outside |k| <= {self.k_max}")
-
-    def residual_multiplier(self) -> np.ndarray:
-        """1 - sum_k sigma_k on the lattice (tensor product of coverages)."""
-        return self._residual
 
     def weights(self, s) -> np.ndarray:
         """<k>^s for every box, in `boxes` order."""
@@ -228,7 +222,6 @@ class PlanchonNormSpec:
 @dataclass(frozen=True)
 class NormResult:
     value: float
-    truncation_residual: float
 
     def __float__(self):
         return self.value
@@ -239,7 +232,6 @@ class XNormResult:
     value: float
     part_l2: float  # l^{s,q}(L^inf_t L^2_x) component
     part_lp: float  # l^{s,q}(L^r_t L^p_x) component
-    truncation_residual: float
 
     def __float__(self):
         return self.value
@@ -267,14 +259,6 @@ def _box_windows(x: np.ndarray, M: int, axis: int) -> np.ndarray:
     return view[(slice(None),) * axis + (slice(None, None, M),)]
 
 
-def _abs2(x: np.ndarray) -> np.ndarray:
-    return np.square(x.real) + np.square(x.imag)
-
-
-def _n_samples(stacks) -> int:
-    return (stacks[0] if isinstance(stacks, tuple) else stacks).shape[0]
-
-
 class _BoxNormEngine:
     """Per-box L^p norms of (stacks of) spectra for one partition.
 
@@ -295,13 +279,6 @@ class _BoxNormEngine:
         self.method = method
         grid = partition.grid
         self._l2_factor = (grid.dxi / (2.0 * math.pi)) ** grid.d
-
-    @staticmethod
-    def _region(stacks, rows: slice, sl: tuple) -> np.ndarray:
-        """Samples `rows` of the stack (or of A - B) restricted to `sl`."""
-        if isinstance(stacks, tuple):
-            return stacks[0][rows][sl] - stacks[1][rows][sl]
-        return stacks[rows][sl]
 
     @staticmethod
     def _by_box(table: np.ndarray) -> np.ndarray:
@@ -334,7 +311,7 @@ class _BoxNormEngine:
         out = np.empty((T,) + (2 * part.k_max + 1,) * d)
         width = part.inner_slice.stop - part.inner_slice.start
         for t0, t1 in _chunks(T, _CHUNK_BYTES // (16 * width**d)):
-            sq = _abs2(self._region(stacks, slice(t0, t1), inner))
+            sq = _abs2(_stack_rows(stacks, slice(t0, t1), inner))
             for axis in range(1, d + 1):
                 sq = _box_windows(sq, M, axis) @ w2
             out[t0:t1] = sq
@@ -375,7 +352,7 @@ class _BoxNormEngine:
         for t0, t1 in _chunks(T, k_step // counts[0]):
             for k0, k1 in _chunks(counts[0], k_step):
                 lo = start + (lows[0] + k0) * M
-                x = self._region(stacks, slice(t0, t1),
+                x = _stack_rows(stacks, slice(t0, t1),
                                  (slice(None), slice(lo, lo + (k1 - k0 + 1) * M + 1)) + rest)
                 for axis in range(1, d + 1):  # one gemm on a compact copy of the windows
                     win = np.ascontiguousarray(_box_windows(x, M, axis))
@@ -389,35 +366,23 @@ class _BoxNormEngine:
         return self._by_box(out)
 
     def _full_grid(self, stacks, p: float) -> np.ndarray:
-        """Box by box and sample by sample on the full n^d grid."""
+        """Box by box on the full n^d grid, through the shared pass to
+        physical space, a chunk of samples at a time."""
         part = self.partition
         grid = part.grid
         wnd = part.window_nd()
-        out = np.zeros((len(part.boxes), _n_samples(stacks)))
-        full = np.zeros(grid.shape, dtype=np.complex128)
-        for i, k in enumerate(part.boxes):
-            sl = part.box_slices(k)
-            block = self._region(stacks, slice(None), (slice(None),) + sl)
-            if not np.any(block):
-                continue
-            for j, piece in enumerate(block * wnd):
-                full[sl] = piece
-                vals = np.fft.fftshift(np.fft.ifftn(np.fft.ifftshift(full)))
-                vals *= grid.size * self._l2_factor
-                a = np.abs(vals)
-                out[i, j] = a.max() if p == math.inf else (
-                    np.sum(a**p) ** (1.0 / p) * grid.h ** (grid.d / p))
-            full[sl] = 0.0
+        T = _n_samples(stacks)
+        out = np.zeros((len(part.boxes), T))
+        for t0, t1 in _chunks(T, _CHUNK_BYTES // (16 * grid.size)):
+            full = np.zeros((t1 - t0,) + grid.shape, dtype=np.complex128)
+            for i, k in enumerate(part.boxes):
+                sl = (slice(None),) + part.box_slices(k)
+                block = _stack_rows(stacks, slice(t0, t1), sl)
+                if np.any(block):
+                    full[sl] = block * wnd
+                    out[i, t0:t1] = _lp_series(full, grid, p)
+                    full[sl] = 0.0
         return out
-
-    def truncation_residual(self, stacks) -> float:
-        """max_t L^2 norm of the part of the spectrum outside all boxes."""
-        mult = self.partition.residual_multiplier()
-        worst = 0.0
-        for t0, t1 in _chunks(_n_samples(stacks), _CHUNK_BYTES // (16 * mult.size)):
-            sq = _abs2(self._region(stacks, slice(t0, t1), ()) * mult)
-            worst = max(worst, float(sq.reshape(t1 - t0, -1).sum(axis=1).max()))
-        return float(np.sqrt(self._l2_factor * worst))
 
 
 def _as_stack(obj):
@@ -433,11 +398,8 @@ def _as_stack(obj):
 def mod_norm(f: SpectralField, spec: ModNormSpec, partition: Partition,
              method: str = "fast") -> NormResult:
     """Weighted l^q over boxes of per-box L^p norms of a single field."""
-    engine = _BoxNormEngine(partition, method)
-    stack = _as_stack(f)
-    per_box = engine.series(stack, spec.p)[:, 0]
-    value = _lq_aggregate(partition.weights(spec.s) * per_box, spec.q)
-    return NormResult(value, engine.truncation_residual(stack))
+    per_box = _BoxNormEngine(partition, method).series(_as_stack(f), spec.p)[:, 0]
+    return NormResult(_lq_aggregate(partition.weights(spec.s) * per_box, spec.q))
 
 
 def mod_norm_series(stack, spec: ModNormSpec, partition: Partition,
@@ -446,7 +408,7 @@ def mod_norm_series(stack, spec: ModNormSpec, partition: Partition,
 
     `stack` is a (T, n, ..) spectra array, a Trajectory, or a pair (A, B)
     of spectra arrays whose difference is measured (B may be a broadcast
-    view). The truncation residual is not computed.
+    view).
     """
     table = _BoxNormEngine(partition, method).series(_as_stack(stack), spec.p)
     return _lq_aggregate(partition.weights(spec.s)[:, None] * table, spec.q, axis=0)
@@ -455,11 +417,9 @@ def mod_norm_series(stack, spec: ModNormSpec, partition: Partition,
 def planchon_norm(u: Trajectory, spec: PlanchonNormSpec, partition: Partition,
                   method: str = "fast") -> NormResult:
     """l^{s,q} over boxes of (L^r in time of (L^p in space)) of a trajectory."""
-    engine = _BoxNormEngine(partition, method)
-    stack = _as_stack(u)
-    per_box = time_lp_norm(engine.series(stack, spec.p), u.times, spec.r)
-    value = _lq_aggregate(partition.weights(spec.s) * per_box, spec.q)
-    return NormResult(value, engine.truncation_residual(stack))
+    series = _BoxNormEngine(partition, method).series(_as_stack(u), spec.p)
+    per_box = time_lp_norm(series, u.times, spec.r)
+    return NormResult(_lq_aggregate(partition.weights(spec.s) * per_box, spec.q))
 
 
 def _x_norm_impl(stacks, times, s, q, r, p, partition, method) -> XNormResult:
@@ -478,7 +438,6 @@ def _x_norm_impl(stacks, times, s, q, r, p, partition, method) -> XNormResult:
         value=part_l2 + part_lp,
         part_l2=part_l2,
         part_lp=part_lp,
-        truncation_residual=engine.truncation_residual(stacks),
     )
 
 
@@ -495,3 +454,15 @@ def x_norm_diff(u: Trajectory, v: Trajectory, s, q, r, p, partition: Partition,
         raise ValueError("trajectories not aligned")
     return _x_norm_impl((u.spectra, v.spectra), u.times, s, q, r, p,
                         partition, method)
+
+
+def truncation_residual(obj, partition: Partition) -> float:
+    """max over samples of the L^2 norm of the part of the spectrum outside
+    every box, (1 - sum_k sigma_k) fhat, for a SpectralField, a Trajectory
+    or a spectra stack."""
+    grid = partition.grid
+    cov = np.zeros(grid.n)  # per axis: sum of the retained translates
+    for j in range(-partition.k_max, partition.k_max + 1):
+        cov[partition.box_slices((j,))[0]] += partition.window_1d
+    mult = 1.0 - reduce(np.multiply.outer, [cov] * grid.d)
+    return math.sqrt(float(_plancherel(_as_stack(obj), grid, mult).max()))

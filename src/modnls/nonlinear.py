@@ -16,14 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .modspace import Partition, PlanchonNormSpec, planchon_norm
-from .spectral import (
-    _CHUNK_BYTES,
-    SpectralField,
-    Trajectory,
-    _centered_fft,
-    _centered_ifft,
-    _chunks,
-)
+from .spectral import SpectralField, Trajectory, _pointwise_map
 
 __all__ = [
     "NonlinSpec",
@@ -234,17 +227,10 @@ def aliasing_residual(spec: NonlinSpec, u: SpectralField) -> float:
 
 
 def apply_to_trajectory(spec: NonlinSpec, u: Trajectory) -> Trajectory:
-    """f(u) at every sample, as a spectral stack.
-
-    Samples go in chunks of about _CHUNK_BYTES: one inverse transform, one
-    `evaluate` and one forward transform per chunk.
-    """
-    grid = u.grid
-    out = np.empty_like(u.spectra)
-    for t0, t1 in _chunks(u.n_samples, _CHUNK_BYTES // (16 * grid.size)):
-        vals = evaluate(spec, _centered_ifft(u.spectra[t0:t1], grid.h, grid.d))
-        out[t0:t1] = _centered_fft(vals, grid.h, grid.d)
-    return Trajectory(grid, u.times, out)
+    """f(u) at every sample, as a spectral stack: one `evaluate` per chunk
+    of the shared pass to physical space and back."""
+    out = _pointwise_map(lambda vals: evaluate(spec, vals), u.grid, u.spectra)
+    return Trajectory(u.grid, u.times, out)
 
 
 @dataclass(frozen=True)

@@ -33,8 +33,9 @@ from .spectral import (
     GridSpec,
     SpectralField,
     Trajectory,
-    _centered_fft,
-    _centered_ifft,
+    _from_physical,
+    _plancherel,
+    _to_physical,
     lp_norm,
 )
 
@@ -85,6 +86,8 @@ class SolveConfig:
             raise ValueError("need at least two time samples")
         if self.delta <= 0:
             raise ValueError("delta must be positive")
+        if self.exp_s_rule not in ("s>=0", "s>=p"):
+            raise ValueError(f"exp_s_rule must be 's>=0' or 's>=p', got {self.exp_s_rule!r}")
 
     def times(self) -> np.ndarray:
         return np.linspace(self.t_min, self.t_max, self.nt)
@@ -295,7 +298,7 @@ def _run_fixed_point(cfg: SolveConfig, u0: SpectralField, lower_limit: str,
     xres = modspace.x_norm(u, cfg.s, cfg.q, cfg.r, cfg.p, partition)
     report.final_x_norm = xres.value
     report.final_x_parts = (xres.part_l2, xres.part_lp)
-    report.truncation_residual = xres.truncation_residual
+    report.truncation_residual = modspace.truncation_residual(u, partition)
     if report.diff_norms:
         report.fixed_point_residual = report.diff_norms[-1]
 
@@ -335,10 +338,8 @@ def mass(f: SpectralField) -> float:
 
 
 def mass_series(u: Trajectory) -> np.ndarray:
-    """mass of every sample, by Plancherel on the stored spectra:
-    (dxi / 2 pi)^d sum |fhat|^2, with no transform."""
-    factor = (u.grid.dxi / (2.0 * math.pi)) ** u.grid.d
-    return np.array([factor * np.vdot(spec, spec).real for spec in u.spectra])
+    """mass of every sample, by Plancherel on the stored spectra."""
+    return _plancherel(u.spectra, u.grid)
 
 
 # ---------------------------------------------------------------------------
@@ -384,9 +385,8 @@ def split_step_oracle(cfg: SolveConfig, u0: SpectralField) -> Trajectory:
         dt = (times[j] - times[j - 1]) / sub
         half = disp.phasor(cfg.coeffs, grid, 0.5 * dt)
         for _ in range(sub):
-            vals = _centered_ifft(spec * half, grid.h, grid.d)
-            vals = _nonlinear_substep(cfg.nonlin, vals, dt)
-            spec = _centered_fft(vals, grid.h, grid.d) * half
+            vals = _nonlinear_substep(cfg.nonlin, _to_physical(spec * half, grid), dt)
+            spec = _from_physical(vals, grid) * half
         stack[j] = spec
     return Trajectory(grid, times, stack)
 
@@ -395,12 +395,7 @@ def oracle_deviation(a: Trajectory, b: Trajectory) -> float:
     """sup over samples of the L^2 distance (Plancherel, no transforms)."""
     if a.grid != b.grid or a.n_samples != b.n_samples:
         raise ValueError("trajectories not aligned")
-    factor = (a.grid.dxi / (2.0 * math.pi)) ** a.grid.d
-    worst = 0.0
-    for j in range(a.n_samples):
-        sq = float(np.sum(np.abs(a.spectra[j] - b.spectra[j]) ** 2))
-        worst = max(worst, math.sqrt(factor * sq))
-    return worst
+    return math.sqrt(float(_plancherel((a.spectra, b.spectra), a.grid).max()))
 
 
 # ---------------------------------------------------------------------------

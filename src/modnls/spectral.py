@@ -34,9 +34,6 @@ __all__ = [
     "Trajectory",
     "make_grid",
     "lp_norm",
-    "axpy",
-    "pointwise_mul",
-    "conj",
     "time_lp_norm",
     "trapezoid_weights",
     "write_field",
@@ -131,21 +128,87 @@ def _chunks(total: int, size: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + step, total)) for lo in range(0, total, step)]
 
 
-def _centered_fft(values: np.ndarray, h: float, d: int) -> np.ndarray:
-    """Math-ordered samples (x ascending from -L) -> math-ordered spectra,
-    over the trailing d axes: one field or a stack of them."""
-    axes = tuple(range(-d, 0))
-    spec = np.fft.fftshift(np.fft.fftn(np.fft.ifftshift(values, axes), axes=axes), axes)
-    spec *= h**d
+def _n_samples(stacks) -> int:
+    return (stacks[0] if isinstance(stacks, tuple) else stacks).shape[0]
+
+
+def _stack_rows(stacks, rows: slice, sl: tuple = ()) -> np.ndarray:
+    """Samples `rows` of a spectral stack, or of A - B for a pair (A, B),
+    restricted to `sl`; a pair is cut before it is subtracted."""
+    if isinstance(stacks, tuple):
+        return stacks[0][rows][sl] - stacks[1][rows][sl]
+    return stacks[rows][sl]
+
+
+def _abs2(x: np.ndarray) -> np.ndarray:
+    return np.square(x.real) + np.square(x.imag)
+
+
+def _to_physical(spectra: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Math-ordered spectra -> samples, over the trailing d axes, in FFT
+    order (x = 0 first): the centered inverse transform without its spatial
+    fftshift, which pointwise maps and sums over x do not see."""
+    axes = tuple(range(-grid.d, 0))
+    vals = np.fft.ifftn(np.fft.ifftshift(spectra, axes), axes=axes)
+    vals /= grid.h**grid.d
+    return vals
+
+
+def _from_physical(values: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Inverse of _to_physical: FFT-ordered samples -> math-ordered spectra."""
+    axes = tuple(range(-grid.d, 0))
+    spec = np.fft.fftshift(np.fft.fftn(values, axes=axes), axes)
+    spec *= grid.h**grid.d
     return spec
 
 
-def _centered_ifft(spectrum: np.ndarray, h: float, d: int) -> np.ndarray:
-    """Inverse of _centered_fft, over the trailing d axes."""
-    axes = tuple(range(-d, 0))
-    vals = np.fft.fftshift(np.fft.ifftn(np.fft.ifftshift(spectrum, axes), axes=axes), axes)
-    vals /= h**d
-    return vals
+def _centered_ifft(spectrum: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Math-ordered spectra -> math-ordered samples (x ascending from -L)."""
+    return np.fft.fftshift(_to_physical(spectrum, grid), tuple(range(-grid.d, 0)))
+
+
+def _centered_fft(values: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Inverse of _centered_ifft."""
+    return _from_physical(np.fft.ifftshift(values, tuple(range(-grid.d, 0))), grid)
+
+
+def _physical_chunks(grid: GridSpec, *stacks: np.ndarray):
+    """The one pass of spectral stacks to physical space, in lockstep: yields
+    (rows, [samples `rows` of each stack, see _to_physical]) for chunks of
+    about _CHUNK_BYTES of samples."""
+    for t0, t1 in _chunks(stacks[0].shape[0], _CHUNK_BYTES // (16 * grid.size)):
+        yield slice(t0, t1), [_to_physical(s[t0:t1], grid) for s in stacks]
+
+
+def _pointwise_map(fn, grid: GridSpec, *stacks: np.ndarray) -> np.ndarray:
+    """Spectral stack of fn(*samples) at every sample, for fn pointwise in x:
+    the pass to physical space and back."""
+    out = np.empty(stacks[0].shape, dtype=np.complex128)
+    for rows, vals in _physical_chunks(grid, *stacks):
+        out[rows] = _from_physical(fn(*vals), grid)
+    return out
+
+
+def _lp_series(stack: np.ndarray, grid: GridSpec, p) -> np.ndarray:
+    """lp_norm of every sample of a spectral stack, as a (T,) array."""
+    out = np.empty(stack.shape[0])
+    for rows, (vals,) in _physical_chunks(grid, stack):
+        out[rows] = _lp(vals, grid, p)
+    return out
+
+
+def _plancherel(stacks, grid: GridSpec, weight: np.ndarray | None = None) -> np.ndarray:
+    """Squared L^2 norm of every sample of a spectral stack, or of A - B for
+    a pair (A, B), with no transform: (dxi/(2 pi))^d sum |w F|^2, where the
+    spectral weight w defaults to 1."""
+    T = _n_samples(stacks)
+    out = np.empty(T)
+    for t0, t1 in _chunks(T, _CHUNK_BYTES // (16 * grid.size)):
+        x = _stack_rows(stacks, slice(t0, t1))
+        if weight is not None:
+            x = x * weight
+        out[t0:t1] = _abs2(x).reshape(t1 - t0, -1).sum(axis=1)
+    return out * (grid.dxi / (2.0 * math.pi)) ** grid.d
 
 
 class SpectralField:
@@ -193,7 +256,7 @@ class SpectralField:
     @property
     def values(self) -> np.ndarray:
         if self._values is None:
-            vals = _centered_ifft(self._spectrum, self.grid.h, self.grid.d)
+            vals = _centered_ifft(self._spectrum, self.grid)
             vals.flags.writeable = False
             self._set("_values", vals)
         return self._values
@@ -201,7 +264,7 @@ class SpectralField:
     @property
     def spectrum(self) -> np.ndarray:
         if self._spectrum is None:
-            spec = _centered_fft(self._values, self.grid.h, self.grid.d)
+            spec = _centered_fft(self._values, self.grid)
             spec.flags.writeable = False
             self._set("_spectrum", spec)
         return self._spectrum
@@ -210,63 +273,30 @@ class SpectralField:
         # __slots__ classes still allow normal attribute assignment
         object.__setattr__(self, name, value)
 
-    def __add__(self, other: "SpectralField") -> "SpectralField":
-        return axpy(1.0, self, other)
 
-    def __sub__(self, other: "SpectralField") -> "SpectralField":
-        return axpy(-1.0, other, self)
-
-    def __mul__(self, c) -> "SpectralField":
-        if isinstance(c, SpectralField):
-            return pointwise_mul(self, c)
-        return SpectralField(self.grid, values=self.values * complex(c))
-
-    __rmul__ = __mul__
-
-
-def _require_same_grid(*fields: SpectralField) -> GridSpec:
-    grid = fields[0].grid
-    for f in fields[1:]:
-        if f.grid != grid:
-            raise GridMismatchError(f"grids differ: {f.grid} vs {grid}")
-    return grid
+def _lp(values: np.ndarray, grid: GridSpec, p):
+    """(sum |f|^p h^d)^(1/p) over the trailing d axes; p = inf -> max |f|."""
+    a = np.abs(values)
+    axes = tuple(range(-grid.d, 0))
+    if p == math.inf:
+        return a.max(axis=axes)
+    p = float(p)
+    if p < 1.0:
+        raise ValueError(f"p must be in [1, inf], got {p}")
+    h = grid.h
+    if p == 2.0:
+        return np.sqrt(np.sum(a * a, axis=axes)) * h ** (grid.d / 2.0)
+    if p == 1.0:
+        return np.sum(a, axis=axes) * h**grid.d
+    return np.sum(a**p, axis=axes) ** (1.0 / p) * h ** (grid.d / p)
 
 
 def lp_norm(f: SpectralField, p) -> float:
     """Discrete L^p([-L,L)^d) norm: (sum |f|^p h^d)^(1/p); p = inf -> max |f|."""
-    a = np.abs(f.values)
-    if np.any(np.isnan(a)):
+    value = float(_lp(f.values, f.grid, p))
+    if math.isnan(value):
         raise ValueError("NaN values in field")
-    if p == math.inf:
-        return float(a.max())
-    p = float(p)
-    if p < 1.0:
-        raise ValueError(f"p must be in [1, inf], got {p}")
-    h = f.grid.h
-    if p == 2.0:
-        return float(np.sqrt(np.sum(a * a)) * h ** (f.grid.d / 2.0))
-    if p == 1.0:
-        return float(np.sum(a) * h**f.grid.d)
-    return float(np.sum(a**p) ** (1.0 / p) * h ** (f.grid.d / p))
-
-
-def axpy(a, x: SpectralField, y: SpectralField) -> SpectralField:
-    """a*x + y, computed in whichever view both operands have cached."""
-    _require_same_grid(x, y)
-    a = complex(a)
-    # spectra are linear in the field, so reuse them when both are present
-    if x._spectrum is not None and y._spectrum is not None:
-        return SpectralField(x.grid, spectrum=a * x.spectrum + y.spectrum)
-    return SpectralField(x.grid, values=a * x.values + y.values)
-
-
-def pointwise_mul(f: SpectralField, g: SpectralField) -> SpectralField:
-    _require_same_grid(f, g)
-    return SpectralField(f.grid, values=f.values * g.values)
-
-
-def conj(f: SpectralField) -> SpectralField:
-    return SpectralField(f.grid, values=np.conj(f.values))
+    return value
 
 
 def trapezoid_weights(times: np.ndarray) -> np.ndarray:
@@ -333,7 +363,10 @@ class Trajectory:
         fields = list(fields)
         if not fields:
             raise ValueError("empty trajectory")
-        grid = _require_same_grid(*fields)
+        grid = fields[0].grid
+        for f in fields[1:]:
+            if f.grid != grid:
+                raise GridMismatchError(f"grids differ: {f.grid} vs {grid}")
         stack = np.stack([f.spectrum for f in fields])
         return cls(grid, times, stack)
 
@@ -345,7 +378,7 @@ class Trajectory:
         return SpectralField(self.grid, spectrum=self.spectra[j])
 
     def values(self, j: int) -> np.ndarray:
-        return _centered_ifft(self.spectra[j], self.grid.h, self.grid.d)
+        return _centered_ifft(self.spectra[j], self.grid)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from modnls import dispersion as dsp, modspace, spectral
+from modnls import dispersion as dsp, modspace, nonlinear, solver, spectral
 
 
 def sigma_table(partition, k):
@@ -69,6 +69,52 @@ def reference_duhamel(coeffs, grid, times, source, base=None, coef=1.0):
         prefix[j] = acc
         out[j] = np.exp(1j * t * phase) * ((0.0 if base is None else base) + coef * acc)
     return out, prefix
+
+
+def centered_ifft(spectrum, grid):
+    """The centered inverse transform with both shifts, over the trailing d
+    axes: math-ordered spectra -> samples at x ascending from -L."""
+    axes = tuple(range(-grid.d, 0))
+    vals = np.fft.fftshift(np.fft.ifftn(np.fft.ifftshift(spectrum, axes), axes=axes), axes)
+    vals /= grid.h**grid.d
+    return vals
+
+
+def centered_fft(values, grid):
+    """Inverse of centered_ifft, with both shifts."""
+    axes = tuple(range(-grid.d, 0))
+    spec = np.fft.fftshift(np.fft.fftn(np.fft.ifftshift(values, axes), axes=axes), axes)
+    spec *= grid.h**grid.d
+    return spec
+
+
+def reference_apply_to_trajectory(spec, u):
+    """f(u) over the stack with the centered pair, spatial shifts included,
+    in the same chunks of samples as the shared pass."""
+    out = np.empty_like(u.spectra)
+    size = spectral._CHUNK_BYTES // (16 * u.grid.size)
+    for t0, t1 in spectral._chunks(u.n_samples, size):
+        vals = nonlinear.evaluate(spec, centered_ifft(u.spectra[t0:t1], u.grid))
+        out[t0:t1] = centered_fft(vals, u.grid)
+    return out
+
+
+def reference_split_step(cfg, u0):
+    """split_step_oracle with the centered pair around each nonlinear
+    substep; returns the spectra stack."""
+    times, grid = cfg.times(), cfg.grid
+    sub = max(1, int(cfg.oracle_substeps))
+    stack = np.empty((times.size,) + grid.shape, dtype=np.complex128)
+    spec = u0.spectrum.copy()
+    stack[0] = spec
+    for j in range(1, times.size):
+        dt = (times[j] - times[j - 1]) / sub
+        half = dsp.phasor(cfg.coeffs, grid, 0.5 * dt)
+        for _ in range(sub):
+            vals = solver._nonlinear_substep(cfg.nonlin, centered_ifft(spec * half, grid), dt)
+            spec = centered_fft(vals, grid) * half
+        stack[j] = spec
+    return stack
 
 
 def assert_rel_close(got, expected, rel):

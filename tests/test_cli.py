@@ -180,6 +180,40 @@ class TestBisectionFailure:
         assert "report.json" in read_json(out_dir / "manifest.json")["outputs"]
 
 
+def _run_edited_config(tmp_path, subcommand, **sections):
+    cfg = json.loads(json.dumps(PICARD_CONFIG))
+    cfg["window"] = {"t_min": -2.0, "t_max": 2.0, "nt": 9}
+    for key, values in sections.items():
+        cfg[key].update(values)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out_dir = tmp_path / "out"
+    code = run_cli([subcommand, "--config", str(cfg_path), "--out", str(out_dir)])
+    return code, read_json(out_dir / "manifest.json")["status"]
+
+
+class TestConfigValues:
+    def test_string_tail_tol_is_a_number(self, tmp_path):
+        assert _run_edited_config(tmp_path, "scatter", solver={"tail_tol": "1e3"}) == (0, "ok")
+
+    def test_bad_tail_tol_exit_2(self, tmp_path):
+        code, status = _run_edited_config(tmp_path, "scatter", solver={"tail_tol": "small"})
+        assert (code, status) == (2, "rejected")
+
+    def test_unknown_exp_s_rule_exit_2(self, tmp_path, capsys):
+        code, status = _run_edited_config(
+            tmp_path, "picard", solver={"exp_s_rule": "s >= p"},
+            nonlinearity={"kind": "exponential", "lambda": [-1.0, 0.0], "rho": 0.5})
+        assert (code, status) == (2, "rejected")
+        assert "exp_s_rule" in capsys.readouterr().err
+
+    def test_bad_thread_count_exit_2(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("MODNLS_THREADS", "two")
+        code = run_cli(["params", "-d", "2", "-m", "3", "--out", str(tmp_path)])
+        assert code == 2
+        assert read_json(tmp_path / "manifest.json")["status"] == "rejected"
+
+
 VERIFY_CONFIG = {
     "verify": {"d": 2, "L_over_pi": 4, "n": 64, "gamma": 1.0, "k_max": 2,
                "count": 3, "nt": 9, "t_max": 2.0, "band": 1},

@@ -150,13 +150,13 @@ class TestAdmissibility:
 
     def test_subadmissible_hand_value(self):
         # (sigma, rho) = (2(m0+1), m0+1) at m0 = 3: 2/4 + (3/2)/8 - 3/4 = -1/16
-        assert dsp.subadmissible_defect(2, 2, 8, 4) == F(-1, 16)
+        assert dsp.admissible_defect(2, 2, 8, 4) == F(-1, 16)
 
     def test_admissible_has_zero_subdefect(self):
-        assert dsp.subadmissible_defect(2, 2, 6, 4) == 0
+        assert dsp.admissible_defect(2, 2, 6, 4) == 0
 
     def test_two_two_positive(self):
-        assert dsp.subadmissible_defect(2, 2, 2, 2) > 0
+        assert dsp.admissible_defect(2, 2, 2, 2) > 0
 
 
 class TestM0:
@@ -315,3 +315,28 @@ class TestLedgerProperties:
         except HypothesisError:
             return
         assert lower <= upper
+
+    @settings(max_examples=80, deadline=None)
+    @given(**_LEDGER_INPUTS, u=st.fractions(0, 1))
+    def test_effective_l_characterizations_agree(self, d, extra, gamma_nonzero, u):
+        gamma = 1.0 if gamma_nonzero else 0.0
+        m0 = dsp.compute_m0(d, gamma)
+        lo, hi = dsp.interval_I(m0 + extra, d, gamma)
+        r = 1 / (lo + u * (hi - lo))  # 1/r anywhere in I
+        # raises (AssertionError) when the min-form and the max-form disagree
+        assert m0 <= dsp.effective_l(r, m0 + extra, m0) <= m0 + extra
+
+    @settings(max_examples=80, deadline=None)
+    @given(**_LEDGER_INPUTS, u=st.fractions(0, 1))
+    def test_dual_conjugates_admissible_when_range_valid(self, d, extra, gamma_nonzero, u):
+        gamma = 1.0 if gamma_nonzero else 0.0
+        m0 = dsp.compute_m0(d, gamma)
+        lo, hi = dsp.interval_I(m0 + extra, d, gamma)
+        r = 1 / (lo + u * (hi - lo))
+        dp = dsp.dual_pair(r, dsp.effective_l(r, m0 + extra, m0), d, gamma)
+        if not dp.range_valid:
+            return
+        pc, rc = dsp.conjugate_exponent(dp.p_tilde), dsp.conjugate_exponent(dp.r_tilde)
+        for e in (pc, rc):  # e in [2, inf]
+            assert 0 <= dsp.inv_exponent(e) <= F(1, 2)
+        assert dsp.admissible_defect(d, dsp.c_gamma_of(gamma), pc, rc) == 0

@@ -166,7 +166,7 @@ class TestHoelder:
         from conftest import band_limited_field
         f = band_limited_field(grid2d, 1, rng)
         one = sp.SpectralField(grid2d, values=np.ones(grid2d.shape, dtype=complex))
-        prod = sp.pointwise_mul(f, one)
+        prod = sp.SpectralField(grid2d, values=f.values * one.values)
         lhs = ms.mod_norm(prod, ms.ModNormSpec(2, 1, 0.0), partition2d).value
         rhs = (ms.mod_norm(f, ms.ModNormSpec(4, 1, 0.0), partition2d).value
                * ms.mod_norm(one, ms.ModNormSpec(4, 1, 0.0), partition2d).value)
@@ -242,3 +242,36 @@ class TestDeterminism:
         b = hn.check_embeddings(grid2d, COEFFS, ens, 1, 0.0, r=4, p1=2, p2=6,
                                 times=TIMES, partition=partition2d, threads=2)
         assert a["minkowski"].ratio == b["minkowski"].ratio
+
+
+class TestStackPasses:
+    def test_lebesgue_side_matches_per_sample_lp_norm(self, grid2d, partition2d):
+        ens = small_ensemble(count=2)
+        rep = hn.check_homogeneous_strichartz(grid2d, COEFFS, ens, 6, 4, 1, 0.0, TIMES,
+                                              partition2d)["lebesgue"]
+        for i, lhs in enumerate(rep.lhs):
+            traj = dsp.propagate_trajectory(COEFFS, TIMES, hn.sample_field(grid2d, ens, i))
+            per_t = [sp.lp_norm(traj.field(j), 6) for j in range(traj.n_samples)]
+            assert lhs == pytest.approx(sp.time_lp_norm(per_t, TIMES, 4), rel=1e-13)
+
+    @pytest.mark.parametrize("p_factors", [(4, 4), (6, 6, 6)])
+    def test_planchon_product_matches_per_sample_product(self, grid2d, partition2d,
+                                                         p_factors):
+        ens = small_ensemble(count=2)
+        rep = hn.check_hoelder_like(
+            grid2d, COEFFS, ens, 1, 0.0, p_target=2, p_factors=p_factors, r_target=2,
+            r_factors=p_factors, times=TIMES, partition=partition2d, mode="planchon")
+        spec = ms.PlanchonNormSpec(s=0.0, q=1, r=2, p=2)
+        k = len(p_factors)
+        for i, lhs in enumerate(rep.lhs):
+            trajs = [hn.sample_trajectory(grid2d, COEFFS, ens, i * k + j, TIMES)
+                     for j in range(k)]
+            stack = np.empty_like(trajs[0].spectra)
+            for jt in range(TIMES.size):
+                vals = trajs[0].values(jt)
+                for tr in trajs[1:]:
+                    vals = vals * tr.values(jt)
+                stack[jt] = sp.SpectralField(grid2d, values=vals).spectrum
+            prod = sp.Trajectory(grid2d, TIMES, stack)
+            expected = ms.planchon_norm(prod, spec, partition2d).value
+            assert lhs == pytest.approx(expected, rel=1e-13)

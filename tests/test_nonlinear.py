@@ -5,7 +5,7 @@ import pytest
 
 from modnls import dispersion as dsp, nonlinear as nl, spectral as sp
 
-from conftest import band_limited_field
+from conftest import band_limited_field, centered_ifft, reference_apply_to_trajectory
 
 
 def _const_field(grid, value):
@@ -72,7 +72,7 @@ class TestApplyPower:
         f = band_limited_field(grid2d_small, 1, rng)
         spec = nl.NonlinSpec(kind="power", pattern=("u", "conj", "u", "u"), coeff=-2.0)
         c = 0.7 - 0.3j
-        a = nl.apply_power(spec, c * f).values
+        a = nl.apply_power(spec, sp.SpectralField(f.grid, values=c * f.values)).values
         b = nl.apply_power(spec, f).values
         assert np.allclose(np.abs(a), abs(c) ** 4 * np.abs(b), rtol=1e-12, atol=1e-300)
 
@@ -81,7 +81,8 @@ class TestApplyPower:
         f = band_limited_field(grid2d_small, 1, rng)
         spec = nl.NonlinSpec.odd_power(2, -1.0)  # |u|^4 u
         theta = 0.9
-        a = nl.apply_power(spec, np.exp(1j * theta) * f).values
+        a = nl.apply_power(
+            spec, sp.SpectralField(f.grid, values=np.exp(1j * theta) * f.values)).values
         b = np.exp(1j * theta) * nl.apply_power(spec, f).values
         assert np.allclose(a, b, rtol=1e-12, atol=1e-300)
 
@@ -200,3 +201,20 @@ class TestTrajectoryApplication:
             direct = nl.apply_power(spec, traj.field(j))
             scale = np.max(np.abs(direct.values))
             assert np.max(np.abs(out.values(j) - direct.values)) < 1e-13 * scale
+
+    @pytest.mark.parametrize("spec", [
+        nl.NonlinSpec(kind="power", pattern=("u", "conj", "u", "u"), coeff=-1.0 + 0.5j),
+        nl.NonlinSpec(kind="exponential", lam=-1.0, rho=0.5),
+        nl.NonlinSpec(kind="zero"),
+    ], ids=["quartic", "exponential", "zero"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_centered_reference_bitwise(self, spec, d):
+        # 17 samples span several chunks of the pass at every d
+        grid = sp.make_grid(d, 4 * math.pi, {1: 4096, 2: 64, 3: 32}[d])
+        u0 = band_limited_field(grid, 1, np.random.default_rng(7 + d), amplitude=0.4)
+        traj = dsp.propagate_trajectory(dsp.EquationCoeffs(1.0, 0.0, 1.0),
+                                        np.linspace(0, 1, 17), u0)
+        out = nl.apply_to_trajectory(spec, traj)
+        assert np.array_equal(out.spectra, reference_apply_to_trajectory(spec, traj))
+        assert np.array_equal(out.field(3).values, centered_ifft(out.spectra[3], grid))
+

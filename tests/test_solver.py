@@ -8,7 +8,8 @@ from modnls import dispersion as dsp, modspace as ms, nonlinear as nl, solver as
 from modnls import spectral as sp
 from modnls.errors import HypothesisError, NumericsError
 
-from conftest import assert_rel_close, band_limited_field, reference_duhamel
+from conftest import (assert_rel_close, band_limited_field, reference_duhamel,
+                      reference_split_step)
 
 COEFFS = dsp.EquationCoeffs(alpha=1.0, beta=0.0, gamma=1.0)
 QUARTIC = nl.NonlinSpec(kind="power", pattern=("u", "conj", "u", "u"), coeff=-1.0)
@@ -269,6 +270,18 @@ class TestOracle:
         order = np.polyfit(np.log(dts), np.log(errs), 1)[0]
         assert 1.7 < order < 2.7
 
+    @pytest.mark.parametrize("nonlin", [
+        nl.NonlinSpec.cubic(-1.0),
+        nl.NonlinSpec(kind="exponential", lam=-1.0, rho=0.5),
+        nl.NonlinSpec(kind="power", pattern=("u", "conj", "u"), coeff=1j),
+    ], ids=["rotation", "exponential-rotation", "rk4"])
+    def test_matches_centered_reference_bitwise(self, grid2d_small, nonlin):
+        cfg = small_config(grid2d_small, nonlin=nonlin, nt=5, t_max=0.5,
+                           override_hypotheses=True)
+        u0 = small_datum(cfg, seed=9, mod_norm=0.5)
+        traj = sv.split_step_oracle(cfg, u0)
+        assert np.array_equal(traj.spectra, reference_split_step(cfg, u0))
+
     def test_time_reversibility_linear(self, grid2d_small):
         cfg = small_config(grid2d_small, nonlin=ZERO, nt=9, t_max=1.0)
         u0 = small_datum(cfg, seed=5)
@@ -297,6 +310,20 @@ class TestMass:
         expected = [sv.mass(traj.field(j)) for j in range(traj.n_samples)]
         np.testing.assert_allclose(series, expected, rtol=1e-12, atol=0.0)
         assert series[2] == 0.0
+
+    def test_series_and_oracle_deviation_are_per_sample_plancherel(self, grid2d_small):
+        # 11 samples: two chunks of the Plancherel sum at n = 64
+        rng = np.random.default_rng(10)
+        times = np.linspace(0.0, 1.0, 11)
+        a = dsp.propagate_trajectory(COEFFS, times, band_limited_field(grid2d_small, 2, rng))
+        b = dsp.propagate_trajectory(COEFFS, times, band_limited_field(grid2d_small, 2, rng))
+        factor = (grid2d_small.dxi / (2.0 * math.pi)) ** 2
+        mass = [factor * np.vdot(s, s).real for s in a.spectra]
+        np.testing.assert_allclose(sv.mass_series(a), mass, rtol=1e-13, atol=0.0)
+        dev = max(math.sqrt(factor * np.sum(np.abs(x - y) ** 2))
+                  for x, y in zip(a.spectra, b.spectra))
+        assert sv.oracle_deviation(a, b) == pytest.approx(dev, rel=1e-13)
+        assert sv.oracle_deviation(a, a) == 0.0
 
     def test_zero(self, grid2d_small):
         assert sv.mass(sp.SpectralField.zero(grid2d_small)) == 0.0

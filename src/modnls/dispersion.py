@@ -49,6 +49,7 @@ __all__ = [
     "p_admissible",
     "dual_pair",
     "build_param_ledger",
+    "weight_rule",
 ]
 
 INF = math.inf
@@ -74,7 +75,7 @@ class EquationCoeffs:
 
     @property
     def c_gamma(self) -> int:
-        return 2 if self.gamma != 0.0 else 3
+        return c_gamma_of(self.gamma)
 
 
 def symbol(coeffs: EquationCoeffs, xi) -> np.ndarray | float:
@@ -343,7 +344,7 @@ class ParamLedger:
     gamma_nonzero: bool
     c_gamma: int
     m0: int
-    I: tuple[Fraction, Fraction]
+    I: tuple[Fraction, Fraction] | None = None
     r: Fraction | None = None
     inv_r: Fraction | None = None
     l: int | None = None
@@ -358,39 +359,57 @@ class ParamLedger:
 
 def build_param_ledger(d: int, m: int, gamma_nonzero: bool,
                        r=None, p=None) -> ParamLedger:
-    """Assemble the full exponent ledger, verifying hypotheses on the way."""
+    """Assemble the full exponent ledger, verifying hypotheses on the way.
+
+    A violation raises HypothesisError carrying the ledger as far as it
+    got: m0 when m < m0, m0 and I when 1/r is outside I, and m0, I, l and
+    J when 1/p is outside J.
+    """
     gamma = 1.0 if gamma_nonzero else 0.0
     c = c_gamma_of(gamma)
     m0 = compute_m0(d, gamma)
-    I = interval_I(m, d, gamma)
-    led = ParamLedger(d=d, m=m, gamma_nonzero=gamma_nonzero,
-                      c_gamma=c, m0=m0, I=I)
-    if r is None:
-        return led
-    r = _as_exponent(r)
-    inv_r = inv_exponent(r)
-    if not (I[0] <= inv_r <= I[1]):
-        raise HypothesisError(f"1/r = {inv_r} outside I = [{I[0]}, {I[1]}]")
-    led.r = r
-    led.inv_r = inv_r
-    led.l = effective_l(r, m, m0)
-    led.J = interval_J(r, d, gamma, led.l)
-    led.p_a = p_admissible(r, d, gamma)
-    dp = dual_pair(r, led.l, d, gamma)
-    led.p_tilde = dp.p_tilde
-    led.r_tilde = dp.r_tilde
-    led.dual_range_valid = dp.range_valid
-    led.checks["p_a_admissible"] = admissible_defect(d, c, led.p_a, r) == 0
-    led.checks["dual_defect_zero"] = True  # dual_pair raises otherwise
-    led.checks["dual_range_valid"] = dp.range_valid
-    if p is not None:
-        p = _as_exponent(p)
-        inv_p = inv_exponent(p)
-        if not (led.J[0] <= inv_p <= led.J[1]):
-            raise HypothesisError(
-                f"1/p = {inv_p} outside J = [{led.J[0]}, {led.J[1]}]"
-            )
-        led.p = p
-        led.checks["p_ge_p_a"] = inv_p <= inv_exponent(led.p_a)
-        led.checks["holder_chain"] = (led.l + 1) * dp.p_tilde >= p
+    led = ParamLedger(d=d, m=m, gamma_nonzero=gamma_nonzero, c_gamma=c, m0=m0)
+    try:
+        I = led.I = interval_I(m, d, gamma)
+        if r is None:
+            return led
+        r = _as_exponent(r)
+        inv_r = inv_exponent(r)
+        if not (I[0] <= inv_r <= I[1]):
+            raise HypothesisError(f"1/r = {inv_r} outside I = [{I[0]}, {I[1]}]")
+        led.r = r
+        led.inv_r = inv_r
+        led.l = effective_l(r, m, m0)
+        led.J = interval_J(r, d, gamma, led.l)
+        led.p_a = p_admissible(r, d, gamma)
+        dp = dual_pair(r, led.l, d, gamma)
+        led.p_tilde = dp.p_tilde
+        led.r_tilde = dp.r_tilde
+        led.dual_range_valid = dp.range_valid
+        led.checks["p_a_admissible"] = admissible_defect(d, c, led.p_a, r) == 0
+        led.checks["dual_defect_zero"] = True  # dual_pair raises otherwise
+        led.checks["dual_range_valid"] = dp.range_valid
+        if p is not None:
+            p = _as_exponent(p)
+            inv_p = inv_exponent(p)
+            if not (led.J[0] <= inv_p <= led.J[1]):
+                raise HypothesisError(
+                    f"1/p = {inv_p} outside J = [{led.J[0]}, {led.J[1]}]"
+                )
+            led.p = p
+            led.checks["p_ge_p_a"] = inv_p <= inv_exponent(led.p_a)
+            led.checks["holder_chain"] = (led.l + 1) * dp.p_tilde >= p
+    except HypothesisError as exc:
+        exc.ledger = led
+        raise
     return led
+
+
+def weight_rule(d: int, q, s: float) -> tuple[bool, str]:
+    """The condition on the modulation weight: s >= 0 when q = 1, and
+    s > d/q' = d (1 - 1/q) when q is in (1, inf]. Returns whether s meets
+    it and the rule as stated, with its threshold."""
+    if float(q) == 1.0:
+        return s >= 0.0, "s >= 0"
+    thresh = d * (1.0 - 1.0 / float(q))
+    return s > thresh, f"s > d/q' = {thresh}"

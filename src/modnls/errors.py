@@ -7,7 +7,15 @@ discovered during a run (exit 1). Everything else is a plain ValueError.
 
 
 class HypothesisError(ValueError):
-    """A requested computation violates a hypothesis it depends on."""
+    """A requested computation violates a hypothesis it depends on.
+
+    Carries the partial parameter ledger, if one was built before the
+    violation, so callers can record what was derived.
+    """
+
+    def __init__(self, message, ledger=None):
+        super().__init__(message)
+        self.ledger = ledger
 
 
 class NumericsError(RuntimeError):

@@ -279,13 +279,9 @@ def _check_split(target, factors, what: str):
 
 
 def _check_hoelder_weight(d: int, q, s, probe: bool):
-    if probe:
-        return
-    if float(q) == 1.0:
-        if s < 0:
-            raise HypothesisError("q = 1 requires s >= 0")
-    elif s <= d * (1.0 - 1.0 / float(q)):
-        raise HypothesisError(f"q = {q} requires s > d(1 - 1/q) = {d * (1 - 1 / float(q))}")
+    ok, rule = disp.weight_rule(d, q, s)
+    if not (ok or probe):
+        raise HypothesisError(f"q = {q} requires {rule}, got s = {s}")
 
 
 def check_hoelder_like(grid: GridSpec, coeffs: disp.EquationCoeffs,

@@ -20,8 +20,6 @@ from .spectral import SpectralField, Trajectory, _pointwise_map
 
 __all__ = [
     "NonlinSpec",
-    "apply_power",
-    "apply_exponential",
     "exponential_series",
     "exponential_tail_bound",
     "apply_to_trajectory",
@@ -132,15 +130,11 @@ class NonlinSpec:
 
 
 def _power_values(spec: NonlinSpec, u: np.ndarray) -> np.ndarray:
-    out = np.full_like(u, complex(spec.coeff))
-    uc = None
-    for tok in spec.pattern:
-        if tok == PLAIN:
-            out = out * u
-        else:
-            if uc is None:
-                uc = np.conj(u)
-            out = out * uc
+    uc = np.conj(u) if CONJ in spec.pattern else None
+    factors = [u if tok == PLAIN else uc for tok in spec.pattern]
+    out = factors[0] * complex(spec.coeff)
+    for f in factors[1:]:
+        out *= f
     return out
 
 
@@ -161,18 +155,6 @@ def evaluate(spec: NonlinSpec, u: np.ndarray) -> np.ndarray:
     if spec.kind == "power":
         return _power_values(spec, u)
     return _exponential_values(spec, u)
-
-
-def apply_power(spec: NonlinSpec, u: SpectralField) -> SpectralField:
-    if spec.kind != "power":
-        raise ValueError(f"expected power kind, got {spec.kind!r}")
-    return SpectralField(u.grid, values=_power_values(spec, u.values))
-
-
-def apply_exponential(spec: NonlinSpec, u: SpectralField) -> SpectralField:
-    if spec.kind != "exponential":
-        raise ValueError(f"expected exponential kind, got {spec.kind!r}")
-    return SpectralField(u.grid, values=_exponential_values(spec, u.values))
 
 
 def exponential_series(spec: NonlinSpec, u: SpectralField,
@@ -256,11 +238,11 @@ def power_lipschitz_witness(u: Trajectory, v: Trajectory, spec: NonlinSpec,
     """
     if spec.kind != "power" or spec.m != exps.m:
         raise ValueError("nonlinearity spec does not match the exponent bundle")
-    fu = apply_to_trajectory(spec, u)
-    fv = apply_to_trajectory(spec, v)
+    # f(u) - f(v) in one pass: one forward transform per chunk, no second stack
+    diff = _pointwise_map(lambda a, b: evaluate(spec, a) - evaluate(spec, b),
+                          u.grid, u.spectra, v.spectra)
     inner = PlanchonNormSpec(s=exps.s, q=exps.q, r=exps.r_tilde, p=exps.p_tilde)
-    diff = Trajectory(u.grid, u.times, fu.spectra - fv.spectra)
-    lhs = planchon_norm(diff, inner, partition).value
+    lhs = planchon_norm(Trajectory(u.grid, u.times, diff), inner, partition).value
 
     lp1 = exps.l + 1
 

@@ -145,61 +145,43 @@ class SolveReport:
 def verify_hypotheses(cfg: SolveConfig, scattering: bool = False) -> dict:
     """Check the theorem hypotheses; raise HypothesisError unless overridden.
 
-    Returns the ledger of checks either way (the report records it).
+    The exponent chain m0 -> I -> l -> J is `dispersion.build_param_ledger`
+    and the (q, s) condition is `dispersion.weight_rule`. Returns the
+    ledger of checks either way (the report records it).
     """
+    if cfg.nonlin.kind == "zero":
+        return {"linear_problem": True}
     ledger: dict = {}
     problems: list[str] = []
-    d = cfg.grid.d
-    gamma = cfg.coeffs.gamma
-    if cfg.nonlin.kind == "zero":
-        ledger["linear_problem"] = True
-        return ledger
     m = cfg.degree_m
     try:
-        m0 = disp.compute_m0(d, gamma)
-        ledger["m0"] = m0
-        if m < m0:
-            problems.append(f"m = {m} below minimal degree m0 = {m0}")
-        else:
-            interval = disp.interval_I(m, d, gamma)
-            inv_r = disp.inv_exponent(cfg.r)
-            ledger["I"] = [str(interval[0]), str(interval[1])]
-            if not (interval[0] <= inv_r <= interval[1]):
-                problems.append(f"1/r = {inv_r} outside I = {ledger['I']}")
-            else:
-                r_exact = disp.exponent_from_inv(inv_r)
-                l = disp.effective_l(r_exact, m, m0)
-                ledger["l"] = l
-                J = disp.interval_J(r_exact, d, gamma, l)
-                ledger["J"] = [str(J[0]), str(J[1])]
-                inv_p = disp.inv_exponent(cfg.p)
-                if not (J[0] <= inv_p <= J[1]):
-                    problems.append(f"1/p = {inv_p} outside J = {ledger['J']}")
+        led = disp.build_param_ledger(cfg.grid.d, m, cfg.coeffs.gamma != 0.0,
+                                      r=cfg.r, p=cfg.p)
     except HypothesisError as exc:
+        led = exc.ledger  # None when d < 2: not even m0 exists
         problems.append(str(exc))
+    if led is not None:
+        ledger["m0"] = led.m0
+        if led.I is not None:
+            ledger["I"] = [str(led.I[0]), str(led.I[1])]
+        if led.l is not None:
+            ledger["l"] = led.l
+        if led.J is not None:
+            ledger["J"] = [str(led.J[0]), str(led.J[1])]
 
-    q = cfg.q
-    if q == 1:
-        if cfg.nonlin.kind == "exponential" and cfg.exp_s_rule == "s>=p":
-            ok = cfg.s >= float(cfg.p)
-            ledger["s_rule"] = f"s >= p (strict reading): {ok}"
-        else:
-            ok = cfg.s >= 0.0
-            ledger["s_rule"] = f"s >= 0: {ok}"
-        if not ok:
-            problems.append("weight s violates the q = 1 condition")
-    else:
-        thresh = d * (1.0 - 1.0 / float(q))
-        ok = cfg.s > thresh
-        ledger["s_rule"] = f"s > d/q' = {thresh}: {ok}"
-        if not ok:
-            problems.append(f"need s > d/q' = {thresh}, got s = {cfg.s}")
+    ok, rule = disp.weight_rule(cfg.grid.d, cfg.q, cfg.s)
+    if (float(cfg.q) == 1.0 and cfg.nonlin.kind == "exponential"
+            and cfg.exp_s_rule == "s>=p"):
+        ok, rule = cfg.s >= float(cfg.p), "s >= p (strict reading)"
+    ledger["s_rule"] = f"{rule}: {ok}"
+    if not ok:
+        problems.append(f"q = {cfg.q} requires {rule}, got s = {cfg.s}")
 
     if scattering:
-        ok = float(q) <= m + 1
+        ok = float(cfg.q) <= m + 1
         ledger["q_le_m_plus_1"] = ok
         if not ok:
-            problems.append(f"scattering needs q <= m + 1 = {m + 1}, got q = {q}")
+            problems.append(f"scattering needs q <= m + 1 = {m + 1}, got q = {cfg.q}")
 
     ledger["problems"] = problems
     if problems and not cfg.override_hypotheses:
@@ -208,34 +190,24 @@ def verify_hypotheses(cfg: SolveConfig, scattering: bool = False) -> dict:
 
 
 def duhamel_apply(cfg: SolveConfig, u: Trajectory, u0: SpectralField,
-                  lower_limit: str = "zero",
-                  return_prefix: bool = False):
+                  prefix: np.ndarray | None = None) -> Trajectory:
     """One application of the Duhamel operator to the trajectory u.
 
-    lower_limit "zero" integrates from t = 0 (times[0] must be 0);
-    "minus_inf" integrates from the window start T_min, the discrete
-    stand-in for the integral from -infinity (the neglected part is a
-    recorded small-data assumption, see `scatter_minus`).
+    The integral runs from the window start times[0]: t = 0 for
+    `picard_solve`, and T_min for `scatter_minus`, the discrete stand-in
+    for the integral from -infinity (the neglected part is a recorded
+    small-data assumption). `prefix`, if given, receives the integrals
+    of W(-s) f(u(s)) from times[0] to every sample.
     """
-    times = u.times
-    if lower_limit == "zero":
-        if times[0] != 0.0:
-            raise ValueError("lower_limit 'zero' requires the window to start at t = 0")
-    elif lower_limit != "minus_inf":
-        raise ValueError(f"unknown lower_limit {lower_limit!r}")
     if u.grid != u0.grid:
         raise ValueError("initial datum grid does not match trajectory grid")
-    if u.n_samples != cfg.nt or abs(times[0] - cfg.t_min) > 1e-12:
+    if u.n_samples != cfg.nt or abs(u.times[0] - cfg.t_min) > 1e-12:
         raise ValueError("trajectory is not on the configured time grid")
 
     out = nonlinear.apply_to_trajectory(cfg.nonlin, u).spectra
-    prefix_stack = np.empty_like(out) if return_prefix else None
-    disp.duhamel_sum(cfg.coeffs, cfg.grid, times, out, base=u0.spectrum, coef=1j,
-                     prefix=prefix_stack)
-    result = Trajectory(cfg.grid, times, out)
-    if return_prefix:
-        return result, prefix_stack
-    return result
+    disp.duhamel_sum(cfg.coeffs, cfg.grid, u.times, out, base=u0.spectrum, coef=1j,
+                     prefix=prefix)
+    return Trajectory(cfg.grid, u.times, out)
 
 
 def _x_diff(cfg: SolveConfig, partition, a: Trajectory, b: Trajectory) -> float:
@@ -245,14 +217,14 @@ def _x_diff(cfg: SolveConfig, partition, a: Trajectory, b: Trajectory) -> float:
 _FLOOR_REL = 1e-13  # below this (relative to the first difference) ratios are noise
 
 
-def _run_fixed_point(cfg: SolveConfig, u0: SpectralField, lower_limit: str,
-                     ledger: dict, partition: modspace.Partition,
-                     theta_max: float | None = None
-                     ) -> tuple[Trajectory, SolveReport, np.ndarray | None]:
+def _run_fixed_point(cfg: SolveConfig, u0: SpectralField, ledger: dict,
+                     partition: modspace.Partition, theta_max: float | None = None,
+                     prefix: np.ndarray | None = None) -> tuple[Trajectory, SolveReport]:
     """Picard iteration from the free flow. With `theta_max`, a ratio of
     successive differences reaching it (denominator above the noise floor)
     raises NumericsError at once: theta_hat, the maximum of those ratios,
-    can then only end at or above theta_max."""
+    can then only end at or above theta_max. `prefix`, if given, receives
+    the Duhamel prefix integrals of the last iteration."""
     times = cfg.times()
     u = disp.propagate_trajectory(cfg.coeffs, times, u0)
     report = SolveReport(hypothesis_ledger=ledger)
@@ -264,14 +236,11 @@ def _run_fixed_point(cfg: SolveConfig, u0: SpectralField, lower_limit: str,
             raise HypothesisError(msg)
         report.warnings.append(msg)
 
-    want_prefix = lower_limit == "minus_inf"
-    prefix = None
     converged = False
     ratios = []  # successive-difference ratios whose denominator is above the floor
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(1, cfg.max_iters + 1):
-            stepped = duhamel_apply(cfg, u, u0, lower_limit, return_prefix=want_prefix)
-            u_new, prefix = stepped if want_prefix else (stepped, None)
+            u_new = duhamel_apply(cfg, u, u0, prefix)
             diff = _x_diff(cfg, partition, u_new, u)
             report.diff_norms.append(diff)
             report.iterations = it
@@ -316,7 +285,7 @@ def _run_fixed_point(cfg: SolveConfig, u0: SpectralField, lower_limit: str,
     if cfg.nonlin.kind != "zero":
         report.aliasing_residual = nonlinear.aliasing_residual(
             cfg.nonlin, u.field(u.n_samples - 1))
-    return u, report, prefix
+    return u, report
 
 
 def picard_solve(cfg: SolveConfig, u0: SpectralField,
@@ -326,10 +295,10 @@ def picard_solve(cfg: SolveConfig, u0: SpectralField,
     successive differences drops below eps_fix; fails loudly otherwise.
     `partition` defaults to cfg.partition(). With `theta_max` the solve
     also fails as soon as an observed contraction ratio reaches it."""
+    if cfg.t_min != 0.0:
+        raise ValueError("picard_solve integrates from t = 0: the window must start there")
     ledger = verify_hypotheses(cfg)
-    u, report, _ = _run_fixed_point(cfg, u0, "zero", ledger,
-                                    partition or cfg.partition(), theta_max)
-    return u, report
+    return _run_fixed_point(cfg, u0, ledger, partition or cfg.partition(), theta_max)
 
 
 def mass(f: SpectralField) -> float:
@@ -417,10 +386,12 @@ def scatter_minus(cfg: SolveConfig, u0_minus: SpectralField,
                   partition: modspace.Partition | None = None):
     """Fixed point of the Duhamel operator with lower limit -infinity,
     approximated on the window from T_min; reports the tail sequence
-    ||u(t) - W(t) u0minus|| near the left end (it must shrink to zero)."""
-    ledger = verify_hypotheses(cfg)
+    ||u(t) - W(t) u0minus|| near the left end (it must shrink to zero).
+    Checks the hypotheses once, scattering's q <= m + 1 included."""
+    ledger = verify_hypotheses(cfg, scattering=True)
     partition = partition or cfg.partition()
-    u, report, prefix = _run_fixed_point(cfg, u0_minus, "minus_inf", ledger, partition)
+    prefix = np.empty((cfg.nt,) + cfg.grid.shape, dtype=np.complex128)
+    u, report = _run_fixed_point(cfg, u0_minus, ledger, partition, prefix=prefix)
 
     mspec = cfg.mod_spec()
     g_norms = modspace.mod_norm_series(
@@ -442,16 +413,14 @@ def scatter_minus(cfg: SolveConfig, u0_minus: SpectralField,
     return u, report, prefix
 
 
-def wave_operator_plus(cfg: SolveConfig, u: Trajectory, u0_minus: SpectralField,
-                       prefix: np.ndarray | None = None,
+def wave_operator_plus(cfg: SolveConfig, u0_minus: SpectralField, prefix: np.ndarray,
                        partition: modspace.Partition | None = None):
-    """u0plus = u0minus + i * integral over the whole window of W(-s) f(u(s)).
+    """u0plus = u0minus + i * integral over the whole window of W(-s) f(u(s)),
+    read from the Duhamel prefix integrals that `scatter_minus` returns.
 
     Also returns the outgoing tail sequence ||W(-t)u(t) - u0plus|| in the
     modulation norm, which must shrink toward the right end of the window.
     """
-    if prefix is None:
-        _, prefix = duhamel_apply(cfg, u, u0_minus, "minus_inf", return_prefix=True)
     full = prefix[-1]
     u0_plus = SpectralField(cfg.grid, spectrum=u0_minus.spectrum + 1j * full)
     tail_plus = modspace.mod_norm_series(
@@ -464,10 +433,9 @@ def scattering_map(cfg: SolveConfig, u0_minus: SpectralField,
                    partition: modspace.Partition | None = None):
     """Compose scatter_minus and wave_operator_plus: u0minus -> u0plus.
     `partition` defaults to cfg.partition(); either way it is built once."""
-    verify_hypotheses(cfg, scattering=True)
     partition = partition or cfg.partition()
     u, report, prefix = scatter_minus(cfg, u0_minus, partition)
-    u0_plus, tail_plus = wave_operator_plus(cfg, u, u0_minus, prefix, partition)
+    u0_plus, tail_plus = wave_operator_plus(cfg, u0_minus, prefix, partition)
     report.tail_plus = tail_plus
     out_norm = modspace.mod_norm(u0_plus, cfg.mod_spec(), partition).value
     if not math.isfinite(out_norm):
@@ -476,17 +444,19 @@ def scattering_map(cfg: SolveConfig, u0_minus: SpectralField,
     return u0_plus, u, report
 
 
+_GROWTH = 2.0  # delta_bisection's factor between trials until the first failure
+
+
 def delta_bisection(cfg: SolveConfig, profile: SpectralField,
                     theta_max: float = 0.9, delta_init: float = 0.05,
-                    growth: float = 2.0, bisect_steps: int = 5,
-                    delta_cap: float = 16.0,
+                    bisect_steps: int = 5, delta_cap: float = 16.0,
                     partition: modspace.Partition | None = None):
     """Largest tested delta whose Picard run contracts with theta < theta_max.
 
-    The profile is rescaled so that ||u0|| = delta/2 for each trial. Grows
-    delta geometrically until a trial fails, then bisects. A trial stops as
-    soon as a contraction ratio reaches theta_max, so a rejected trial's
-    theta_hat describes the truncated run. Returns a dict with the accepted
+    The profile is rescaled so that ||u0|| = delta/2 for each trial. Doubles
+    delta until a trial fails, then bisects. A trial stops as soon as a
+    contraction ratio reaches theta_max, so a rejected trial's theta_hat
+    describes the truncated run. Returns a dict with the accepted
     delta, its report, and the full trial history. If the first trial
     already fails, the NumericsError carries its report.
     """
@@ -511,12 +481,11 @@ def delta_bisection(cfg: SolveConfig, profile: SpectralField,
     best = None
     while delta <= delta_cap:
         ok, rep = trial(delta)
-        history.append({"delta": delta, "accepted": ok,
-                        "theta_hat": rep.theta_hat if rep else None})
+        history.append({"delta": delta, "accepted": ok, "theta_hat": rep.theta_hat})
         if not ok:
             break
         best = (delta, rep)
-        delta *= growth
+        delta *= _GROWTH
     if best is None:
         raise NumericsError("no delta accepted at the initial scale", rep)
     if delta > delta_cap:
@@ -526,8 +495,7 @@ def delta_bisection(cfg: SolveConfig, profile: SpectralField,
     for _ in range(bisect_steps):
         mid = 0.5 * (lo + hi)
         ok, rep = trial(mid)
-        history.append({"delta": mid, "accepted": ok,
-                        "theta_hat": rep.theta_hat if rep else None})
+        history.append({"delta": mid, "accepted": ok, "theta_hat": rep.theta_hat})
         if ok:
             best = (mid, rep)
             lo = mid

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from modnls import dispersion as dsp, modspace, spectral as sp
+from modnls import dispersion as dsp, harness as hn, modspace, nonlinear as nl
+from modnls import solver as sv, spectral as sp
 from modnls.errors import HypothesisError
 
 from conftest import band_limited_field
@@ -340,3 +341,83 @@ class TestLedgerProperties:
         for e in (pc, rc):  # e in [2, inf]
             assert 0 <= dsp.inv_exponent(e) <= F(1, 2)
         assert dsp.admissible_defect(d, dsp.c_gamma_of(gamma), pc, rc) == 0
+
+
+def _solve_config(d, m, gamma_nonzero, **kw):
+    """A SolveConfig whose hypotheses depend only on the arguments; verify_hypotheses
+    reads the grid's d and nothing else of it."""
+    coeffs = dsp.EquationCoeffs(1.0, beta=0.0 if gamma_nonzero else 1.0,
+                                gamma=1.0 if gamma_nonzero else 0.0)
+    base = dict(coeffs=coeffs, grid=sp.make_grid(d, 4 * math.pi, 8), t_min=0.0,
+                t_max=1.0, nt=2, delta=1.0,
+                nonlin=nl.NonlinSpec(kind="power", pattern=("u",) * (m + 1)))
+    base.update(kw)
+    return sv.SolveConfig(**base)
+
+
+class TestOneLedger:
+    """The solve's hypothesis ledger is the exponent ledger of `modnls params`."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(d=st.integers(1, 4), m=st.integers(1, 7), gamma_nonzero=st.booleans(),
+           inv_r=st.fractions(F(1, 32), F(1, 2), max_denominator=32),
+           t=st.fractions(F(-1, 2), F(3, 2), max_denominator=8))
+    def test_solve_reports_the_param_ledger(self, d, m, gamma_nonzero, inv_r, t):
+        r = 1 / inv_r
+        try:  # place 1/p around J (t in [0, 1] is inside) when J exists
+            lo, hi = dsp.build_param_ledger(d, m, gamma_nonzero, r=r).J
+            inv_p = max(lo + t * (hi - lo), F(0))
+        except HypothesisError:
+            inv_p = F(1, 6)
+        p = dsp.exponent_from_inv(inv_p)
+        cfg = _solve_config(d, m, gamma_nonzero, r=r, p=p, override_hypotheses=True)
+        ledger = sv.verify_hypotheses(cfg)
+        try:
+            led, problems = dsp.build_param_ledger(d, m, gamma_nonzero, r=r, p=p), []
+        except HypothesisError as exc:
+            led, problems = exc.ledger, [str(exc)]
+        assert ledger["problems"] == problems  # s = 0, q = 1: the weight rule holds
+        expected = {}
+        if led is not None:
+            expected = {"m0": led.m0, "I": led.I, "l": led.l, "J": led.J}
+            expected = {k: [str(e) for e in v] if isinstance(v, tuple) else v
+                        for k, v in expected.items() if v is not None}
+        assert {k: ledger[k] for k in ("m0", "I", "l", "J") if k in ledger} == expected
+
+
+# (q, s, whether the weight rule holds, the solve report's s_rule) at d = 2
+WEIGHT_TABLE = [
+    (1, 0.0, True, "s >= 0: True"),
+    (1, -0.5, False, "s >= 0: False"),
+    (2, 1.0, False, "s > d/q' = 1.0: False"),
+    (2, 1.5, True, "s > d/q' = 1.0: True"),
+    (INF, 2.0, False, "s > d/q' = 2.0: False"),
+    (INF, 2.5, True, "s > d/q' = 2.0: True"),
+]
+
+
+@pytest.mark.parametrize("q,s,holds,s_rule", WEIGHT_TABLE)
+def test_weight_rule_table(grid2d_small, q, s, holds, s_rule):
+    assert dsp.weight_rule(2, q, s)[0] == holds
+    # solve: the ledger records the rule; (d, m, r, p) = (2, 3, 4, 6) meets the rest
+    cfg = _solve_config(2, 3, True, q=q, s=s, r=4, p=6, override_hypotheses=True)
+    ledger = sv.verify_hypotheses(cfg)
+    assert ledger["s_rule"] == s_rule and bool(ledger["problems"]) != holds
+    # harness: the Hölder and Lipschitz checks reject the same (q, s)
+    part = modspace.build_partition(modspace.PartitionSpec("trigonometric-window", 2),
+                                    grid2d_small)
+    ens = hn.EnsembleSpec(count=1, band=1)
+    quartic = nl.NonlinSpec(kind="power", pattern=("u", "conj", "u", "u"))
+    exps = nl.LipschitzExponents(s=s, q=q, r_tilde=1, p_tilde=2, l=3, m=3)
+    checks = [
+        lambda: hn.check_hoelder_like(grid2d_small, cfg.coeffs, ens, q, s, p_target=2,
+                                      p_factors=(4, 4), partition=part),
+        lambda: hn.check_power_lipschitz(grid2d_small, cfg.coeffs, ens, quartic, exps,
+                                         np.linspace(0.0, 1.0, 3), part),
+    ]
+    for check in checks:
+        if holds:
+            check()
+        else:
+            with pytest.raises(HypothesisError):
+                check()

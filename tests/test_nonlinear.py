@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from modnls import dispersion as dsp, nonlinear as nl, spectral as sp
+from modnls import dispersion as dsp, modspace as ms, nonlinear as nl, spectral as sp
 
 from conftest import band_limited_field, centered_ifft, reference_apply_to_trajectory
 
@@ -47,33 +47,30 @@ class TestApplyPower:
     def test_constant_field(self, grid2d_small):
         # |a|^2 a with coefficient -1 at a = 1 + 2j: -(5)(1+2j)
         a = 1.0 + 2.0j
-        out = nl.apply_power(nl.NonlinSpec.cubic(-1.0), _const_field(grid2d_small, a))
+        f = _const_field(grid2d_small, a)
+        out = sp.SpectralField(f.grid, values=nl.evaluate(nl.NonlinSpec.cubic(-1.0), f.values))
         assert np.allclose(out.values, -abs(a) ** 2 * a)
 
     def test_zero_field(self, grid2d_small):
-        out = nl.apply_power(nl.NonlinSpec.cubic(-1.0), sp.SpectralField.zero(grid2d_small))
+        f = sp.SpectralField.zero(grid2d_small)
+        out = sp.SpectralField(f.grid, values=nl.evaluate(nl.NonlinSpec.cubic(-1.0), f.values))
         assert sp.lp_norm(out, math.inf) == 0.0
 
     def test_frequency_tripling(self, grid1d):
         # (u, u, u) on a single mode triples the frequency
         f = sp.SpectralField.single_mode(grid1d, (8,))
         spec = nl.NonlinSpec(kind="power", pattern=("u",) * 3, coeff=1.0)
-        out = nl.apply_power(spec, f)
+        out = sp.SpectralField(f.grid, values=nl.evaluate(spec, f.values))
         expected = sp.SpectralField.single_mode(grid1d, (24,))
         assert np.max(np.abs(out.values - expected.values)) < 1e-12
-
-    def test_kind_mismatch(self, grid2d_small):
-        with pytest.raises(ValueError):
-            nl.apply_power(nl.NonlinSpec(kind="exponential", rho=1.0),
-                           sp.SpectralField.zero(grid2d_small))
 
     def test_degree_homogeneity(self, grid2d_small):
         rng = np.random.default_rng(0)
         f = band_limited_field(grid2d_small, 1, rng)
         spec = nl.NonlinSpec(kind="power", pattern=("u", "conj", "u", "u"), coeff=-2.0)
         c = 0.7 - 0.3j
-        a = nl.apply_power(spec, sp.SpectralField(f.grid, values=c * f.values)).values
-        b = nl.apply_power(spec, f).values
+        a = sp.SpectralField(f.grid, values=nl.evaluate(spec, c * f.values)).values
+        b = sp.SpectralField(f.grid, values=nl.evaluate(spec, f.values)).values
         assert np.allclose(np.abs(a), abs(c) ** 4 * np.abs(b), rtol=1e-12, atol=1e-300)
 
     def test_gauge_covariance(self, grid2d_small):
@@ -81,16 +78,18 @@ class TestApplyPower:
         f = band_limited_field(grid2d_small, 1, rng)
         spec = nl.NonlinSpec.odd_power(2, -1.0)  # |u|^4 u
         theta = 0.9
-        a = nl.apply_power(
-            spec, sp.SpectralField(f.grid, values=np.exp(1j * theta) * f.values)).values
-        b = np.exp(1j * theta) * nl.apply_power(spec, f).values
+        a = sp.SpectralField(
+            f.grid, values=nl.evaluate(spec, np.exp(1j * theta) * f.values)).values
+        b = np.exp(1j * theta) * sp.SpectralField(
+            f.grid, values=nl.evaluate(spec, f.values)).values
         assert np.allclose(a, b, rtol=1e-12, atol=1e-300)
 
 
 class TestExponential:
     def test_zero_field(self, grid2d_small):
         spec = nl.NonlinSpec(kind="exponential", lam=2.0, rho=1.0)
-        out = nl.apply_exponential(spec, sp.SpectralField.zero(grid2d_small))
+        f = sp.SpectralField.zero(grid2d_small)
+        out = sp.SpectralField(f.grid, values=nl.evaluate(spec, f.values))
         assert sp.lp_norm(out, math.inf) == 0.0
 
     def test_constant_scalar_identity(self, grid2d_small):
@@ -98,7 +97,8 @@ class TestExponential:
         lam = 1.0 - 0.5j
         rho = 0.7
         spec = nl.NonlinSpec(kind="exponential", lam=lam, rho=rho)
-        out = nl.apply_exponential(spec, _const_field(grid2d_small, a))
+        f = _const_field(grid2d_small, a)
+        out = sp.SpectralField(f.grid, values=nl.evaluate(spec, f.values))
         expected = lam * (math.exp(rho * abs(a) ** 2) - 1.0) * a
         assert np.allclose(out.values, expected, rtol=1e-13)
 
@@ -116,7 +116,7 @@ class TestExponential:
         rng = np.random.default_rng(3 + cutoff)
         f = band_limited_field(grid2d_small, 1, rng, amplitude=0.5)
         spec = nl.NonlinSpec(kind="exponential", lam=0.5 + 0.2j, rho=1.0)
-        closed = nl.apply_exponential(spec, f)
+        closed = sp.SpectralField(f.grid, values=nl.evaluate(spec, f.values))
         series = nl.exponential_series(spec, f, cutoff=cutoff)
         dev = np.max(np.abs(closed.values - series.values))
         # at high cutoffs the analytic tail drops below the roundoff of
@@ -128,11 +128,8 @@ class TestExponential:
     def test_overflow_rejected(self, grid2d_small):
         spec = nl.NonlinSpec(kind="exponential", lam=1.0, rho=1.0)
         with pytest.raises(ValueError):
-            nl.apply_exponential(spec, _const_field(grid2d_small, 30.0))
-
-    def test_kind_mismatch(self, grid2d_small):
-        with pytest.raises(ValueError):
-            nl.apply_exponential(nl.NonlinSpec.cubic(), sp.SpectralField.zero(grid2d_small))
+            f = _const_field(grid2d_small, 30.0)
+            sp.SpectralField(f.grid, values=nl.evaluate(spec, f.values))
 
 
 class TestLipschitzWitness:
@@ -149,6 +146,21 @@ class TestLipschitzWitness:
         exps = nl.LipschitzExponents(s=0.0, q=1, r_tilde=1, p_tilde=2, l=3, m=3)
         lhs, rhs = nl.power_lipschitz_witness(u, u, spec, exps, partition2d)
         assert lhs == 0.0
+
+    def test_lhs_matches_two_pass_formula(self, grid2d, partition2d):
+        # 5 samples at n = 128 span three chunks of the one-pass difference
+        rng = np.random.default_rng(6)
+        times = np.linspace(0, 1, 5)
+        u = self._trajectories(grid2d, rng, times, amplitude=0.5)
+        v = self._trajectories(grid2d, rng, times, amplitude=0.5)
+        spec = nl.NonlinSpec(kind="power", pattern=("u", "conj", "u", "u"), coeff=-1.0)
+        exps = nl.LipschitzExponents(s=0.0, q=1, r_tilde=1, p_tilde=2, l=3, m=3)
+        lhs, _ = nl.power_lipschitz_witness(u, v, spec, exps, partition2d)
+        fu, fv = nl.apply_to_trajectory(spec, u), nl.apply_to_trajectory(spec, v)
+        diff = sp.Trajectory(grid2d, times, fu.spectra - fv.spectra)
+        ref = ms.planchon_norm(diff, ms.PlanchonNormSpec(s=0.0, q=1, r=1, p=2),
+                               partition2d).value
+        assert lhs == pytest.approx(ref, rel=1e-13)
 
     def test_v_zero_reduction(self, grid2d, partition2d):
         rng = np.random.default_rng(5)
@@ -198,7 +210,7 @@ class TestTrajectoryApplication:
         spec = nl.NonlinSpec.cubic(-1.0)
         out = nl.apply_to_trajectory(spec, traj)
         for j in range(4):
-            direct = nl.apply_power(spec, traj.field(j))
+            direct = sp.SpectralField(traj.grid, values=nl.evaluate(spec, traj.field(j).values))
             scale = np.max(np.abs(direct.values))
             assert np.max(np.abs(out.values(j) - direct.values)) < 1e-13 * scale
 

@@ -72,6 +72,14 @@ class TestHypothesisGate:
         with pytest.raises(HypothesisError):
             sv.verify_hypotheses(cfg, scattering=True)
 
+    def test_scattering_override_records_q_condition(self, grid2d_small):
+        cfg = small_config(grid2d_small, q=8, s=3.0, t_min=-1.0, t_max=1.0, nt=17,
+                           override_hypotheses=True)
+        _, _, rep = sv.scattering_map(cfg, small_datum(cfg, seed=3))
+        ledger = rep.hypothesis_ledger
+        assert ledger["q_le_m_plus_1"] is False
+        assert ledger["problems"] == ["scattering needs q <= m + 1 = 4, got q = 8"]
+
     def test_smallness_gate(self, grid2d_small):
         cfg = small_config(grid2d_small)
         big = small_datum(cfg, mod_norm=10 * cfg.delta)
@@ -82,11 +90,10 @@ class TestHypothesisGate:
 class TestDuhamel:
     # at n = 64 one chunk of the nonlinearity pass holds 8 samples
     @pytest.mark.parametrize("nt", [5, 17])
-    @pytest.mark.parametrize("lower_limit", ["zero", "minus_inf"])
+    @pytest.mark.parametrize("t_min", [0.0, -1.0], ids=["zero", "minus_inf"])
     @pytest.mark.parametrize("nonlin", [ZERO, QUARTIC, EXPONENTIAL],
                              ids=["zero", "power", "exponential"])
-    def test_matches_per_sample_reference(self, grid2d_small, nonlin, lower_limit, nt):
-        t_min = 0.0 if lower_limit == "zero" else -1.0
+    def test_matches_per_sample_reference(self, grid2d_small, nonlin, t_min, nt):
         cfg = small_config(grid2d_small, nonlin=nonlin, nt=nt, t_min=t_min, t_max=1.0)
         u0 = small_datum(cfg)
         u = dsp.propagate_trajectory(COEFFS, cfg.times(), small_datum(cfg, seed=1))
@@ -96,8 +103,9 @@ class TestDuhamel:
             for j in range(nt)])
         ref, ref_prefix = reference_duhamel(COEFFS, cfg.grid, u.times, source,
                                             base=u0.spectrum, coef=1j)
-        assert_rel_close(sv.duhamel_apply(cfg, u, u0, lower_limit).spectra, ref, 1e-13)
-        out, prefix = sv.duhamel_apply(cfg, u, u0, lower_limit, return_prefix=True)
+        assert_rel_close(sv.duhamel_apply(cfg, u, u0).spectra, ref, 1e-13)
+        prefix = np.empty_like(ref_prefix)
+        out = sv.duhamel_apply(cfg, u, u0, prefix)
         assert_rel_close(out.spectra, ref, 1e-13)
         assert_rel_close(prefix, ref_prefix, 1e-13)
 
@@ -121,9 +129,8 @@ class TestDuhamel:
     def test_window_must_start_at_zero(self, grid2d_small):
         cfg = small_config(grid2d_small, t_min=-1.0, t_max=1.0)
         u0 = small_datum(cfg)
-        traj = dsp.propagate_trajectory(COEFFS, cfg.times(), u0)
         with pytest.raises(ValueError):
-            sv.duhamel_apply(cfg, traj, u0, lower_limit="zero")
+            sv.picard_solve(cfg, u0)
 
     def test_first_iterate_near_oracle_scales_cubically(self, grid2d_small):
         # one Picard step from the free flow vs the oracle: the residual is
@@ -359,7 +366,7 @@ class TestScattering:
         cfg = small_config(grid2d_small, nonlin=ZERO, t_min=-2.0, t_max=2.0, nt=33)
         u0 = small_datum(cfg, seed=9)
         u, rep, prefix = sv.scatter_minus(cfg, u0)
-        u0p, tails = sv.wave_operator_plus(cfg, u, u0, prefix)
+        u0p, tails = sv.wave_operator_plus(cfg, u0, prefix)
         assert np.max(np.abs(u0p.spectrum - u0.spectrum)) == 0.0
         assert max(tails) == 0.0
 

@@ -2,8 +2,9 @@
 
 Every run writes a manifest (config hash, seed, versions, wall time, output
 list) into the output directory, even when it fails. Exit codes: 0 success,
-2 hypothesis-violation or config rejection (the check ledger is printed),
-1 numerical failure (non-contraction, tail overflow).
+2 hypothesis-violation or config rejection (the check ledger, as far as it
+got, goes to stderr and to ledger.json), 1 numerical failure
+(non-contraction, tail overflow).
 
 Data outputs (JSON / CSV / binary fields) are byte-identical across reruns
 with the same config and seed; the manifest is the only file carrying
@@ -191,30 +192,32 @@ def _series_csv(run: _Run, name: str, cfg: solver.SolveConfig, traj,
 # ---------------------------------------------------------------------------
 
 
+def _ledger_json(led: disp.ParamLedger) -> dict:
+    """A parameter ledger, complete or as far as it got, with exact
+    exponents as strings."""
+    out = {"d": led.d, "m": led.m, "gamma_nonzero": led.gamma_nonzero,
+           "c_gamma": led.c_gamma, "m0": led.m0}
+    for key in ("I", "J"):
+        if getattr(led, key) is not None:
+            out[key] = [str(x) for x in getattr(led, key)]
+    for key in ("r", "p_a", "p_tilde", "r_tilde", "p"):
+        if getattr(led, key) is not None:
+            out[key] = str(getattr(led, key))
+    if led.r is not None:
+        out.update(l=led.l, checks=led.checks)
+    return out
+
+
 def _cmd_params(args, run: _Run) -> int:
     r = _parse_exponent(args.r) if args.r else None
     p = _parse_exponent(args.p) if args.p else None
-    led = disp.build_param_ledger(args.d, args.m, args.gamma_nonzero, r=r, p=p)
-    out = {
-        "d": led.d,
-        "m": led.m,
-        "gamma_nonzero": led.gamma_nonzero,
-        "c_gamma": led.c_gamma,
-        "m0": led.m0,
-        "I": [str(led.I[0]), str(led.I[1])],
-    }
-    if led.r is not None:
-        out.update({
-            "r": str(led.r),
-            "l": led.l,
-            "J": [str(led.J[0]), str(led.J[1])],
-            "p_a": str(led.p_a),
-            "p_tilde": str(led.p_tilde),
-            "r_tilde": str(led.r_tilde),
-            "checks": led.checks,
-        })
-    if led.p is not None:
-        out["p"] = str(led.p)
+    try:
+        led = disp.build_param_ledger(args.d, args.m, args.gamma_nonzero, r=r, p=p)
+    except HypothesisError as exc:
+        if exc.ledger is not None:
+            exc.ledger = _ledger_json(exc.ledger)
+        raise
+    out = _ledger_json(led)
     _dump_json(run.path("ledger.json"), out)
     print(json.dumps(out, sort_keys=True, default=_json_default))
     return EXIT_OK
@@ -307,7 +310,7 @@ def _cmd_scatter(args, run: _Run) -> int:
                      f"{rep.tail_plus[j]!r}\n")
     _dump_json(run.path("report.json"), rep.to_json())
     print(json.dumps({"iterations": rep.iterations,
-                      "scattered_mod_norm": rep.hypothesis_ledger.get("scattered_mod_norm")},
+                      "scattered_mod_norm": rep.scattered_mod_norm},
                      sort_keys=True, default=_json_default))
     return EXIT_OK
 
@@ -472,6 +475,10 @@ def main(argv=None) -> int:
         code = args.func(args, run)
     except HypothesisError as exc:
         print(f"rejected: hypothesis violation: {exc}", file=sys.stderr)
+        if exc.ledger is not None:
+            _dump_json(run.path("ledger.json"), exc.ledger)
+            print(json.dumps(exc.ledger, sort_keys=True, default=_json_default),
+                  file=sys.stderr)
         run.finish("rejected")
         return EXIT_REJECTED
     except NumericsError as exc:

@@ -210,8 +210,11 @@ def aliasing_residual(spec: NonlinSpec, u: SpectralField) -> float:
 
 def apply_to_trajectory(spec: NonlinSpec, u: Trajectory) -> Trajectory:
     """f(u) at every sample, as a spectral stack: one `evaluate` per chunk
-    of the shared pass to physical space and back."""
-    out = _pointwise_map(lambda vals: evaluate(spec, vals), u.grid, u.spectra)
+    of the shared pass to physical space and back, which a power product
+    runs on the smallest grid its degree and the support of u allow."""
+    degree = spec.degree if spec.kind == "power" else None
+    out = _pointwise_map(lambda vals: evaluate(spec, vals), u.grid, u.spectra,
+                         degree=degree)
     return Trajectory(u.grid, u.times, out)
 
 
@@ -240,7 +243,7 @@ def power_lipschitz_witness(u: Trajectory, v: Trajectory, spec: NonlinSpec,
         raise ValueError("nonlinearity spec does not match the exponent bundle")
     # f(u) - f(v) in one pass: one forward transform per chunk, no second stack
     diff = _pointwise_map(lambda a, b: evaluate(spec, a) - evaluate(spec, b),
-                          u.grid, u.spectra, v.spectra)
+                          u.grid, u.spectra, v.spectra, degree=spec.degree)
     inner = PlanchonNormSpec(s=exps.s, q=exps.q, r=exps.r_tilde, p=exps.p_tilde)
     lhs = planchon_norm(Trajectory(u.grid, u.times, diff), inner, partition).value
 

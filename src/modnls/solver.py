@@ -130,6 +130,7 @@ class SolveReport:
     tail_rate_end: float | None = None
     tail_minus: list | None = None
     tail_plus: list | None = None
+    scattered_mod_norm: float | None = None
     warnings: list = field(default_factory=list)
     hypothesis_ledger: dict = field(default_factory=dict)
 
@@ -147,7 +148,7 @@ def verify_hypotheses(cfg: SolveConfig, scattering: bool = False) -> dict:
 
     The exponent chain m0 -> I -> l -> J is `dispersion.build_param_ledger`
     and the (q, s) condition is `dispersion.weight_rule`. Returns the
-    ledger of checks either way (the report records it).
+    ledger of checks (the report records it); a HypothesisError carries it.
     """
     if cfg.nonlin.kind == "zero":
         return {"linear_problem": True}
@@ -185,7 +186,7 @@ def verify_hypotheses(cfg: SolveConfig, scattering: bool = False) -> dict:
 
     ledger["problems"] = problems
     if problems and not cfg.override_hypotheses:
-        raise HypothesisError("; ".join(problems))
+        raise HypothesisError("; ".join(problems), ledger)
     return ledger
 
 
@@ -233,7 +234,7 @@ def _run_fixed_point(cfg: SolveConfig, u0: SpectralField, ledger: dict,
     if norm0 > cfg.delta / 2.0 * (1.0 + 1e-12):
         msg = (f"||u0|| = {norm0:.3e} exceeds delta/2 = {cfg.delta / 2:.3e}")
         if not cfg.override_hypotheses:
-            raise HypothesisError(msg)
+            raise HypothesisError(msg, ledger)
         report.warnings.append(msg)
 
     converged = False
@@ -440,7 +441,7 @@ def scattering_map(cfg: SolveConfig, u0_minus: SpectralField,
     out_norm = modspace.mod_norm(u0_plus, cfg.mod_spec(), partition).value
     if not math.isfinite(out_norm):
         raise NumericsError("scattered datum has non-finite modulation norm", report)
-    report.hypothesis_ledger["scattered_mod_norm"] = out_norm
+    report.scattered_mod_norm = out_norm
     return u0_plus, u, report
 
 

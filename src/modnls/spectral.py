@@ -180,20 +180,81 @@ def _physical_chunks(grid: GridSpec, *stacks: np.ndarray):
         yield slice(t0, t1), [_to_physical(s[t0:t1], grid) for s in stacks]
 
 
-def _pointwise_map(fn, grid: GridSpec, *stacks: np.ndarray) -> np.ndarray:
+def _support_grid(grid: GridSpec, stacks, factor: int) -> tuple[GridSpec, int | None]:
+    """(GridSpec(d, L, n', M), W) for the smallest power of two n' > factor * W
+    while n' < n, else (grid, None).
+
+    W is the largest |k|_inf, in lattice steps from the center, of any
+    exactly nonzero coefficient of the stacks (NaN counts as nonzero). On
+    n' points a product of D factors is alias-free for factor = 2 D, and
+    the Riemann sum of |f|^p (even p) is its exact integral for factor = p,
+    so either pass gives the full-grid result there. The scan reads a chunk
+    of samples at a time and stops once W rules the reduction out; a stack
+    that fills the grid (a solver iterate after a full-grid pass) already
+    shows it on the k_1 = -n/2 face of its last sample.
+    """
+    d, half = grid.d, grid.n // 2
+    if any(np.any(s[-1, 0]) for s in stacks):
+        return grid, None
+    w_max = (half - 1) // factor  # the largest W with factor * W < n/2
+    W = 0
+    for s in stacks:
+        for t0, t1 in _chunks(s.shape[0], _CHUNK_BYTES // grid.size):
+            live = np.any(s[t0:t1] != 0, axis=0)
+            for axis in range(d):
+                idx = np.flatnonzero(live.any(axis=tuple(a for a in range(d) if a != axis)))
+                if idx.size:
+                    W = max(W, half - int(idx[0]), int(idx[-1]) - half)
+            if W > w_max:
+                return grid, None
+    n = 2
+    while n <= factor * W:
+        n *= 2
+    return GridSpec(d, grid.L, n, grid.M), W
+
+
+def _crop(n: int, lo: int, hi: int, d: int) -> tuple:
+    """Index into a stack of the lattice points -lo <= k < hi of each of the
+    trailing d axes of an n-point grid (math order)."""
+    return (slice(None),) + (slice(n // 2 - lo, n // 2 + hi),) * d
+
+
+def _pointwise_map(fn, grid: GridSpec, *stacks: np.ndarray,
+                   degree: int | None = None) -> np.ndarray:
     """Spectral stack of fn(*samples) at every sample, for fn pointwise in x:
-    the pass to physical space and back."""
-    out = np.empty(stacks[0].shape, dtype=np.complex128)
-    for rows, vals in _physical_chunks(grid, *stacks):
-        out[rows] = _from_physical(fn(*vals), grid)
+    the pass to physical space and back. For fn a polynomial of `degree`
+    in its inputs the pass runs on the support-sized grid (_support_grid)
+    and writes |k| <= degree W; every other coefficient is exactly zero."""
+    sub, W = _support_grid(grid, stacks, 2 * degree) if degree else (grid, None)
+    reach = grid.n // 2 if W is None else degree * W  # the largest |k| of the result
+    src, dst = _crop(sub.n, reach, reach + 1, grid.d), _crop(grid.n, reach, reach + 1, grid.d)
+    crop = _crop(grid.n, sub.n // 2, sub.n // 2, grid.d)
+    out = (np.empty if W is None else np.zeros)(stacks[0].shape, dtype=np.complex128)
+    for rows, vals in _physical_chunks(sub, *(s[crop] for s in stacks)):
+        out[rows][dst] = _from_physical(fn(*vals), sub)[src]
+    return out
+
+
+def _lp_pass(stack: np.ndarray, grid: GridSpec, p) -> np.ndarray:
+    """lp_norm of every sample of a spectral stack, as a (T,) array: by
+    Plancherel for p = 2, on the support-sized grid for other even p, on
+    the full grid otherwise. NaN samples give NaN."""
+    if p == 2:
+        return np.sqrt(_plancherel(stack, grid))
+    even = 2 < p < math.inf and float(p) % 2 == 0
+    sub = _support_grid(grid, (stack,), int(p))[0] if even else grid
+    crop = _crop(grid.n, sub.n // 2, sub.n // 2, grid.d)
+    out = np.empty(stack.shape[0])
+    for rows, (vals,) in _physical_chunks(sub, stack[crop]):
+        out[rows] = _lp(vals, sub, p)
     return out
 
 
 def _lp_series(stack: np.ndarray, grid: GridSpec, p) -> np.ndarray:
-    """lp_norm of every sample of a spectral stack, as a (T,) array."""
-    out = np.empty(stack.shape[0])
-    for rows, (vals,) in _physical_chunks(grid, stack):
-        out[rows] = _lp(vals, grid, p)
+    """_lp_pass that raises, like lp_norm, when a sample holds NaN."""
+    out = _lp_pass(stack, grid, p)
+    if np.isnan(out).any():
+        raise ValueError("NaN values in field")
     return out
 
 

@@ -117,6 +117,17 @@ def reference_split_step(cfg, u0):
     return stack
 
 
+def assert_support_sized(got, ref, reach):
+    """A pass that ran on the support-sized grid: within 1e-13 max |ref| of
+    the full-grid reference, and exactly zero outside |k|_inf <= reach."""
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+    c = got.shape[-1] // 2
+    outside = got.copy()
+    outside[(Ellipsis,) + (slice(c - reach, c + reach + 1),) * (got.ndim - 1)] = 0.0
+    assert not outside.any()
+
+
 def assert_rel_close(got, expected, rel):
     """max |got - expected| <= rel * max |expected| (exact when expected is 0)."""
     assert got.shape == expected.shape

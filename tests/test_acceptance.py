@@ -266,6 +266,7 @@ def test_criterion_6_conservation():
     assert oracle_drift <= 1e-8
     assert picard_drift <= 1e-5
     elapsed = time.perf_counter() - t0
+    assert elapsed < 60.0
     _report("6 (conservation)", elapsed, 60,
             f"oracle drift {oracle_drift:.2e}, Picard drift {picard_drift:.2e}")
 
@@ -306,6 +307,7 @@ def test_criterion_7_scattering():
                                         sp.SpectralField.zero(grid))
     assert sp.lp_norm(zero_plus, 2) == 0.0
     elapsed = time.perf_counter() - t0
+    assert elapsed < 300.0
     _report("7 (scattering)", elapsed, 300,
             f"slopes = {np.round(slopes, 3).tolist()}")
 
@@ -340,6 +342,7 @@ def test_criterion_8_exponential_nonlinearity():
     deviation = sv.oracle_deviation(u, oracle)
     assert deviation <= 1e-4
     elapsed = time.perf_counter() - t0
+    assert elapsed < 300.0
     _report("8 (exponential nonlinearity)", elapsed, 300,
             f"theta = {rep.theta_hat:.2e}, deviation = {deviation:.2e}")
 
@@ -400,4 +403,5 @@ def test_criterion_9_determinism(tmp_path):
             })
         assert snapshots[0] == snapshots[1], f"{name} outputs differ between reruns"
     elapsed = time.perf_counter() - t0
+    assert elapsed < 120.0
     _report("9 (determinism)", elapsed, 120)

@@ -214,6 +214,61 @@ class TestConfigValues:
         assert read_json(tmp_path / "manifest.json")["status"] == "rejected"
 
 
+def _rejected_ledger(out_dir, capsys):
+    """The ledger a rejected run wrote, after checking that stderr carries
+    the same ledger and the manifest lists it."""
+    led = read_json(out_dir / "ledger.json")
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("rejected: hypothesis violation:")
+    assert json.loads(err[1]) == led
+    man = read_json(out_dir / "manifest.json")
+    assert man["status"] == "rejected" and "ledger.json" in man["outputs"]
+    return led
+
+
+class TestRejectionLedger:
+    """Every rejection point of the hypothesis chain exits 2 and leaves the
+    ledger as far as it got, on disk and on stderr."""
+
+    def test_m_below_m0(self, tmp_path, capsys):
+        code = run_cli(["params", "-d", "2", "-m", "2", "--gamma-nonzero",
+                        "--out", str(tmp_path)])
+        assert code == 2
+        led = _rejected_ledger(tmp_path, capsys)
+        assert led["m0"] == 3 and "I" not in led
+
+    def test_r_outside_I(self, tmp_path, capsys):
+        code = run_cli(["params", "-d", "2", "-m", "3", "--gamma-nonzero", "-r", "2",
+                        "--out", str(tmp_path)])
+        assert code == 2
+        led = _rejected_ledger(tmp_path, capsys)
+        assert led["I"] == ["1/8", "1/4"] and "J" not in led
+
+    def test_p_outside_J(self, tmp_path, capsys):
+        code = run_cli(["params", "-d", "2", "-m", "3", "--gamma-nonzero", "-r", "16/3",
+                        "-p", "6", "--out", str(tmp_path)])
+        assert code == 2
+        led = _rejected_ledger(tmp_path, capsys)
+        assert led["J"] == ["5/24", "1/4"] and led["r"] == "16/3" and "p" not in led
+
+    def test_weight_rule(self, tmp_path, capsys):
+        cfg = json.loads(json.dumps(PICARD_CONFIG))
+        cfg["norms"].update(q=2, s=0.0)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code = run_cli(["picard", "--config", str(cfg_path), "--out", str(tmp_path)])
+        assert code == 2
+        led = _rejected_ledger(tmp_path, capsys)
+        assert led["s_rule"] == "s > d/q' = 1.0: False"
+        assert led["problems"] == ["q = 2 requires s > d/q' = 1.0, got s = 0.0"]
+
+    def test_q_above_m_plus_1(self, tmp_path, capsys):
+        code, _ = _run_edited_config(tmp_path, "scatter", norms={"q": 8, "s": 2.0})
+        assert code == 2
+        led = _rejected_ledger(tmp_path / "out", capsys)
+        assert led["q_le_m_plus_1"] is False and led["J"] == ["1/8", "1/6"]
+
+
 VERIFY_CONFIG = {
     "verify": {"d": 2, "L_over_pi": 4, "n": 64, "gamma": 1.0, "k_max": 2,
                "count": 3, "nt": 9, "t_max": 2.0, "band": 1},

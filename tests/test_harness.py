@@ -254,6 +254,23 @@ class TestStackPasses:
             per_t = [sp.lp_norm(traj.field(j), 6) for j in range(traj.n_samples)]
             assert lhs == pytest.approx(sp.time_lp_norm(per_t, TIMES, 4), rel=1e-13)
 
+    @pytest.mark.parametrize("p", [2, 6, 3])  # Plancherel, support-sized, full grid
+    def test_lebesgue_side_rejects_nan(self, grid2d, p):
+        traj = hn.sample_trajectory(grid2d, COEFFS, small_ensemble(count=1), 0, TIMES)
+        traj.spectra[4, 64, 62] = np.nan
+        with pytest.raises(ValueError, match="NaN values in field"):
+            hn._lebesgue_space_time(traj, p, 4)
+
+    def test_modulation_product_matches_values_product(self, grid2d, partition2d):
+        ens = small_ensemble(count=2)
+        rep = hn.check_hoelder_like(grid2d, COEFFS, ens, 1, 0.0, p_target=2,
+                                    p_factors=(4, 4), partition=partition2d)
+        spec = ms.ModNormSpec(p=2, q=1, s=0.0)
+        for i, lhs in enumerate(rep.lhs):
+            a, b = (hn.sample_field(grid2d, ens, 2 * i + j) for j in range(2))
+            prod = sp.SpectralField(grid2d, values=a.values * b.values)
+            assert lhs == pytest.approx(ms.mod_norm(prod, spec, partition2d).value, rel=1e-13)
+
     @pytest.mark.parametrize("p_factors", [(4, 4), (6, 6, 6)])
     def test_planchon_product_matches_per_sample_product(self, grid2d, partition2d,
                                                          p_factors):

@@ -5,7 +5,8 @@ import pytest
 
 from modnls import dispersion as dsp, modspace as ms, nonlinear as nl, spectral as sp
 
-from conftest import band_limited_field, centered_ifft, reference_apply_to_trajectory
+from conftest import (assert_support_sized, band_limited_field, centered_ifft,
+                      reference_apply_to_trajectory)
 
 
 def _const_field(grid, value):
@@ -200,6 +201,14 @@ class TestAliasingResidual:
         assert nl.aliasing_residual(spec, sp.SpectralField.zero(grid2d_small)) == 0.0
 
 
+STACK_SPECS = [
+    nl.NonlinSpec(kind="power", pattern=("u", "conj", "u", "u"), coeff=-1.0 + 0.5j),
+    nl.NonlinSpec(kind="exponential", lam=-1.0, rho=0.5),
+    nl.NonlinSpec(kind="zero"),
+]
+STACK_SPEC_IDS = ["quartic", "exponential", "zero"]
+
+
 class TestTrajectoryApplication:
     def test_matches_per_sample(self, grid2d_small):
         rng = np.random.default_rng(6)
@@ -214,11 +223,7 @@ class TestTrajectoryApplication:
             scale = np.max(np.abs(direct.values))
             assert np.max(np.abs(out.values(j) - direct.values)) < 1e-13 * scale
 
-    @pytest.mark.parametrize("spec", [
-        nl.NonlinSpec(kind="power", pattern=("u", "conj", "u", "u"), coeff=-1.0 + 0.5j),
-        nl.NonlinSpec(kind="exponential", lam=-1.0, rho=0.5),
-        nl.NonlinSpec(kind="zero"),
-    ], ids=["quartic", "exponential", "zero"])
+    @pytest.mark.parametrize("spec", STACK_SPECS, ids=STACK_SPEC_IDS)
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_matches_centered_reference_bitwise(self, spec, d):
         # 17 samples span several chunks of the pass at every d
@@ -227,6 +232,24 @@ class TestTrajectoryApplication:
         traj = dsp.propagate_trajectory(dsp.EquationCoeffs(1.0, 0.0, 1.0),
                                         np.linspace(0, 1, 17), u0)
         out = nl.apply_to_trajectory(spec, traj)
-        assert np.array_equal(out.spectra, reference_apply_to_trajectory(spec, traj))
+        ref = reference_apply_to_trajectory(spec, traj)
+        if spec.kind == "power" and d == 1:
+            # support W = M = 4: the quartic runs on 64 points instead of 4096
+            assert_support_sized(out.spectra, ref, spec.degree * grid.M)
+        else:
+            assert np.array_equal(out.spectra, ref)
         assert np.array_equal(out.field(3).values, centered_ifft(out.spectra[3], grid))
+
+    @pytest.mark.parametrize("spec", STACK_SPECS, ids=STACK_SPEC_IDS)
+    def test_full_band_d1_matches_centered_reference_bitwise(self, spec):
+        # a spectrum filling the grid keeps the d = 1 pass on all 4096 points
+        grid = sp.make_grid(1, 4 * math.pi, 4096)
+        rng = np.random.default_rng(8)
+        spectrum = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+        u0 = sp.SpectralField(grid, spectrum=spectrum * (0.4 / sp.lp_norm(
+            sp.SpectralField(grid, spectrum=spectrum), 2)))
+        traj = dsp.propagate_trajectory(dsp.EquationCoeffs(1.0, 0.0, 1.0),
+                                        np.linspace(0, 1, 17), u0)
+        out = nl.apply_to_trajectory(spec, traj)
+        assert np.array_equal(out.spectra, reference_apply_to_trajectory(spec, traj))
 

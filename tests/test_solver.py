@@ -72,6 +72,20 @@ class TestHypothesisGate:
         with pytest.raises(HypothesisError):
             sv.verify_hypotheses(cfg, scattering=True)
 
+    def test_rejection_carries_ledger(self, grid2d_small):
+        cfg = small_config(grid2d_small, q=8, s=3.0)
+        with pytest.raises(HypothesisError) as exc:
+            sv.verify_hypotheses(cfg, scattering=True)
+        assert exc.value.ledger["q_le_m_plus_1"] is False
+        assert exc.value.ledger["problems"] == [str(exc.value)]
+
+    def test_scattered_norm_is_a_report_field(self, grid2d_small):
+        cfg = small_config(grid2d_small, t_min=-1.0, t_max=1.0, nt=9)
+        u0p, _, rep = sv.scattering_map(cfg, small_datum(cfg, seed=3))
+        assert rep.scattered_mod_norm == ms.mod_norm(u0p, cfg.mod_spec(),
+                                                     cfg.partition()).value
+        assert "scattered_mod_norm" not in rep.hypothesis_ledger
+
     def test_scattering_override_records_q_condition(self, grid2d_small):
         cfg = small_config(grid2d_small, q=8, s=3.0, t_min=-1.0, t_max=1.0, nt=17,
                            override_hypotheses=True)

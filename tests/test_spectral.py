@@ -3,11 +3,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from modnls import spectral as sp
+from modnls import nonlinear as nl, spectral as sp
 from modnls.errors import GridMismatchError
 
-from conftest import band_limited_field, field_metadata, write_abs_csv
+from conftest import (assert_support_sized, band_limited_field, field_metadata,
+                      reference_apply_to_trajectory, write_abs_csv)
 
 
 class TestMakeGrid:
@@ -122,6 +124,79 @@ class TestStackedLp:
         expected = [sp.lp_norm(sp.SpectralField(grid2d_small, spectrum=s), p) for s in stack]
         np.testing.assert_allclose(series, expected, rtol=1e-13, atol=0.0)
         assert series[4] == 0.0
+
+    # a NaN sample raises on each path: Plancherel (p = 2), the support-sized
+    # grid (band 1 at n = 64 has W = 4, so p = 6 sums on 32 points) and the
+    # full grid
+    @pytest.mark.parametrize("p", [2, 6, 3, math.inf],
+                             ids=["plancherel", "reduced", "odd", "sup"])
+    def test_nan_sample_rejected(self, grid2d_small, p):
+        rng = np.random.default_rng(12)
+        stack = np.stack([band_limited_field(grid2d_small, 1, rng).spectrum for _ in range(3)])
+        stack[1, 32, 30] = np.nan
+        with pytest.raises(ValueError, match="NaN values in field"):
+            sp._lp_series(stack, grid2d_small, p)
+
+
+def _support_stack(d, n, w, seed, count=3):
+    """`count` random spectra on the d-dim n-point grid, L = 4 pi, filled
+    exactly on |k|_inf <= w (lattice steps)."""
+    grid = sp.make_grid(d, 4 * math.pi, n)
+    rng = np.random.default_rng(seed)
+    shape = (count,) + (2 * w + 1,) * d
+    stack = np.zeros((count,) + grid.shape, dtype=np.complex128)
+    stack[(slice(None),) + (slice(n // 2 - w, n // 2 + w + 1),) * d] = (
+        rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / (2 * w + 1) ** d
+    return grid, stack
+
+
+def _reduced_size(bound):
+    """The smallest power of two n' > bound (at least 2)."""
+    return max(2, 1 << bound.bit_length())
+
+
+_SUPPORT_CASES = dict(
+    d=st.sampled_from([1, 2, 3]),
+    log_n=st.integers(4, 12),
+    w=st.integers(0, 12),  # support half-width in lattice steps (band * M for band boxes)
+    seed=st.integers(0, 2**16),
+)
+
+
+class TestSupportSizedPass:
+    """The pass runs on n' = 2^j points, n' > 2 degree W for products and
+    n' > p W for even L^p sums, whenever that is below n: the result then
+    matches the full-grid references to roundoff."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(**_SUPPORT_CASES, degree=st.sampled_from([2, 3, 4]))
+    def test_products_match_full_grid(self, d, log_n, w, seed, degree):
+        n = 2 ** min(log_n, {1: 12, 2: 7, 3: 6}[d])
+        w = min(w, n // 2 - 1)
+        grid, stack = _support_stack(d, n, w, seed)
+        spec = nl.NonlinSpec(kind="power", pattern=("u", "conj", "u", "conj")[:degree],
+                             coeff=-1.0 + 0.5j)
+        traj = sp.Trajectory(grid, np.arange(3.0), stack)
+        out = nl.apply_to_trajectory(spec, traj).spectra
+        ref = reference_apply_to_trajectory(spec, traj)
+        if _reduced_size(2 * degree * w) < n:
+            assert_support_sized(out, ref, degree * w)
+        else:
+            assert np.array_equal(out, ref)
+
+    @settings(max_examples=60, deadline=None)
+    @given(**_SUPPORT_CASES, p=st.sampled_from([4, 6, 8]))
+    def test_even_lp_sums_match_full_grid(self, d, log_n, w, seed, p):
+        n = 2 ** min(log_n, {1: 12, 2: 7, 3: 6}[d])
+        w = min(w, n // 2 - 1)
+        grid, stack = _support_stack(d, n, w, seed)
+        series = sp._lp_series(stack, grid, p)
+        ref = np.array([sp.lp_norm(sp.SpectralField(grid, spectrum=s), p) for s in stack])
+        assert np.max(np.abs(series - ref)) <= 1e-13 * np.max(ref)
+        if _reduced_size(p * w) >= n:
+            full = np.concatenate([sp._lp(vals, grid, p)
+                                   for _, (vals,) in sp._physical_chunks(grid, stack)])
+            assert np.array_equal(series, full)
 
 
 class TestArithmetic:

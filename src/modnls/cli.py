@@ -52,6 +52,8 @@ def _json_default(obj):
         return int(obj)
     if isinstance(obj, np.ndarray):
         return obj.tolist()
+    if isinstance(obj, disp.ParamLedger):
+        return _ledger_json(obj)
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
@@ -211,12 +213,7 @@ def _ledger_json(led: disp.ParamLedger) -> dict:
 def _cmd_params(args, run: _Run) -> int:
     r = _parse_exponent(args.r) if args.r else None
     p = _parse_exponent(args.p) if args.p else None
-    try:
-        led = disp.build_param_ledger(args.d, args.m, args.gamma_nonzero, r=r, p=p)
-    except HypothesisError as exc:
-        if exc.ledger is not None:
-            exc.ledger = _ledger_json(exc.ledger)
-        raise
+    led = disp.build_param_ledger(args.d, args.m, args.gamma_nonzero, r=r, p=p)
     out = _ledger_json(led)
     _dump_json(run.path("ledger.json"), out)
     print(json.dumps(out, sort_keys=True, default=_json_default))

@@ -13,11 +13,9 @@ of all boxes are one Plancherel pass (|F|^2 contracted with the squared
 window along each axis), and for even p the L^p quadrature is evaluated on
 a reduced grid of R = p*(M-1) + 1 points per axis, where the Riemann sum of
 the trigonometric polynomial |g|^p is already the exact integral (hence
-equal to the full-grid sum). Odd, fractional and infinite p fall back to
-the box-by-box path: each windowed box piece goes through the shared
-per-sample Lebesgue series of `spectral`. The `reference` method forces
-the box-by-box path everywhere; it exists to validate and benchmark the
-fast path.
+equal to the full-grid sum). Odd, fractional and infinite p fall back to the
+full grid. The `reference` method forces the full-grid path everywhere;
+it exists to validate and benchmark the fast path.
 """
 
 from __future__ import annotations
@@ -37,8 +35,9 @@ from .spectral import (
     Trajectory,
     _abs2,
     _chunks,
-    _lp_pass,
+    _lp,
     _n_samples,
+    _physical_chunks,
     _plancherel,
     _stack_rows,
     time_lp_norm,
@@ -266,9 +265,8 @@ class _BoxNormEngine:
 
     `series` returns the (n_boxes, T) table of norms for every box and
     sample in one call. method "fast" takes the Plancherel pass for p = 2,
-    the pruned DFT for even p and the box-by-box path otherwise;
-    "reference" takes the box-by-box path for every p. Both agree to
-    roundoff.
+    the pruned DFT for even p and the full grid otherwise; "reference"
+    takes the full grid for every p. Both agree to roundoff.
 
     `stacks` is a spectra array (T, n, ..) or a pair (A, B) whose
     difference is measured; the difference is formed chunk by chunk, so
@@ -298,7 +296,7 @@ class _BoxNormEngine:
         # defining quadrature, so keep it
         reduced = p != math.inf and p % 2 == 0 and p * grid.M < grid.n
         if self.method == "reference" or not (p == 2.0 or reduced):
-            return self._box_by_box(stacks, p)
+            return self._full_grid(stacks, p)
         if l2 is None:
             l2 = self._plancherel(stacks)
         return l2 if p == 2.0 else self._pruned_dft(stacks, int(p), l2)
@@ -368,10 +366,9 @@ class _BoxNormEngine:
         out[(slice(None),) + live_boxes] = sums ** (1.0 / p) * (2.0 * grid.L / R) ** (d / p)
         return self._by_box(out)
 
-    def _box_by_box(self, stacks, p: float) -> np.ndarray:
-        """Box by box: each windowed box piece, a chunk of samples at a
-        time, through the per-sample Lebesgue series (`spectral._lp_pass`,
-        which sizes its grid to the piece's support)."""
+    def _full_grid(self, stacks, p: float) -> np.ndarray:
+        """Box by box on the full n^d grid, through the shared pass to
+        physical space, a chunk of samples at a time."""
         part = self.partition
         grid = part.grid
         wnd = part.window_nd()
@@ -384,7 +381,8 @@ class _BoxNormEngine:
                 block = _stack_rows(stacks, slice(t0, t1), sl)
                 if np.any(block):
                     full[sl] = block * wnd
-                    out[i, t0:t1] = _lp_pass(full, grid, p)
+                    for rows, (vals,) in _physical_chunks(grid, full):
+                        out[i, t0:t1][rows] = _lp(vals, grid, p)
                     full[sl] = 0.0
         return out
 

@@ -235,24 +235,19 @@ def _pointwise_map(fn, grid: GridSpec, *stacks: np.ndarray,
     return out
 
 
-def _lp_pass(stack: np.ndarray, grid: GridSpec, p) -> np.ndarray:
+def _lp_series(stack: np.ndarray, grid: GridSpec, p) -> np.ndarray:
     """lp_norm of every sample of a spectral stack, as a (T,) array: by
     Plancherel for p = 2, on the support-sized grid for other even p, on
-    the full grid otherwise. NaN samples give NaN."""
+    the full grid otherwise. Raises, like lp_norm, when a sample holds NaN."""
     if p == 2:
-        return np.sqrt(_plancherel(stack, grid))
-    even = 2 < p < math.inf and float(p) % 2 == 0
-    sub = _support_grid(grid, (stack,), int(p))[0] if even else grid
-    crop = _crop(grid.n, sub.n // 2, sub.n // 2, grid.d)
-    out = np.empty(stack.shape[0])
-    for rows, (vals,) in _physical_chunks(sub, stack[crop]):
-        out[rows] = _lp(vals, sub, p)
-    return out
-
-
-def _lp_series(stack: np.ndarray, grid: GridSpec, p) -> np.ndarray:
-    """_lp_pass that raises, like lp_norm, when a sample holds NaN."""
-    out = _lp_pass(stack, grid, p)
+        out = np.sqrt(_plancherel(stack, grid))
+    else:
+        even = 2 < p < math.inf and float(p) % 2 == 0
+        sub = _support_grid(grid, (stack,), int(p))[0] if even else grid
+        crop = _crop(grid.n, sub.n // 2, sub.n // 2, grid.d)
+        out = np.empty(stack.shape[0])
+        for rows, (vals,) in _physical_chunks(sub, stack[crop]):
+            out[rows] = _lp(vals, sub, p)
     if np.isnan(out).any():
         raise ValueError("NaN values in field")
     return out

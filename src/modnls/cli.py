@@ -175,10 +175,13 @@ def _initial_datum(cfg: dict, scfg: solver.SolveConfig, seed: int,
 
 
 def _series_csv(run: _Run, name: str, cfg: solver.SolveConfig, traj,
-                partition: modspace.Partition) -> None:
-    norm_l2 = modspace.mod_norm_series(traj, cfg.mod_spec(), partition)
-    norm_lp = modspace.mod_norm_series(
-        traj, modspace.ModNormSpec(p=cfg.p, q=cfg.q, s=cfg.s), partition)
+                partition: modspace.Partition) -> np.ndarray:
+    """Write the per-sample mass and modulation norms; returns the masses.
+    The L^p box table reuses the L^2 one."""
+    engine, spec = modspace._BoxNormEngine(partition), cfg.mod_spec()  # q, s of both
+    l2 = engine.series(traj.spectra, 2, support=traj.support)
+    norm_l2 = modspace._series_norm(l2, spec, partition)
+    norm_lp = modspace._series_norm(engine.series(traj.spectra, cfg.p, l2), spec, partition)
     masses = solver.mass_series(traj)
     with open(run.path(name), "w") as fh:
         fh.write("t,mass,mod_norm_l2,mod_norm_lp\n")
@@ -187,6 +190,7 @@ def _series_csv(run: _Run, name: str, cfg: solver.SolveConfig, traj,
                 f"{float(traj.times[j])!r},{float(masses[j])!r},"
                 f"{float(norm_l2[j])!r},{float(norm_lp[j])!r}\n"
             )
+    return masses
 
 
 # ---------------------------------------------------------------------------
@@ -247,8 +251,7 @@ def _cmd_evolve(args, run: _Run) -> int:
     u0 = _initial_datum(cfg, scfg, args.seed, partition)
     traj = solver.split_step_oracle(scfg, u0)
     write_trajectory(run.path("trajectory.bin"), traj)
-    _series_csv(run, "series.csv", scfg, traj, partition)
-    masses = solver.mass_series(traj)
+    masses = _series_csv(run, "series.csv", scfg, traj, partition)
     report = {
         "samples": traj.n_samples,
         "mass_initial": float(masses[0]),

@@ -26,7 +26,7 @@ from functools import reduce
 import numpy as np
 
 from .errors import HypothesisError
-from .spectral import GridSpec, SpectralField, Trajectory
+from .spectral import GridSpec, SpectralField, Trajectory, _box, _scan_support
 
 __all__ = [
     "EquationCoeffs",
@@ -127,19 +127,24 @@ def propagate(coeffs: EquationCoeffs, t: float, f: SpectralField) -> SpectralFie
 
 
 def propagate_trajectory(coeffs: EquationCoeffs, times, u0: SpectralField) -> Trajectory:
-    """Free flow t -> W(t) u0 sampled at `times`."""
+    """Free flow t -> W(t) u0 sampled at `times`. W(t) is a Fourier
+    multiplier, so the flow keeps the support of u0: only that box is
+    written, and the trajectory carries it."""
     times = np.asarray(times, dtype=np.float64)
-    terms = _axis_terms(coeffs, u0.grid)
-    spec0 = u0.spectrum
-    stack = np.empty((times.size,) + u0.grid.shape, dtype=np.complex128)
+    grid = u0.grid
+    W = _scan_support(grid, (u0.spectrum[None],), grid.n // 2)
+    box = _box(grid, W)
+    terms = [term[box[-1]] for term in _axis_terms(coeffs, grid)]
+    spec0 = u0.spectrum[box]
+    stack = np.zeros((times.size,) + grid.shape, dtype=np.complex128)
     for j, t in enumerate(times):
-        np.multiply(spec0, _outer_phasor(terms, t), out=stack[j])
-    return Trajectory(u0.grid, times, stack)
+        np.multiply(spec0, _outer_phasor(terms, t), out=stack[j][box])
+    return Trajectory(grid, times, stack, support=W)
 
 
 def duhamel_sum(coeffs: EquationCoeffs, grid: GridSpec, times, stack: np.ndarray,
                 base: np.ndarray | None = None, coef: complex = 1.0,
-                prefix: np.ndarray | None = None) -> None:
+                prefix: np.ndarray | None = None, support: int | None = None) -> None:
     """The Duhamel prefix sum, in place over the source stack.
 
     On entry stack[j] holds the source spectrum F(t_j); on return it holds
@@ -147,24 +152,34 @@ def duhamel_sum(coeffs: EquationCoeffs, grid: GridSpec, times, stack: np.ndarray
     W(-s) F(s) over [t_0, t_j]: the integrand g_j = conj(E_j) F_j with
     E_j = phasor(t_j) is formed before stack[j] is overwritten, so one
     sample of work space is all it takes. `prefix`, if given, receives acc_j.
+
+    With `support` W, every source sample and `base` must vanish outside
+    the box |k|_inf <= W; the sum then runs on that box only (the result
+    vanishes outside it too), and `prefix` is exactly zero outside it.
     """
-    terms = _axis_terms(coeffs, grid)
-    acc = np.zeros(grid.shape, dtype=np.complex128)
+    box = _box(grid, support)
+    terms = [term[box[-1]] for term in _axis_terms(coeffs, grid)]
+    view = stack[box]
+    if base is not None:
+        base = base[box]
+    if prefix is not None and view.shape != stack.shape:
+        prefix.fill(0.0)  # the sum writes the box only
+    acc = np.zeros(view.shape[1:], dtype=np.complex128)
     g, g_prev, tmp = (np.empty_like(acc) for _ in range(3))
     for j, t in enumerate(times):
         e = _outer_phasor(terms, t)
-        np.multiply(np.conjugate(e, out=tmp), stack[j], out=g)
+        np.multiply(np.conjugate(e, out=tmp), view[j], out=g)
         if j > 0:
             g_prev += g
             g_prev *= (times[j] - times[j - 1]) * 0.5
             acc += g_prev
         g, g_prev = g_prev, g
         if prefix is not None:
-            prefix[j] = acc
+            prefix[j][box] = acc
         np.multiply(acc, coef, out=tmp)
         if base is not None:
             tmp += base
-        np.multiply(e, tmp, out=stack[j])
+        np.multiply(e, tmp, out=view[j])
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,8 @@ import numpy as np
 from . import dispersion as disp
 from . import modspace, nonlinear
 from .errors import HypothesisError
-from .spectral import (GridSpec, SpectralField, Trajectory, _lp_series, _pointwise_map,
-                       time_lp_norm)
+from .spectral import (GridSpec, SpectralField, Trajectory, _box, _joint_support,
+                       _lp_series, _pointwise_map, time_lp_norm)
 from .spectral import lp_norm  # noqa: F401  (the benchmark tracer patches this binding)
 
 __all__ = [
@@ -162,8 +162,8 @@ def sample_field(grid: GridSpec, ens: EnsembleSpec, index: int) -> SpectralField
             )
             spec[sl] += sub
 
-    scale = ens.amplitude / _l2(spec, grid)
-    return SpectralField(grid, spectrum=spec * scale)
+    spec[block_sl] *= ens.amplitude / _l2(spec, grid)
+    return SpectralField(grid, spectrum=spec)
 
 
 def sample_trajectory(grid: GridSpec, coeffs: disp.EquationCoeffs,
@@ -176,7 +176,7 @@ def sample_trajectory(grid: GridSpec, coeffs: disp.EquationCoeffs,
     times = np.asarray(times, dtype=np.float64)
     env = 1.0 + 0.3 * np.sin(omega * times + phase0)
     traj = disp.propagate_trajectory(coeffs, times, f)
-    traj.spectra *= env[(slice(None),) + (None,) * grid.d]
+    traj.spectra[_box(grid, traj.support)] *= env[(slice(None),) + (None,) * grid.d]
     return traj
 
 
@@ -189,20 +189,25 @@ def _map_indices(fn, count: int, threads: int = 1) -> list:
 
 def duhamel_integral(coeffs: disp.EquationCoeffs, times,
                      source: Trajectory) -> Trajectory:
-    """int_0^t W(t - s) F(s) ds via the spectral trapezoid prefix sum."""
+    """int_0^t W(t - s) F(s) ds via the spectral trapezoid prefix sum, on
+    the support box of F (the whole grid when it is unknown)."""
     times = np.asarray(times, dtype=np.float64)
-    out = source.spectra.copy()
-    disp.duhamel_sum(coeffs, source.grid, times, out)
-    return Trajectory(source.grid, times, out)
+    W = source.support
+    box = _box(source.grid, W)
+    out = np.zeros(source.spectra.shape, dtype=np.complex128)
+    out[box] = source.spectra[box]
+    disp.duhamel_sum(coeffs, source.grid, times, out, support=W)
+    return Trajectory(source.grid, times, out, support=W)
 
 
-def _l2(spectrum: np.ndarray, grid: GridSpec) -> float:
+def _l2(spectrum: np.ndarray, grid: GridSpec, support: int | None = None) -> float:
     """L^2 norm of one field, by Plancherel on its spectrum."""
-    return float(_lp_series(spectrum[None], grid, 2)[0])
+    return float(_lp_series(spectrum[None], grid, 2, support)[0])
 
 
 def _lebesgue_space_time(traj: Trajectory, p, r) -> float:
-    return time_lp_norm(_lp_series(traj.spectra, traj.grid, p), traj.times, r)
+    return time_lp_norm(_lp_series(traj.spectra, traj.grid, p, traj.support),
+                        traj.times, r)
 
 
 def _require_admissible(d: int, c_gamma: int, p, r, probe: bool, what: str):
@@ -224,7 +229,7 @@ def check_homogeneous_strichartz(grid: GridSpec, coeffs: disp.EquationCoeffs,
     def one(i):
         u0 = sample_field(grid, ens, i)
         traj = disp.propagate_trajectory(coeffs, times, u0)
-        leb = (_lebesgue_space_time(traj, p, r), _l2(u0.spectrum, grid))
+        leb = (_lebesgue_space_time(traj, p, r), _l2(u0.spectrum, grid, traj.support))
         lift = (
             modspace.planchon_norm(traj, pl_spec, partition).value,
             modspace.mod_norm(u0, mod_spec, partition).value,
@@ -304,17 +309,20 @@ def check_hoelder_like(grid: GridSpec, coeffs: disp.EquationCoeffs,
     if mode == "planchon":
         _check_split(r_target, r_factors, "time")
 
-    def product(*stacks):
-        return _pointwise_map(lambda *vals: reduce(np.multiply, vals), grid, *stacks,
-                              degree=len(stacks))
+    def product(*trajs):
+        """The pointwise product of the factor trajectories, with its support."""
+        out, reach = _pointwise_map(lambda *vals: reduce(np.multiply, vals), grid,
+                                    *(tr.spectra for tr in trajs), degree=len(trajs),
+                                    support=_joint_support(*(tr.support for tr in trajs)))
+        return Trajectory(grid, trajs[0].times, out, support=reach)
 
     def one(i):
         if mode == "modulation":
             fields = [sample_field(grid, ens, i * len(p_factors) + j)
                       for j in range(len(p_factors))]
-            prod = product(*(f.spectrum[None] for f in fields))[0]
+            prod = product(*(Trajectory(grid, [0.0], f.spectrum[None]) for f in fields))
             lhs = modspace.mod_norm(
-                SpectralField(grid, spectrum=prod),
+                prod.field(0),
                 modspace.ModNormSpec(p=p_target, q=q, s=s), partition).value
             rhs = 1.0
             for f, pj in zip(fields, p_factors):
@@ -323,9 +331,8 @@ def check_hoelder_like(grid: GridSpec, coeffs: disp.EquationCoeffs,
             return lhs, rhs
         trajs = [sample_trajectory(grid, coeffs, ens, i * len(p_factors) + j, times)
                  for j in range(len(p_factors))]
-        prod_traj = Trajectory(grid, trajs[0].times, product(*(tr.spectra for tr in trajs)))
         lhs = modspace.planchon_norm(
-            prod_traj, modspace.PlanchonNormSpec(s=s, q=q, r=r_target, p=p_target),
+            product(*trajs), modspace.PlanchonNormSpec(s=s, q=q, r=r_target, p=p_target),
             partition).value
         rhs = 1.0
         for tr, pj, rj in zip(trajs, p_factors, r_factors):

@@ -35,6 +35,7 @@ from .spectral import (
     Trajectory,
     _abs2,
     _chunks,
+    _joint_support,
     _lp,
     _n_samples,
     _physical_chunks,
@@ -286,9 +287,12 @@ class _BoxNormEngine:
         """(T, nb, .., nb) -> (n_boxes, T), boxes in partition order."""
         return np.ascontiguousarray(table.reshape(table.shape[0], -1).T)
 
-    def series(self, stacks, p, l2: np.ndarray | None = None) -> np.ndarray:
+    def series(self, stacks, p, l2: np.ndarray | None = None,
+               support: int | None = None) -> np.ndarray:
         """(n_boxes, T) table of per-box L^p norms; `l2` may pass the p = 2
-        table when the caller already has it."""
+        table when the caller already has it, and `support` the support of
+        the stacks (see Trajectory.support), to which the Plancherel pass
+        then keeps."""
         p = math.inf if p == math.inf else float(p)  # exact exponents end here
         grid = self.partition.grid
         # while p*M < n the reduced grid (R < n points, see _pruned_dft) gives
@@ -298,24 +302,28 @@ class _BoxNormEngine:
         if self.method == "reference" or not (p == 2.0 or reduced):
             return self._full_grid(stacks, p)
         if l2 is None:
-            l2 = self._plancherel(stacks)
+            l2 = self._plancherel(stacks, support)
         return l2 if p == 2.0 else self._pruned_dft(stacks, int(p), l2)
 
-    def _plancherel(self, stacks) -> np.ndarray:
-        """All box L^2 norms at once: |F|^2 on the region covering every box,
-        contracted with window_1d**2 along each axis."""
+    def _plancherel(self, stacks, support: int | None = None) -> np.ndarray:
+        """All box L^2 norms at once: |F|^2 on the region covering every box
+        that reaches the support, contracted with window_1d**2 along each
+        axis. Box k spans (k -+ 1) M, where its window vanishes, so only
+        |k|_inf <= ceil(W / M) see the support W; the others are exactly 0."""
         part = self.partition
-        d, M = part.grid.d, part.grid.M
-        inner = (slice(None),) + (part.inner_slice,) * d
+        d, M, K = part.grid.d, part.grid.M, part.k_max
+        live = K if support is None else min(K, -(-support // M))
+        c = part.grid.n // 2
+        inner = (slice(None),) + (slice(c - (live + 1) * M, c + (live + 1) * M + 1),) * d
+        boxes = (slice(None),) + (slice(K - live, K + live + 1),) * d
         w2 = part.window_1d**2
         T = _n_samples(stacks)
-        out = np.empty((T,) + (2 * part.k_max + 1,) * d)
-        width = part.inner_slice.stop - part.inner_slice.start
-        for t0, t1 in _chunks(T, _CHUNK_BYTES // (16 * width**d)):
+        out = np.zeros((T,) + (2 * K + 1,) * d)
+        for t0, t1 in _chunks(T, _CHUNK_BYTES // (16 * (2 * (live + 1) * M + 1)**d)):
             sq = _abs2(_stack_rows(stacks, slice(t0, t1), inner))
             for axis in range(1, d + 1):
                 sq = _box_windows(sq, M, axis) @ w2
-            out[t0:t1] = sq
+            out[t0:t1][boxes] = sq
         return np.sqrt(self._l2_factor * self._by_box(out))
 
     def _pruned_dft(self, stacks, p: int, l2: np.ndarray) -> np.ndarray:
@@ -387,20 +395,22 @@ class _BoxNormEngine:
         return out
 
 
-def _as_stack(obj):
+def _as_stack(obj) -> tuple:
+    """(spectra stack or pair, its support or None when unknown)."""
     if isinstance(obj, SpectralField):
-        return obj.spectrum[None, ...]
+        return obj.spectrum[None, ...], None
     if isinstance(obj, Trajectory):
-        return obj.spectra
+        return obj.spectra, obj.support
     if isinstance(obj, (np.ndarray, tuple)):
-        return obj
+        return obj, None
     raise TypeError(f"expected SpectralField, Trajectory, array or pair, got {type(obj)}")
 
 
 def mod_norm(f: SpectralField, spec: ModNormSpec, partition: Partition,
              method: str = "fast") -> NormResult:
     """Weighted l^q over boxes of per-box L^p norms of a single field."""
-    per_box = _BoxNormEngine(partition, method).series(_as_stack(f), spec.p)[:, 0]
+    stacks, support = _as_stack(f)
+    per_box = _BoxNormEngine(partition, method).series(stacks, spec.p, support=support)[:, 0]
     return NormResult(_lq_aggregate(partition.weights(spec.s) * per_box, spec.q))
 
 
@@ -412,21 +422,27 @@ def mod_norm_series(stack, spec: ModNormSpec, partition: Partition,
     of spectra arrays whose difference is measured (B may be a broadcast
     view).
     """
-    table = _BoxNormEngine(partition, method).series(_as_stack(stack), spec.p)
+    stacks, support = _as_stack(stack)
+    table = _BoxNormEngine(partition, method).series(stacks, spec.p, support=support)
+    return _series_norm(table, spec, partition)
+
+
+def _series_norm(table: np.ndarray, spec: ModNormSpec, partition: Partition) -> np.ndarray:
+    """Weighted l^q over the boxes of an (n_boxes, T) table, per sample."""
     return _lq_aggregate(partition.weights(spec.s)[:, None] * table, spec.q, axis=0)
 
 
 def planchon_norm(u: Trajectory, spec: PlanchonNormSpec, partition: Partition,
                   method: str = "fast") -> NormResult:
     """l^{s,q} over boxes of (L^r in time of (L^p in space)) of a trajectory."""
-    series = _BoxNormEngine(partition, method).series(_as_stack(u), spec.p)
+    series = _BoxNormEngine(partition, method).series(u.spectra, spec.p, support=u.support)
     per_box = time_lp_norm(series, u.times, spec.r)
     return NormResult(_lq_aggregate(partition.weights(spec.s) * per_box, spec.q))
 
 
-def _x_norm_impl(stacks, times, s, q, r, p, partition, method) -> XNormResult:
+def _x_norm_impl(stacks, support, times, s, q, r, p, partition, method) -> XNormResult:
     engine = _BoxNormEngine(partition, method)
-    series2 = engine.series(stacks, 2)
+    series2 = engine.series(stacks, 2, support=support)
     per_box_l2 = series2.max(axis=1)
     if p == 2 and r == math.inf:
         per_box_lp = per_box_l2
@@ -446,7 +462,7 @@ def _x_norm_impl(stacks, times, s, q, r, p, partition, method) -> XNormResult:
 def x_norm(u: Trajectory, s, q, r, p, partition: Partition,
            method: str = "fast") -> XNormResult:
     """Solution-space norm: l^{s,q}(L^inf L^2) part plus l^{s,q}(L^r L^p) part."""
-    return _x_norm_impl(u.spectra, u.times, s, q, r, p, partition, method)
+    return _x_norm_impl(u.spectra, u.support, u.times, s, q, r, p, partition, method)
 
 
 def x_norm_diff(u: Trajectory, v: Trajectory, s, q, r, p, partition: Partition,
@@ -454,8 +470,8 @@ def x_norm_diff(u: Trajectory, v: Trajectory, s, q, r, p, partition: Partition,
     """X norm of u - v without materializing the difference trajectory."""
     if u.grid != v.grid or u.n_samples != v.n_samples:
         raise ValueError("trajectories not aligned")
-    return _x_norm_impl((u.spectra, v.spectra), u.times, s, q, r, p,
-                        partition, method)
+    return _x_norm_impl((u.spectra, v.spectra), _joint_support(u.support, v.support),
+                        u.times, s, q, r, p, partition, method)
 
 
 def truncation_residual(obj, partition: Partition) -> float:
@@ -467,4 +483,5 @@ def truncation_residual(obj, partition: Partition) -> float:
     for j in range(-partition.k_max, partition.k_max + 1):
         cov[partition.box_slices((j,))[0]] += partition.window_1d
     mult = 1.0 - reduce(np.multiply.outer, [cov] * grid.d)
-    return math.sqrt(float(_plancherel(_as_stack(obj), grid, mult).max()))
+    stacks, support = _as_stack(obj)
+    return math.sqrt(float(_plancherel(stacks, grid, mult, support).max()))

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .modspace import Partition, PlanchonNormSpec, planchon_norm
-from .spectral import SpectralField, Trajectory, _pointwise_map
+from .spectral import (SpectralField, Trajectory, _box, _joint_support,
+                       _pointwise_map)
 
 __all__ = [
     "NonlinSpec",
@@ -211,11 +212,12 @@ def aliasing_residual(spec: NonlinSpec, u: SpectralField) -> float:
 def apply_to_trajectory(spec: NonlinSpec, u: Trajectory) -> Trajectory:
     """f(u) at every sample, as a spectral stack: one `evaluate` per chunk
     of the shared pass to physical space and back, which a power product
-    runs on the smallest grid its degree and the support of u allow."""
+    runs on the smallest grid its degree and the support of u allow; the
+    result carries its support."""
     degree = spec.degree if spec.kind == "power" else None
-    out = _pointwise_map(lambda vals: evaluate(spec, vals), u.grid, u.spectra,
-                         degree=degree)
-    return Trajectory(u.grid, u.times, out)
+    out, reach = _pointwise_map(lambda vals: evaluate(spec, vals), u.grid, u.spectra,
+                                degree=degree, support=u.support)
+    return Trajectory(u.grid, u.times, out, support=reach)
 
 
 @dataclass(frozen=True)
@@ -241,11 +243,14 @@ def power_lipschitz_witness(u: Trajectory, v: Trajectory, spec: NonlinSpec,
     """
     if spec.kind != "power" or spec.m != exps.m:
         raise ValueError("nonlinearity spec does not match the exponent bundle")
+    W = _joint_support(u.support, v.support)
     # f(u) - f(v) in one pass: one forward transform per chunk, no second stack
-    diff = _pointwise_map(lambda a, b: evaluate(spec, a) - evaluate(spec, b),
-                          u.grid, u.spectra, v.spectra, degree=spec.degree)
+    diff, reach = _pointwise_map(lambda a, b: evaluate(spec, a) - evaluate(spec, b),
+                                 u.grid, u.spectra, v.spectra, degree=spec.degree,
+                                 support=W)
     inner = PlanchonNormSpec(s=exps.s, q=exps.q, r=exps.r_tilde, p=exps.p_tilde)
-    lhs = planchon_norm(Trajectory(u.grid, u.times, diff), inner, partition).value
+    lhs = planchon_norm(Trajectory(u.grid, u.times, diff, support=reach), inner,
+                        partition).value
 
     lp1 = exps.l + 1
 
@@ -255,7 +260,10 @@ def power_lipschitz_witness(u: Trajectory, v: Trajectory, spec: NonlinSpec,
     scaled = PlanchonNormSpec(s=exps.s, q=exps.q,
                               r=scale(exps.r_tilde), p=scale(exps.p_tilde))
     sup2 = PlanchonNormSpec(s=exps.s, q=exps.q, r=math.inf, p=2)
-    dvu = Trajectory(u.grid, u.times, u.spectra - v.spectra)
+    box = _box(u.grid, W)
+    dvu = np.zeros(u.spectra.shape, dtype=np.complex128)
+    dvu[box] = u.spectra[box] - v.spectra[box]
+    dvu = Trajectory(u.grid, u.times, dvu, support=W)
     du = planchon_norm(dvu, scaled, partition).value
     nu_s = planchon_norm(u, scaled, partition).value
     nv_s = planchon_norm(v, scaled, partition).value

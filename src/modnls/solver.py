@@ -34,7 +34,9 @@ from .spectral import (
     SpectralField,
     Trajectory,
     _from_physical,
+    _joint_support,
     _plancherel,
+    _scan_support,
     _to_physical,
     lp_norm,
 )
@@ -198,17 +200,19 @@ def duhamel_apply(cfg: SolveConfig, u: Trajectory, u0: SpectralField,
     `picard_solve`, and T_min for `scatter_minus`, the discrete stand-in
     for the integral from -infinity (the neglected part is a recorded
     small-data assumption). `prefix`, if given, receives the integrals
-    of W(-s) f(u(s)) from times[0] to every sample.
+    of W(-s) f(u(s)) from times[0] to every sample. The result carries
+    the joint support of f(u) and u0.
     """
     if u.grid != u0.grid:
         raise ValueError("initial datum grid does not match trajectory grid")
     if u.n_samples != cfg.nt or abs(u.times[0] - cfg.t_min) > 1e-12:
         raise ValueError("trajectory is not on the configured time grid")
 
-    out = nonlinear.apply_to_trajectory(cfg.nonlin, u).spectra
-    disp.duhamel_sum(cfg.coeffs, cfg.grid, u.times, out, base=u0.spectrum, coef=1j,
-                     prefix=prefix)
-    return Trajectory(cfg.grid, u.times, out)
+    f = nonlinear.apply_to_trajectory(cfg.nonlin, u)
+    W = max(f.support, _scan_support(cfg.grid, (u0.spectrum[None],), cfg.grid.n // 2))
+    disp.duhamel_sum(cfg.coeffs, cfg.grid, u.times, f.spectra, base=u0.spectrum, coef=1j,
+                     prefix=prefix, support=W)
+    return Trajectory(cfg.grid, u.times, f.spectra, support=W)
 
 
 def _x_diff(cfg: SolveConfig, partition, a: Trajectory, b: Trajectory) -> float:
@@ -309,7 +313,7 @@ def mass(f: SpectralField) -> float:
 
 def mass_series(u: Trajectory) -> np.ndarray:
     """mass of every sample, by Plancherel on the stored spectra."""
-    return _plancherel(u.spectra, u.grid)
+    return _plancherel(u.spectra, u.grid, support=u.support)
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +369,8 @@ def oracle_deviation(a: Trajectory, b: Trajectory) -> float:
     """sup over samples of the L^2 distance (Plancherel, no transforms)."""
     if a.grid != b.grid or a.n_samples != b.n_samples:
         raise ValueError("trajectories not aligned")
-    return math.sqrt(float(_plancherel((a.spectra, b.spectra), a.grid).max()))
+    W = _joint_support(a.support, b.support)
+    return math.sqrt(float(_plancherel((a.spectra, b.spectra), a.grid, support=W).max()))
 
 
 # ---------------------------------------------------------------------------

@@ -180,23 +180,37 @@ def _physical_chunks(grid: GridSpec, *stacks: np.ndarray):
         yield slice(t0, t1), [_to_physical(s[t0:t1], grid) for s in stacks]
 
 
-def _support_grid(grid: GridSpec, stacks, factor: int) -> tuple[GridSpec, int | None]:
-    """(GridSpec(d, L, n', M), W) for the smallest power of two n' > factor * W
-    while n' < n, else (grid, None).
+def _crop(n: int, lo: int, hi: int, d: int) -> tuple:
+    """Index into a stack of the lattice points -lo <= k < hi of each of the
+    trailing d axes of an n-point grid (math order)."""
+    return (slice(None),) + (slice(n // 2 - lo, n // 2 + hi),) * d
 
-    W is the largest |k|_inf, in lattice steps from the center, of any
-    exactly nonzero coefficient of the stacks (NaN counts as nonzero). On
-    n' points a product of D factors is alias-free for factor = 2 D, and
-    the Riemann sum of |f|^p (even p) is its exact integral for factor = p,
-    so either pass gives the full-grid result there. The scan reads a chunk
-    of samples at a time and stops once W rules the reduction out; a stack
-    that fills the grid (a solver iterate after a full-grid pass) already
-    shows it on the k_1 = -n/2 face of its last sample.
-    """
+
+def _box(grid: GridSpec, W: int | None) -> tuple:
+    """Index of the lattice points |k|_inf <= W of the trailing d axes (math
+    order), for a spectrum or a stack; W >= n/2, or None (unknown), is the
+    whole grid."""
+    half = grid.n // 2
+    W = half if W is None else min(W, half)
+    return (Ellipsis,) + (slice(half - W, min(half + W + 1, grid.n)),) * grid.d
+
+
+def _joint_support(*supports) -> int | None:
+    """The support of several stacks together: the largest, or None when
+    one is unknown."""
+    return None if None in supports else max(supports)
+
+
+def _scan_support(grid: GridSpec, stacks, limit: int) -> int:
+    """The support of the stacks: the largest |k|_inf, in lattice steps from
+    the center, of any exactly nonzero coefficient (NaN counts as nonzero),
+    or n/2 once that exceeds `limit`. The scan reads a chunk of samples at a
+    time and stops there; a stack that fills the grid (a solver iterate after
+    a full-grid pass) already shows it on the k_1 = -n/2 face of its last
+    sample."""
     d, half = grid.d, grid.n // 2
     if any(np.any(s[-1, 0]) for s in stacks):
-        return grid, None
-    w_max = (half - 1) // factor  # the largest W with factor * W < n/2
+        return half
     W = 0
     for s in stacks:
         for t0, t1 in _chunks(s.shape[0], _CHUNK_BYTES // grid.size):
@@ -205,45 +219,60 @@ def _support_grid(grid: GridSpec, stacks, factor: int) -> tuple[GridSpec, int | 
                 idx = np.flatnonzero(live.any(axis=tuple(a for a in range(d) if a != axis)))
                 if idx.size:
                     W = max(W, half - int(idx[0]), int(idx[-1]) - half)
-            if W > w_max:
-                return grid, None
+            if W > limit:
+                return half
+    return W
+
+
+def _support_grid(grid: GridSpec, stacks, factor: int,
+                  W: int | None = None) -> tuple[GridSpec, int | None]:
+    """(GridSpec(d, L, n', M), W) for the smallest power of two n' > factor * W
+    while n' < n, else (grid, None).
+
+    W is the support of the stacks (see _scan_support), scanned when not
+    given. On n' points a product of D factors is alias-free for
+    factor = 2 D, and the Riemann sum of |f|^p (even p) is its exact
+    integral for factor = p, so either pass gives the full-grid result there.
+    """
+    w_max = (grid.n // 2 - 1) // factor  # the largest W with factor * W < n/2
+    if W is None:
+        W = _scan_support(grid, stacks, w_max)
+    if W > w_max:
+        return grid, None
     n = 2
     while n <= factor * W:
         n *= 2
-    return GridSpec(d, grid.L, n, grid.M), W
+    return GridSpec(grid.d, grid.L, n, grid.M), W
 
 
-def _crop(n: int, lo: int, hi: int, d: int) -> tuple:
-    """Index into a stack of the lattice points -lo <= k < hi of each of the
-    trailing d axes of an n-point grid (math order)."""
-    return (slice(None),) + (slice(n // 2 - lo, n // 2 + hi),) * d
-
-
-def _pointwise_map(fn, grid: GridSpec, *stacks: np.ndarray,
-                   degree: int | None = None) -> np.ndarray:
-    """Spectral stack of fn(*samples) at every sample, for fn pointwise in x:
-    the pass to physical space and back. For fn a polynomial of `degree`
-    in its inputs the pass runs on the support-sized grid (_support_grid)
-    and writes |k| <= degree W; every other coefficient is exactly zero."""
-    sub, W = _support_grid(grid, stacks, 2 * degree) if degree else (grid, None)
-    reach = grid.n // 2 if W is None else degree * W  # the largest |k| of the result
-    src, dst = _crop(sub.n, reach, reach + 1, grid.d), _crop(grid.n, reach, reach + 1, grid.d)
+def _pointwise_map(fn, grid: GridSpec, *stacks: np.ndarray, degree: int | None = None,
+                   support: int | None = None) -> tuple[np.ndarray, int]:
+    """(spectral stack of fn(*samples) at every sample, its support), for fn
+    pointwise in x: the pass to physical space and back. For fn a polynomial
+    of `degree` in its inputs the pass runs on the support-sized grid
+    (_support_grid, given the inputs' `support` or scanning for it) and
+    writes |k| <= degree W, the support returned; every other coefficient is
+    exactly zero. Otherwise the support is the whole grid, n/2."""
+    sub, W = _support_grid(grid, stacks, 2 * degree, support) if degree else (grid, None)
+    reach = grid.n // 2 if W is None else degree * W
+    src, dst = _box(sub, reach), _box(grid, reach)
     crop = _crop(grid.n, sub.n // 2, sub.n // 2, grid.d)
     out = (np.empty if W is None else np.zeros)(stacks[0].shape, dtype=np.complex128)
     for rows, vals in _physical_chunks(sub, *(s[crop] for s in stacks)):
         out[rows][dst] = _from_physical(fn(*vals), sub)[src]
-    return out
+    return out, reach
 
 
-def _lp_series(stack: np.ndarray, grid: GridSpec, p) -> np.ndarray:
+def _lp_series(stack: np.ndarray, grid: GridSpec, p, support: int | None = None) -> np.ndarray:
     """lp_norm of every sample of a spectral stack, as a (T,) array: by
     Plancherel for p = 2, on the support-sized grid for other even p, on
-    the full grid otherwise. Raises, like lp_norm, when a sample holds NaN."""
+    the full grid otherwise; `support`, if known, saves the scan. Raises,
+    like lp_norm, when a sample holds NaN."""
     if p == 2:
-        out = np.sqrt(_plancherel(stack, grid))
+        out = np.sqrt(_plancherel(stack, grid, support=support))
     else:
         even = 2 < p < math.inf and float(p) % 2 == 0
-        sub = _support_grid(grid, (stack,), int(p))[0] if even else grid
+        sub = _support_grid(grid, (stack,), int(p), support)[0] if even else grid
         crop = _crop(grid.n, sub.n // 2, sub.n // 2, grid.d)
         out = np.empty(stack.shape[0])
         for rows, (vals,) in _physical_chunks(sub, stack[crop]):
@@ -253,14 +282,20 @@ def _lp_series(stack: np.ndarray, grid: GridSpec, p) -> np.ndarray:
     return out
 
 
-def _plancherel(stacks, grid: GridSpec, weight: np.ndarray | None = None) -> np.ndarray:
+def _plancherel(stacks, grid: GridSpec, weight: np.ndarray | None = None,
+               support: int | None = None) -> np.ndarray:
     """Squared L^2 norm of every sample of a spectral stack, or of A - B for
     a pair (A, B), with no transform: (dxi/(2 pi))^d sum |w F|^2, where the
-    spectral weight w defaults to 1."""
+    spectral weight w defaults to 1. With the `support` W of the stacks
+    known, the sum runs over the box |k|_inf <= W only."""
+    box = _box(grid, support)
+    if weight is not None:
+        weight = weight[box]
     T = _n_samples(stacks)
     out = np.empty(T)
-    for t0, t1 in _chunks(T, _CHUNK_BYTES // (16 * grid.size)):
-        x = _stack_rows(stacks, slice(t0, t1))
+    width = box[-1].stop - box[-1].start
+    for t0, t1 in _chunks(T, _CHUNK_BYTES // (16 * width**grid.d)):
+        x = _stack_rows(stacks, slice(t0, t1), box)
         if weight is not None:
             x = x * weight
         out[t0:t1] = _abs2(x).reshape(t1 - t0, -1).sum(axis=1)
@@ -396,11 +431,17 @@ class Trajectory:
     spectra: every operation in the toolkit (propagation, Duhamel sums,
     box norms) acts on spectra, so spatial samples are materialized only
     on demand. Quadrature in time is the trapezoid rule.
+
+    `support` is a bound W on the spectral support: every coefficient with
+    |k|_inf > W is exactly zero (W = n/2 is the whole grid). None means
+    unknown. The producers that know it set it (the free flow, the Duhamel
+    sums, the pointwise maps), and the consumers read only that box.
     """
 
     quadrature = "trapezoid"
 
-    def __init__(self, grid: GridSpec, times, spectra: np.ndarray):
+    def __init__(self, grid: GridSpec, times, spectra: np.ndarray,
+                 support: int | None = None):
         t = np.asarray(times, dtype=np.float64)
         if t.ndim != 1 or t.size == 0:
             raise ValueError("times must be a non-empty 1-d array")
@@ -413,6 +454,7 @@ class Trajectory:
         self.grid = grid
         self.times = t
         self.spectra = np.asarray(spectra, dtype=np.complex128)
+        self.support = support
 
     @classmethod
     def from_fields(cls, times, fields) -> "Trajectory":
@@ -482,11 +524,15 @@ def _read_field_block(fh) -> SpectralField:
 
 
 def write_trajectory(path, traj: Trajectory) -> None:
+    grid = traj.grid
+    header = _FIELD_HEADER.pack(grid.d, grid.L, grid.n)
     with open(path, "wb") as fh:
         fh.write(struct.pack("<q", traj.n_samples))
         fh.write(traj.times.astype("<f8").tobytes())
-        for j in range(traj.n_samples):
-            _write_field_block(fh, traj.field(j))
+        for t0, t1 in _chunks(traj.n_samples, _CHUNK_BYTES // (16 * grid.size)):
+            for values in _centered_ifft(traj.spectra[t0:t1], grid):
+                fh.write(header)
+                fh.write(np.ascontiguousarray(values, dtype="<c16").tobytes())
 
 
 def read_trajectory(path) -> Trajectory:

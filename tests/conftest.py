@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -52,6 +53,18 @@ def band_limited_field(grid, band, rng, amplitude=None):
     return f
 
 
+def support_stack(d, n, w, seed, count=3):
+    """`count` random spectra on the d-dim n-point grid, L = 4 pi, filled
+    exactly on |k|_inf <= w (lattice steps)."""
+    grid = spectral.make_grid(d, 4 * math.pi, n)
+    rng = np.random.default_rng(seed)
+    shape = (count,) + (2 * w + 1,) * d
+    stack = np.zeros((count,) + grid.shape, dtype=np.complex128)
+    stack[(slice(None),) + (slice(n // 2 - w, n // 2 + w + 1),) * d] = (
+        rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / (2 * w + 1) ** d
+    return grid, stack
+
+
 def reference_duhamel(coeffs, grid, times, source, base=None, coef=1.0):
     """The per-sample Duhamel loop the kernel replaced: one full-grid exp of
     the phase table each way per sample. Returns (out, prefix) stacks with
@@ -97,6 +110,16 @@ def reference_apply_to_trajectory(spec, u):
         vals = nonlinear.evaluate(spec, centered_ifft(u.spectra[t0:t1], u.grid))
         out[t0:t1] = centered_fft(vals, u.grid)
     return out
+
+
+def reference_write_trajectory(path, traj):
+    """The per-sample trajectory writer: one centered inverse transform, and
+    one field block, per sample."""
+    with open(path, "wb") as fh:
+        fh.write(struct.pack("<q", traj.n_samples))
+        fh.write(traj.times.astype("<f8").tobytes())
+        for j in range(traj.n_samples):
+            spectral._write_field_block(fh, traj.field(j))
 
 
 def reference_split_step(cfg, u0):

@@ -9,7 +9,8 @@ from modnls import nonlinear as nl, spectral as sp
 from modnls.errors import GridMismatchError
 
 from conftest import (assert_support_sized, band_limited_field, field_metadata,
-                      reference_apply_to_trajectory, write_abs_csv)
+                      reference_apply_to_trajectory, reference_write_trajectory,
+                      support_stack, write_abs_csv)
 
 
 class TestMakeGrid:
@@ -138,18 +139,6 @@ class TestStackedLp:
             sp._lp_series(stack, grid2d_small, p)
 
 
-def _support_stack(d, n, w, seed, count=3):
-    """`count` random spectra on the d-dim n-point grid, L = 4 pi, filled
-    exactly on |k|_inf <= w (lattice steps)."""
-    grid = sp.make_grid(d, 4 * math.pi, n)
-    rng = np.random.default_rng(seed)
-    shape = (count,) + (2 * w + 1,) * d
-    stack = np.zeros((count,) + grid.shape, dtype=np.complex128)
-    stack[(slice(None),) + (slice(n // 2 - w, n // 2 + w + 1),) * d] = (
-        rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / (2 * w + 1) ** d
-    return grid, stack
-
-
 def _reduced_size(bound):
     """The smallest power of two n' > bound (at least 2)."""
     return max(2, 1 << bound.bit_length())
@@ -173,7 +162,7 @@ class TestSupportSizedPass:
     def test_products_match_full_grid(self, d, log_n, w, seed, degree):
         n = 2 ** min(log_n, {1: 12, 2: 7, 3: 6}[d])
         w = min(w, n // 2 - 1)
-        grid, stack = _support_stack(d, n, w, seed)
+        grid, stack = support_stack(d, n, w, seed)
         spec = nl.NonlinSpec(kind="power", pattern=("u", "conj", "u", "conj")[:degree],
                              coeff=-1.0 + 0.5j)
         traj = sp.Trajectory(grid, np.arange(3.0), stack)
@@ -189,7 +178,7 @@ class TestSupportSizedPass:
     def test_even_lp_sums_match_full_grid(self, d, log_n, w, seed, p):
         n = 2 ** min(log_n, {1: 12, 2: 7, 3: 6}[d])
         w = min(w, n // 2 - 1)
-        grid, stack = _support_stack(d, n, w, seed)
+        grid, stack = support_stack(d, n, w, seed)
         series = sp._lp_series(stack, grid, p)
         ref = np.array([sp.lp_norm(sp.SpectralField(grid, spectrum=s), p) for s in stack])
         assert np.max(np.abs(series - ref)) <= 1e-13 * np.max(ref)
@@ -259,6 +248,18 @@ class TestSerialization:
             assert np.max(np.abs(back.values(j) - traj.values(j))) < 1e-13 * scale
         scale = np.max(np.abs(traj.spectra))
         assert np.max(np.abs(back.spectra - traj.spectra)) < 1e-12 * scale
+
+    @pytest.mark.parametrize("d,n,nt", [(2, 128, 65), (1, 512, 7), (3, 32, 5)])
+    def test_chunked_writer_matches_per_sample_writer(self, tmp_path, d, n, nt):
+        # the chunked pass transforms several samples per call: the file
+        # must stay byte-identical to one transform per sample
+        rng = np.random.default_rng(10)
+        grid = sp.make_grid(d, 4 * math.pi, n)
+        fields = [band_limited_field(grid, 2, rng) for _ in range(nt)]
+        traj = sp.Trajectory.from_fields(np.linspace(0.0, 1.0, nt), fields)
+        sp.write_trajectory(tmp_path / "chunked.bin", traj)
+        reference_write_trajectory(tmp_path / "per_sample.bin", traj)
+        assert (tmp_path / "chunked.bin").read_bytes() == (tmp_path / "per_sample.bin").read_bytes()
 
     def test_metadata_and_csv(self, tmp_path, grid2d_small):
         rng = np.random.default_rng(9)

@@ -29,6 +29,7 @@ from . import __version__, dispersion as disp, harness, modspace, nonlinear, sol
 from .errors import HypothesisError, NumericsError
 from .spectral import (
     SpectralField,
+    _rebox,
     lp_norm,
     make_grid,
     read_field,
@@ -168,10 +169,24 @@ def _initial_datum(cfg: dict, scfg: solver.SolveConfig, seed: int,
         amplitude=1.0,
         band=int(spec.get("band", 1)),
     )
-    f = harness.sample_field(scfg.grid, ens, 0)
+    # harness.sample_field's draw, normalized by the full-grid L^2 sum (its
+    # box sum differs in the last bits, and the datum's bits are recorded)
+    draw = _rebox(harness._draw(scfg.grid, ens, 0), scfg.grid.d, scfg.grid.n)
+    draw *= ens.amplitude / harness._l2(draw, scfg.grid)
+    f = SpectralField(scfg.grid, spectrum=draw)
     norm = modspace.mod_norm(f, scfg.mod_spec(), partition).value
     target = float(spec.get("mod_norm", scfg.delta / 2.0))
     return SpectralField(scfg.grid, spectrum=f.spectrum * (target / norm))
+
+
+def _solve_setup(args, run: _Run):
+    """The preamble of the solve subcommands: the config (its text recorded
+    for the manifest), the SolveConfig, its partition and the initial datum."""
+    cfg = _load_config(args)
+    run.config_text = json.dumps(cfg, sort_keys=True)
+    scfg = _build_solve_config(cfg, args.seed)
+    partition = scfg.partition()
+    return cfg, scfg, partition, _initial_datum(cfg, scfg, args.seed, partition)
 
 
 def _series_csv(run: _Run, name: str, cfg: solver.SolveConfig, traj,
@@ -179,9 +194,9 @@ def _series_csv(run: _Run, name: str, cfg: solver.SolveConfig, traj,
     """Write the per-sample mass and modulation norms; returns the masses.
     The L^p box table reuses the L^2 one."""
     engine, spec = modspace._BoxNormEngine(partition), cfg.mod_spec()  # q, s of both
-    l2 = engine.series(traj.spectra, 2, support=traj.support)
+    l2 = engine.series(traj.box, 2, support=traj.support)
     norm_l2 = modspace._series_norm(l2, spec, partition)
-    norm_lp = modspace._series_norm(engine.series(traj.spectra, cfg.p, l2), spec, partition)
+    norm_lp = modspace._series_norm(engine.series(traj.box, cfg.p, l2), spec, partition)
     masses = solver.mass_series(traj)
     with open(run.path(name), "w") as fh:
         fh.write("t,mass,mod_norm_l2,mod_norm_lp\n")
@@ -244,11 +259,7 @@ def _cmd_norm(args, run: _Run) -> int:
 
 
 def _cmd_evolve(args, run: _Run) -> int:
-    cfg = _load_config(args)
-    run.config_text = json.dumps(cfg, sort_keys=True)
-    scfg = _build_solve_config(cfg, args.seed)
-    partition = scfg.partition()
-    u0 = _initial_datum(cfg, scfg, args.seed, partition)
+    _, scfg, partition, u0 = _solve_setup(args, run)
     traj = solver.split_step_oracle(scfg, u0)
     write_trajectory(run.path("trajectory.bin"), traj)
     masses = _series_csv(run, "series.csv", scfg, traj, partition)
@@ -264,11 +275,7 @@ def _cmd_evolve(args, run: _Run) -> int:
 
 
 def _cmd_picard(args, run: _Run) -> int:
-    cfg = _load_config(args)
-    run.config_text = json.dumps(cfg, sort_keys=True)
-    scfg = _build_solve_config(cfg, args.seed)
-    partition = scfg.partition()
-    u0 = _initial_datum(cfg, scfg, args.seed, partition)
+    cfg, scfg, partition, u0 = _solve_setup(args, run)
     if args.bisect_delta:
         result = solver.delta_bisection(scfg, u0, partition=partition)
         rep = result["report"]
@@ -295,11 +302,7 @@ def _cmd_picard(args, run: _Run) -> int:
 
 
 def _cmd_scatter(args, run: _Run) -> int:
-    cfg = _load_config(args)
-    run.config_text = json.dumps(cfg, sort_keys=True)
-    scfg = _build_solve_config(cfg, args.seed)
-    partition = scfg.partition()
-    u0_minus = _initial_datum(cfg, scfg, args.seed, partition)
+    _, scfg, partition, u0_minus = _solve_setup(args, run)
     u0_plus, traj, rep = solver.scattering_map(scfg, u0_minus, partition)
     write_field(run.path("u0_plus.bin"), u0_plus)
     write_trajectory(run.path("trajectory.bin"), traj)

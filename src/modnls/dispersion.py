@@ -26,7 +26,8 @@ from functools import reduce
 import numpy as np
 
 from .errors import HypothesisError
-from .spectral import GridSpec, SpectralField, Trajectory, _box, _scan_support
+from .spectral import (GridSpec, SpectralField, Trajectory, _box_width, _rebox,
+                       _scan_support)
 
 __all__ = [
     "EquationCoeffs",
@@ -128,17 +129,17 @@ def propagate(coeffs: EquationCoeffs, t: float, f: SpectralField) -> SpectralFie
 
 def propagate_trajectory(coeffs: EquationCoeffs, times, u0: SpectralField) -> Trajectory:
     """Free flow t -> W(t) u0 sampled at `times`. W(t) is a Fourier
-    multiplier, so the flow keeps the support of u0: only that box is
-    written, and the trajectory carries it."""
+    multiplier, so the flow keeps the support of u0: the trajectory carries
+    it and stores only that box."""
     times = np.asarray(times, dtype=np.float64)
     grid = u0.grid
     W = _scan_support(grid, (u0.spectrum[None],), grid.n // 2)
-    box = _box(grid, W)
-    terms = [term[box[-1]] for term in _axis_terms(coeffs, grid)]
-    spec0 = u0.spectrum[box]
-    stack = np.zeros((times.size,) + grid.shape, dtype=np.complex128)
+    width = _box_width(grid, W)
+    terms = [_rebox(term, 1, width) for term in _axis_terms(coeffs, grid)]
+    spec0 = _rebox(u0.spectrum, grid.d, width)
+    stack = np.empty((times.size,) + (width,) * grid.d, dtype=np.complex128)
     for j, t in enumerate(times):
-        np.multiply(spec0, _outer_phasor(terms, t), out=stack[j][box])
+        np.multiply(spec0, _outer_phasor(terms, t), out=stack[j])
     return Trajectory(grid, times, stack, support=W)
 
 
@@ -156,14 +157,18 @@ def duhamel_sum(coeffs: EquationCoeffs, grid: GridSpec, times, stack: np.ndarray
     With `support` W, every source sample and `base` must vanish outside
     the box |k|_inf <= W; the sum then runs on that box only (the result
     vanishes outside it too), and `prefix` is exactly zero outside it.
+    `stack` and `prefix` hold at least that box (the whole grid, or the box
+    as a Trajectory stores it, see _rebox); `base` is a full-grid spectrum.
     """
-    box = _box(grid, support)
-    terms = [term[box[-1]] for term in _axis_terms(coeffs, grid)]
-    view = stack[box]
+    width = _box_width(grid, support)
+    terms = [_rebox(term, 1, width) for term in _axis_terms(coeffs, grid)]
+    view = _rebox(stack, grid.d, width)
     if base is not None:
-        base = base[box]
-    if prefix is not None and view.shape != stack.shape:
-        prefix.fill(0.0)  # the sum writes the box only
+        base = _rebox(base, grid.d, width)
+    if prefix is not None:
+        whole, prefix = prefix, _rebox(prefix, grid.d, width)
+        if prefix.shape != whole.shape:
+            whole.fill(0.0)  # the sum writes the box only
     acc = np.zeros(view.shape[1:], dtype=np.complex128)
     g, g_prev, tmp = (np.empty_like(acc) for _ in range(3))
     for j, t in enumerate(times):
@@ -175,7 +180,7 @@ def duhamel_sum(coeffs: EquationCoeffs, grid: GridSpec, times, stack: np.ndarray
             acc += g_prev
         g, g_prev = g_prev, g
         if prefix is not None:
-            prefix[j][box] = acc
+            prefix[j] = acc
         np.multiply(acc, coef, out=tmp)
         if base is not None:
             tmp += base

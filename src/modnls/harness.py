@@ -23,8 +23,8 @@ import numpy as np
 from . import dispersion as disp
 from . import modspace, nonlinear
 from .errors import HypothesisError
-from .spectral import (GridSpec, SpectralField, Trajectory, _box, _joint_support,
-                       _lp_series, _pointwise_map, time_lp_norm)
+from .spectral import (GridSpec, SpectralField, Trajectory, _joint_support, _lp_series,
+                       _pointwise_map, _rebox, time_lp_norm)
 from .spectral import lp_norm  # noqa: F401  (the benchmark tracer patches this binding)
 
 __all__ = [
@@ -128,42 +128,42 @@ def _rng(ens: EnsembleSpec, index: int) -> np.random.Generator:
     return np.random.default_rng([ens.seed, index])
 
 
-def sample_field(grid: GridSpec, ens: EnsembleSpec, index: int) -> SpectralField:
-    """Draw one random band-limited field.
-
-    The spectral coefficients are drawn on the sub-lattice |xi|_inf <=
-    band, whose size depends on (band, M) but not on n, so the same seed
-    produces the same continuum field after grid doubling.
-    """
+def _draw(grid: GridSpec, ens: EnsembleSpec, index: int) -> np.ndarray:
+    """The spectral coefficients of sample `index` before normalization, on
+    the box |k|_inf <= band M that holds them (see spectral._rebox)."""
     rng = _rng(ens, index)
-    M, n, d = grid.M, grid.n, grid.d
+    M, d = grid.M, grid.d
     w = ens.band * M
     shape = (2 * w + 1,) * d
-    spec = np.zeros(grid.shape, dtype=np.complex128)
-    center = n // 2
-    block_sl = tuple(slice(center - w, center + w + 1) for _ in range(d))
-
     if ens.law == "gaussian-spectrum":
         coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         ax = (np.arange(2 * w + 1) - w) / M
         mesh = np.meshgrid(*([ax] * d), indexing="ij")
         bracket = np.sqrt(1.0 + sum(x * x for x in mesh))
-        spec[block_sl] = coeffs * bracket ** (-ens.decay)
-    else:
-        n_boxes = 1 if ens.law == "single-box" else 3
-        half = max(1, M // 2 - 1)  # stay strictly inside the unit box
-        for _ in range(n_boxes):
-            k = rng.integers(-ens.band + 1, ens.band, size=d)
-            sub = rng.standard_normal((2 * half + 1,) * d) \
-                + 1j * rng.standard_normal((2 * half + 1,) * d)
-            sl = tuple(
-                slice(center + int(ki) * M - half, center + int(ki) * M + half + 1)
-                for ki in k
-            )
-            spec[sl] += sub
+        return coeffs * bracket ** (-ens.decay)
+    box = np.zeros(shape, dtype=np.complex128)
+    n_boxes = 1 if ens.law == "single-box" else 3
+    half = max(1, M // 2 - 1)  # stay strictly inside the unit box
+    for _ in range(n_boxes):
+        k = rng.integers(-ens.band + 1, ens.band, size=d)
+        sub = rng.standard_normal((2 * half + 1,) * d) \
+            + 1j * rng.standard_normal((2 * half + 1,) * d)
+        sl = tuple(slice(w + int(ki) * M - half, w + int(ki) * M + half + 1) for ki in k)
+        box[sl] += sub
+    return box
 
-    spec[block_sl] *= ens.amplitude / _l2(spec, grid)
-    return SpectralField(grid, spectrum=spec)
+
+def sample_field(grid: GridSpec, ens: EnsembleSpec, index: int) -> SpectralField:
+    """Draw one random band-limited field.
+
+    The spectral coefficients are drawn on the sub-lattice |xi|_inf <=
+    band, whose size depends on (band, M) but not on n, so the same seed
+    produces the same continuum field after grid doubling. The L^2
+    normalization sums that box only.
+    """
+    box = _draw(grid, ens, index)
+    box *= ens.amplitude / _l2(box, grid, ens.band * grid.M)
+    return SpectralField._adopt(grid, _rebox(box, grid.d, grid.n))
 
 
 def sample_trajectory(grid: GridSpec, coeffs: disp.EquationCoeffs,
@@ -176,7 +176,7 @@ def sample_trajectory(grid: GridSpec, coeffs: disp.EquationCoeffs,
     times = np.asarray(times, dtype=np.float64)
     env = 1.0 + 0.3 * np.sin(omega * times + phase0)
     traj = disp.propagate_trajectory(coeffs, times, f)
-    traj.spectra[_box(grid, traj.support)] *= env[(slice(None),) + (None,) * grid.d]
+    traj.box *= env[(slice(None),) + (None,) * grid.d]
     return traj
 
 
@@ -192,21 +192,19 @@ def duhamel_integral(coeffs: disp.EquationCoeffs, times,
     """int_0^t W(t - s) F(s) ds via the spectral trapezoid prefix sum, on
     the support box of F (the whole grid when it is unknown)."""
     times = np.asarray(times, dtype=np.float64)
-    W = source.support
-    box = _box(source.grid, W)
-    out = np.zeros(source.spectra.shape, dtype=np.complex128)
-    out[box] = source.spectra[box]
-    disp.duhamel_sum(coeffs, source.grid, times, out, support=W)
-    return Trajectory(source.grid, times, out, support=W)
+    out = source.box.copy()
+    disp.duhamel_sum(coeffs, source.grid, times, out, support=source.support)
+    return Trajectory(source.grid, times, out, support=source.support)
 
 
 def _l2(spectrum: np.ndarray, grid: GridSpec, support: int | None = None) -> float:
-    """L^2 norm of one field, by Plancherel on its spectrum."""
+    """L^2 norm of one field, by Plancherel on its spectrum (full-grid, or
+    the box of its `support`)."""
     return float(_lp_series(spectrum[None], grid, 2, support)[0])
 
 
 def _lebesgue_space_time(traj: Trajectory, p, r) -> float:
-    return time_lp_norm(_lp_series(traj.spectra, traj.grid, p, traj.support),
+    return time_lp_norm(_lp_series(traj.box, traj.grid, p, traj.support),
                         traj.times, r)
 
 
@@ -312,7 +310,7 @@ def check_hoelder_like(grid: GridSpec, coeffs: disp.EquationCoeffs,
     def product(*trajs):
         """The pointwise product of the factor trajectories, with its support."""
         out, reach = _pointwise_map(lambda *vals: reduce(np.multiply, vals), grid,
-                                    *(tr.spectra for tr in trajs), degree=len(trajs),
+                                    *(tr.box for tr in trajs), degree=len(trajs),
                                     support=_joint_support(*(tr.support for tr in trajs)))
         return Trajectory(grid, trajs[0].times, out, support=reach)
 

@@ -135,8 +135,6 @@ class Partition:
         self.achieved_C = float(np.min(self.window_1d[half])) ** grid.d
         self.boxes = [k for k in product(range(-K, K + 1), repeat=grid.d)]
         self.brackets = np.array([japanese_bracket(k) for k in self.boxes])
-        # lattice rows of one axis covered by the boxes k = -K .. K
-        self.inner_slice = slice(n // 2 - (K + 1) * M, n // 2 + (K + 1) * M + 1)
         self._synthesis: dict[int, np.ndarray] = {}
 
     def _validate_partition_of_unity(self):
@@ -269,7 +267,8 @@ class _BoxNormEngine:
     the pruned DFT for even p and the full grid otherwise; "reference"
     takes the full grid for every p. Both agree to roundoff.
 
-    `stacks` is a spectra array (T, n, ..) or a pair (A, B) whose
+    `stacks` is a spectra array, full-grid (T, n, ..) or box-stored (T,
+    2W + 1, ..) as a Trajectory keeps it, or a pair (A, B) of them whose
     difference is measured; the difference is formed chunk by chunk, so
     the full difference stack is never materialized.
     """
@@ -313,14 +312,13 @@ class _BoxNormEngine:
         part = self.partition
         d, M, K = part.grid.d, part.grid.M, part.k_max
         live = K if support is None else min(K, -(-support // M))
-        c = part.grid.n // 2
-        inner = (slice(None),) + (slice(c - (live + 1) * M, c + (live + 1) * M + 1),) * d
+        inner = 2 * (live + 1) * M + 1  # points per axis of the boxes |k| <= live
         boxes = (slice(None),) + (slice(K - live, K + live + 1),) * d
         w2 = part.window_1d**2
         T = _n_samples(stacks)
         out = np.zeros((T,) + (2 * K + 1,) * d)
-        for t0, t1 in _chunks(T, _CHUNK_BYTES // (16 * (2 * (live + 1) * M + 1)**d)):
-            sq = _abs2(_stack_rows(stacks, slice(t0, t1), inner))
+        for t0, t1 in _chunks(T, _CHUNK_BYTES // (16 * inner**d)):
+            sq = _abs2(_stack_rows(stacks, slice(t0, t1), d, inner))
             for axis in range(1, d + 1):
                 sq = _box_windows(sq, M, axis) @ w2
             out[t0:t1][boxes] = sq
@@ -346,12 +344,15 @@ class _BoxNormEngine:
             return self._by_box(out)
         R = p * (M - 1) + 1
         synth = part.synthesis_matrix(R)
-        lows, counts = [], []
+        K, lows, counts = part.k_max, [], []
         for axis in range(d):
             alive = np.flatnonzero(live.any(axis=tuple(set(range(d)) - {axis})))
             lows.append(int(alive[0]))
             counts.append(int(alive[-1]) + 1 - lows[-1])
-        start = part.inner_slice.start
+        # the region read: the boxes |k|_inf <= reach that hold every live box,
+        # box index b (k = b - K) starting at `start + b M`
+        reach = max(max(K - lo, lo + c - 1 - K) for lo, c in zip(lows, counts))
+        start = (reach - K) * M
         rest = tuple(slice(start + lo * M, start + (lo + c + 1) * M + 1)
                      for lo, c in zip(lows[1:], counts[1:]))
         # chunks of (samples, boxes along axis 1) of about _CHUNK_BYTES each
@@ -359,10 +360,10 @@ class _BoxNormEngine:
         k_step = _CHUNK_BYTES // row_bytes
         sums = np.empty((T,) + tuple(counts))
         for t0, t1 in _chunks(T, k_step // counts[0]):
+            region = _stack_rows(stacks, slice(t0, t1), d, 2 * (reach + 1) * M + 1)
             for k0, k1 in _chunks(counts[0], k_step):
                 lo = start + (lows[0] + k0) * M
-                x = _stack_rows(stacks, slice(t0, t1),
-                                 (slice(None), slice(lo, lo + (k1 - k0 + 1) * M + 1)) + rest)
+                x = region[(slice(None), slice(lo, lo + (k1 - k0 + 1) * M + 1)) + rest]
                 for axis in range(1, d + 1):  # one gemm on a compact copy of the windows
                     win = np.ascontiguousarray(_box_windows(x, M, axis))
                     x = (win.reshape(-1, 2 * M + 1) @ synth).reshape(win.shape[:-1] + (R,))
@@ -383,14 +384,15 @@ class _BoxNormEngine:
         T = _n_samples(stacks)
         out = np.zeros((len(part.boxes), T))
         for t0, t1 in _chunks(T, _CHUNK_BYTES // (16 * grid.size)):
+            rows = _stack_rows(stacks, slice(t0, t1), grid.d, grid.n)
             full = np.zeros((t1 - t0,) + grid.shape, dtype=np.complex128)
             for i, k in enumerate(part.boxes):
                 sl = (slice(None),) + part.box_slices(k)
-                block = _stack_rows(stacks, slice(t0, t1), sl)
+                block = rows[sl]
                 if np.any(block):
                     full[sl] = block * wnd
-                    for rows, (vals,) in _physical_chunks(grid, full):
-                        out[i, t0:t1][rows] = _lp(vals, grid, p)
+                    for sub, (vals,) in _physical_chunks(grid, full):
+                        out[i, t0:t1][sub] = _lp(vals, grid, p)
                     full[sl] = 0.0
         return out
 
@@ -400,7 +402,7 @@ def _as_stack(obj) -> tuple:
     if isinstance(obj, SpectralField):
         return obj.spectrum[None, ...], None
     if isinstance(obj, Trajectory):
-        return obj.spectra, obj.support
+        return obj.box, obj.support
     if isinstance(obj, (np.ndarray, tuple)):
         return obj, None
     raise TypeError(f"expected SpectralField, Trajectory, array or pair, got {type(obj)}")
@@ -435,7 +437,7 @@ def _series_norm(table: np.ndarray, spec: ModNormSpec, partition: Partition) -> 
 def planchon_norm(u: Trajectory, spec: PlanchonNormSpec, partition: Partition,
                   method: str = "fast") -> NormResult:
     """l^{s,q} over boxes of (L^r in time of (L^p in space)) of a trajectory."""
-    series = _BoxNormEngine(partition, method).series(u.spectra, spec.p, support=u.support)
+    series = _BoxNormEngine(partition, method).series(u.box, spec.p, support=u.support)
     per_box = time_lp_norm(series, u.times, spec.r)
     return NormResult(_lq_aggregate(partition.weights(spec.s) * per_box, spec.q))
 
@@ -462,7 +464,7 @@ def _x_norm_impl(stacks, support, times, s, q, r, p, partition, method) -> XNorm
 def x_norm(u: Trajectory, s, q, r, p, partition: Partition,
            method: str = "fast") -> XNormResult:
     """Solution-space norm: l^{s,q}(L^inf L^2) part plus l^{s,q}(L^r L^p) part."""
-    return _x_norm_impl(u.spectra, u.support, u.times, s, q, r, p, partition, method)
+    return _x_norm_impl(u.box, u.support, u.times, s, q, r, p, partition, method)
 
 
 def x_norm_diff(u: Trajectory, v: Trajectory, s, q, r, p, partition: Partition,
@@ -470,7 +472,7 @@ def x_norm_diff(u: Trajectory, v: Trajectory, s, q, r, p, partition: Partition,
     """X norm of u - v without materializing the difference trajectory."""
     if u.grid != v.grid or u.n_samples != v.n_samples:
         raise ValueError("trajectories not aligned")
-    return _x_norm_impl((u.spectra, v.spectra), _joint_support(u.support, v.support),
+    return _x_norm_impl((u.box, v.box), _joint_support(u.support, v.support),
                         u.times, s, q, r, p, partition, method)
 
 

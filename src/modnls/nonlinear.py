@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .modspace import Partition, PlanchonNormSpec, planchon_norm
-from .spectral import (SpectralField, Trajectory, _box, _joint_support,
-                       _pointwise_map)
+from .spectral import (SpectralField, Trajectory, _box_width, _joint_support,
+                       _pointwise_map, _stack_rows)
 
 __all__ = [
     "NonlinSpec",
@@ -215,7 +215,7 @@ def apply_to_trajectory(spec: NonlinSpec, u: Trajectory) -> Trajectory:
     runs on the smallest grid its degree and the support of u allow; the
     result carries its support."""
     degree = spec.degree if spec.kind == "power" else None
-    out, reach = _pointwise_map(lambda vals: evaluate(spec, vals), u.grid, u.spectra,
+    out, reach = _pointwise_map(lambda vals: evaluate(spec, vals), u.grid, u.box,
                                 degree=degree, support=u.support)
     return Trajectory(u.grid, u.times, out, support=reach)
 
@@ -246,7 +246,7 @@ def power_lipschitz_witness(u: Trajectory, v: Trajectory, spec: NonlinSpec,
     W = _joint_support(u.support, v.support)
     # f(u) - f(v) in one pass: one forward transform per chunk, no second stack
     diff, reach = _pointwise_map(lambda a, b: evaluate(spec, a) - evaluate(spec, b),
-                                 u.grid, u.spectra, v.spectra, degree=spec.degree,
+                                 u.grid, u.box, v.box, degree=spec.degree,
                                  support=W)
     inner = PlanchonNormSpec(s=exps.s, q=exps.q, r=exps.r_tilde, p=exps.p_tilde)
     lhs = planchon_norm(Trajectory(u.grid, u.times, diff, support=reach), inner,
@@ -260,9 +260,7 @@ def power_lipschitz_witness(u: Trajectory, v: Trajectory, spec: NonlinSpec,
     scaled = PlanchonNormSpec(s=exps.s, q=exps.q,
                               r=scale(exps.r_tilde), p=scale(exps.p_tilde))
     sup2 = PlanchonNormSpec(s=exps.s, q=exps.q, r=math.inf, p=2)
-    box = _box(u.grid, W)
-    dvu = np.zeros(u.spectra.shape, dtype=np.complex128)
-    dvu[box] = u.spectra[box] - v.spectra[box]
+    dvu = _stack_rows((u.box, v.box), slice(None), u.grid.d, _box_width(u.grid, W))
     dvu = Trajectory(u.grid, u.times, dvu, support=W)
     du = planchon_norm(dvu, scaled, partition).value
     nu_s = planchon_norm(u, scaled, partition).value

@@ -33,11 +33,11 @@ from .spectral import (
     GridSpec,
     SpectralField,
     Trajectory,
-    _from_physical,
+    _box_width,
     _joint_support,
     _plancherel,
+    _rebox,
     _scan_support,
-    _to_physical,
     lp_norm,
 )
 
@@ -193,7 +193,8 @@ def verify_hypotheses(cfg: SolveConfig, scattering: bool = False) -> dict:
 
 
 def duhamel_apply(cfg: SolveConfig, u: Trajectory, u0: SpectralField,
-                  prefix: np.ndarray | None = None) -> Trajectory:
+                  prefix: np.ndarray | None = None, *,
+                  _u0_support: int | None = None) -> Trajectory:
     """One application of the Duhamel operator to the trajectory u.
 
     The integral runs from the window start times[0]: t = 0 for
@@ -201,7 +202,9 @@ def duhamel_apply(cfg: SolveConfig, u: Trajectory, u0: SpectralField,
     for the integral from -infinity (the neglected part is a recorded
     small-data assumption). `prefix`, if given, receives the integrals
     of W(-s) f(u(s)) from times[0] to every sample. The result carries
-    the joint support of f(u) and u0.
+    the joint support of f(u) and u0; `_u0_support`, the support of u0
+    when the caller has it (the Picard loop does, from the free flow),
+    saves scanning u0 for it.
     """
     if u.grid != u0.grid:
         raise ValueError("initial datum grid does not match trajectory grid")
@@ -209,10 +212,13 @@ def duhamel_apply(cfg: SolveConfig, u: Trajectory, u0: SpectralField,
         raise ValueError("trajectory is not on the configured time grid")
 
     f = nonlinear.apply_to_trajectory(cfg.nonlin, u)
-    W = max(f.support, _scan_support(cfg.grid, (u0.spectrum[None],), cfg.grid.n // 2))
-    disp.duhamel_sum(cfg.coeffs, cfg.grid, u.times, f.spectra, base=u0.spectrum, coef=1j,
+    if _u0_support is None:
+        _u0_support = _scan_support(cfg.grid, (u0.spectrum[None],), cfg.grid.n // 2)
+    W = max(f.support, _u0_support)
+    stack = _rebox(f.box, cfg.grid.d, _box_width(cfg.grid, W))
+    disp.duhamel_sum(cfg.coeffs, cfg.grid, u.times, stack, base=u0.spectrum, coef=1j,
                      prefix=prefix, support=W)
-    return Trajectory(cfg.grid, u.times, f.spectra, support=W)
+    return Trajectory(cfg.grid, u.times, stack, support=W)
 
 
 def _x_diff(cfg: SolveConfig, partition, a: Trajectory, b: Trajectory) -> float:
@@ -232,6 +238,7 @@ def _run_fixed_point(cfg: SolveConfig, u0: SpectralField, ledger: dict,
     the Duhamel prefix integrals of the last iteration."""
     times = cfg.times()
     u = disp.propagate_trajectory(cfg.coeffs, times, u0)
+    W0 = u.support
     report = SolveReport(hypothesis_ledger=ledger)
 
     norm0 = modspace.mod_norm(u0, cfg.mod_spec(), partition).value
@@ -245,7 +252,7 @@ def _run_fixed_point(cfg: SolveConfig, u0: SpectralField, ledger: dict,
     ratios = []  # successive-difference ratios whose denominator is above the floor
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(1, cfg.max_iters + 1):
-            u_new = duhamel_apply(cfg, u, u0, prefix)
+            u_new = duhamel_apply(cfg, u, u0, prefix, _u0_support=W0)
             diff = _x_diff(cfg, partition, u_new, u)
             report.diff_norms.append(diff)
             report.iterations = it
@@ -313,7 +320,7 @@ def mass(f: SpectralField) -> float:
 
 def mass_series(u: Trajectory) -> np.ndarray:
     """mass of every sample, by Plancherel on the stored spectra."""
-    return _plancherel(u.spectra, u.grid, support=u.support)
+    return _plancherel(u.box, u.grid, support=u.support)
 
 
 # ---------------------------------------------------------------------------
@@ -345,23 +352,45 @@ def _nonlinear_substep(spec: nonlinear.NonlinSpec, vals: np.ndarray,
     return vals + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
+# Rows of samples per block of the oracle's nonlinear substep. numpy computes
+# `a * f(b)` in place in the temporary f(b) from 256 KiB on, and that rounds
+# differently in the complex product; blocks of exactly 256 KiB (a power-of-
+# two grid below it is one block) keep the rounding of the whole array.
+_BLOCK_BYTES = 1 << 18
+
+
 def split_step_oracle(cfg: SolveConfig, u0: SpectralField) -> Trajectory:
     """Strang splitting: exact linear half-steps around a pointwise
-    nonlinear step; second-order, verified by step halving in the tests."""
+    nonlinear step; second-order, verified by step halving in the tests.
+
+    The state stays in FFT order (k = 0 first, the per-axis phasor terms
+    shifted to match), so a step is a transform pair with no shifts; a
+    stored sample is shifted to math order once. The pointwise substep runs
+    over blocks of rows of _BLOCK_BYTES, which it does not see."""
     times = cfg.times()
     sub = max(1, int(cfg.oracle_substeps))
     grid = cfg.grid
+    axes = tuple(range(-grid.d, 0))
+    scale = grid.h**grid.d
+    terms = [np.fft.ifftshift(term) for term in disp._axis_terms(cfg.coeffs, grid)]
+    rows = max(1, _BLOCK_BYTES // (16 * grid.size // grid.n))
 
     stack = np.empty((times.size,) + grid.shape, dtype=np.complex128)
-    spec = u0.spectrum.copy()
-    stack[0] = spec
+    stack[0] = u0.spectrum
+    spec = np.fft.ifftshift(u0.spectrum)
     for j in range(1, times.size):
         dt = (times[j] - times[j - 1]) / sub
-        half = disp.phasor(cfg.coeffs, grid, 0.5 * dt)
+        half = disp._outer_phasor(terms, 0.5 * dt)
         for _ in range(sub):
-            vals = _nonlinear_substep(cfg.nonlin, _to_physical(spec * half, grid), dt)
-            spec = _from_physical(vals, grid) * half
-        stack[j] = spec
+            spec *= half
+            vals = np.fft.ifftn(spec, axes=axes)
+            vals /= scale
+            for r0 in range(0, grid.n, rows):
+                vals[r0:r0 + rows] = _nonlinear_substep(cfg.nonlin, vals[r0:r0 + rows], dt)
+            spec = np.fft.fftn(vals, axes=axes)
+            spec *= scale
+            spec *= half
+        stack[j] = np.fft.fftshift(spec)
     return Trajectory(grid, times, stack)
 
 
@@ -370,7 +399,7 @@ def oracle_deviation(a: Trajectory, b: Trajectory) -> float:
     if a.grid != b.grid or a.n_samples != b.n_samples:
         raise ValueError("trajectories not aligned")
     W = _joint_support(a.support, b.support)
-    return math.sqrt(float(_plancherel((a.spectra, b.spectra), a.grid, support=W).max()))
+    return math.sqrt(float(_plancherel((a.box, b.box), a.grid, support=W).max()))
 
 
 # ---------------------------------------------------------------------------

@@ -132,12 +132,13 @@ def _n_samples(stacks) -> int:
     return (stacks[0] if isinstance(stacks, tuple) else stacks).shape[0]
 
 
-def _stack_rows(stacks, rows: slice, sl: tuple = ()) -> np.ndarray:
-    """Samples `rows` of a spectral stack, or of A - B for a pair (A, B),
-    restricted to `sl`; a pair is cut before it is subtracted."""
+def _stack_rows(stacks, rows: slice, d: int, width: int) -> np.ndarray:
+    """Samples `rows` of a spectral stack, or of A - B for a pair (A, B), on
+    the centered box of `width` points per axis (see _rebox); a pair is cut
+    before it is subtracted."""
     if isinstance(stacks, tuple):
-        return stacks[0][rows][sl] - stacks[1][rows][sl]
-    return stacks[rows][sl]
+        return _rebox(stacks[0][rows], d, width) - _rebox(stacks[1][rows], d, width)
+    return _rebox(stacks[rows], d, width)
 
 
 def _abs2(x: np.ndarray) -> np.ndarray:
@@ -175,24 +176,32 @@ def _centered_fft(values: np.ndarray, grid: GridSpec) -> np.ndarray:
 def _physical_chunks(grid: GridSpec, *stacks: np.ndarray):
     """The one pass of spectral stacks to physical space, in lockstep: yields
     (rows, [samples `rows` of each stack, see _to_physical]) for chunks of
-    about _CHUNK_BYTES of samples."""
+    about _CHUNK_BYTES of samples. A stack holding a box narrower or wider
+    than the grid is padded or cropped to it, a chunk at a time."""
     for t0, t1 in _chunks(stacks[0].shape[0], _CHUNK_BYTES // (16 * grid.size)):
-        yield slice(t0, t1), [_to_physical(s[t0:t1], grid) for s in stacks]
+        yield slice(t0, t1), [_to_physical(_rebox(s[t0:t1], grid.d, grid.n), grid)
+                              for s in stacks]
 
 
-def _crop(n: int, lo: int, hi: int, d: int) -> tuple:
-    """Index into a stack of the lattice points -lo <= k < hi of each of the
-    trailing d axes of an n-point grid (math order)."""
-    return (slice(None),) + (slice(n // 2 - lo, n // 2 + hi),) * d
+def _box_width(grid: GridSpec, W: int | None) -> int:
+    """Points per axis of the box |k|_inf <= W of the grid: 2W + 1, or n for
+    the whole grid (W >= n/2, or None: unknown)."""
+    return grid.n if W is None or 2 * W >= grid.n else 2 * W + 1
 
 
-def _box(grid: GridSpec, W: int | None) -> tuple:
-    """Index of the lattice points |k|_inf <= W of the trailing d axes (math
-    order), for a spectrum or a stack; W >= n/2, or None (unknown), is the
-    whole grid."""
-    half = grid.n // 2
-    W = half if W is None else min(W, half)
-    return (Ellipsis,) + (slice(half - W, min(half + W + 1, grid.n)),) * grid.d
+def _rebox(stack: np.ndarray, d: int, width: int) -> np.ndarray:
+    """A spectrum or stack whose trailing d axes hold a centered lattice box
+    (math order, k = 0 at index width // 2; the whole grid is the box of n
+    points) re-centred to `width` points per axis: a view of the middle when
+    it shrinks, a zero-padded copy when it grows."""
+    have = stack.shape[-1]
+    if width <= have:
+        lo = have // 2 - width // 2
+        return stack[(Ellipsis,) + (slice(lo, lo + width),) * d]
+    out = np.zeros(stack.shape[:-d] + (width,) * d, dtype=stack.dtype)
+    lo = width // 2 - have // 2
+    out[(Ellipsis,) + (slice(lo, lo + have),) * d] = stack
+    return out
 
 
 def _joint_support(*supports) -> int | None:
@@ -202,23 +211,24 @@ def _joint_support(*supports) -> int | None:
 
 
 def _scan_support(grid: GridSpec, stacks, limit: int) -> int:
-    """The support of the stacks: the largest |k|_inf, in lattice steps from
-    the center, of any exactly nonzero coefficient (NaN counts as nonzero),
-    or n/2 once that exceeds `limit`. The scan reads a chunk of samples at a
-    time and stops there; a stack that fills the grid (a solver iterate after
-    a full-grid pass) already shows it on the k_1 = -n/2 face of its last
-    sample."""
+    """The support of the stacks (full-grid or box-stored, see _rebox): the
+    largest |k|_inf, in lattice steps from the center, of any exactly nonzero
+    coefficient (NaN counts as nonzero), or n/2 once that exceeds `limit`.
+    The scan reads a chunk of samples at a time and stops there; a full-grid
+    stack that fills the grid (a solver iterate after a full-grid pass)
+    already shows it on the k_1 = -n/2 face of its last sample."""
     d, half = grid.d, grid.n // 2
-    if any(np.any(s[-1, 0]) for s in stacks):
+    if any(s.shape[-1] == grid.n and np.any(s[-1, 0]) for s in stacks):
         return half
     W = 0
     for s in stacks:
-        for t0, t1 in _chunks(s.shape[0], _CHUNK_BYTES // grid.size):
+        c = s.shape[-1] // 2
+        for t0, t1 in _chunks(s.shape[0], _CHUNK_BYTES // s[0].size):
             live = np.any(s[t0:t1] != 0, axis=0)
             for axis in range(d):
                 idx = np.flatnonzero(live.any(axis=tuple(a for a in range(d) if a != axis)))
                 if idx.size:
-                    W = max(W, half - int(idx[0]), int(idx[-1]) - half)
+                    W = max(W, c - int(idx[0]), int(idx[-1]) - c)
             if W > limit:
                 return half
     return W
@@ -251,15 +261,15 @@ def _pointwise_map(fn, grid: GridSpec, *stacks: np.ndarray, degree: int | None =
     pointwise in x: the pass to physical space and back. For fn a polynomial
     of `degree` in its inputs the pass runs on the support-sized grid
     (_support_grid, given the inputs' `support` or scanning for it) and
-    writes |k| <= degree W, the support returned; every other coefficient is
-    exactly zero. Otherwise the support is the whole grid, n/2."""
+    returns the box |k| <= degree W, that reach being the support (every
+    other coefficient is exactly zero). Otherwise the support is the whole
+    grid, n/2. The stack returned is stored as its box (see Trajectory)."""
     sub, W = _support_grid(grid, stacks, 2 * degree, support) if degree else (grid, None)
     reach = grid.n // 2 if W is None else degree * W
-    src, dst = _box(sub, reach), _box(grid, reach)
-    crop = _crop(grid.n, sub.n // 2, sub.n // 2, grid.d)
-    out = (np.empty if W is None else np.zeros)(stacks[0].shape, dtype=np.complex128)
-    for rows, vals in _physical_chunks(sub, *(s[crop] for s in stacks)):
-        out[rows][dst] = _from_physical(fn(*vals), sub)[src]
+    width = _box_width(grid, reach)
+    out = np.empty((stacks[0].shape[0],) + (width,) * grid.d, dtype=np.complex128)
+    for rows, vals in _physical_chunks(sub, *stacks):
+        out[rows] = _rebox(_from_physical(fn(*vals), sub), grid.d, width)
     return out, reach
 
 
@@ -273,9 +283,8 @@ def _lp_series(stack: np.ndarray, grid: GridSpec, p, support: int | None = None)
     else:
         even = 2 < p < math.inf and float(p) % 2 == 0
         sub = _support_grid(grid, (stack,), int(p), support)[0] if even else grid
-        crop = _crop(grid.n, sub.n // 2, sub.n // 2, grid.d)
         out = np.empty(stack.shape[0])
-        for rows, (vals,) in _physical_chunks(sub, stack[crop]):
+        for rows, (vals,) in _physical_chunks(sub, stack):
             out[rows] = _lp(vals, sub, p)
     if np.isnan(out).any():
         raise ValueError("NaN values in field")
@@ -286,16 +295,15 @@ def _plancherel(stacks, grid: GridSpec, weight: np.ndarray | None = None,
                support: int | None = None) -> np.ndarray:
     """Squared L^2 norm of every sample of a spectral stack, or of A - B for
     a pair (A, B), with no transform: (dxi/(2 pi))^d sum |w F|^2, where the
-    spectral weight w defaults to 1. With the `support` W of the stacks
-    known, the sum runs over the box |k|_inf <= W only."""
-    box = _box(grid, support)
+    spectral weight w (a full-grid array) defaults to 1. With the `support`
+    W of the stacks known, the sum runs over the box |k|_inf <= W only."""
+    width = _box_width(grid, support)
     if weight is not None:
-        weight = weight[box]
+        weight = _rebox(weight, grid.d, width)
     T = _n_samples(stacks)
     out = np.empty(T)
-    width = box[-1].stop - box[-1].start
     for t0, t1 in _chunks(T, _CHUNK_BYTES // (16 * width**grid.d)):
-        x = _stack_rows(stacks, slice(t0, t1), box)
+        x = _stack_rows(stacks, slice(t0, t1), grid.d, width)
         if weight is not None:
             x = x * weight
         out[t0:t1] = _abs2(x).reshape(t1 - t0, -1).sum(axis=1)
@@ -328,6 +336,19 @@ class SpectralField:
         a = a.copy()
         a.flags.writeable = False
         return a
+
+    @classmethod
+    def _adopt(cls, grid: GridSpec, spectrum: np.ndarray) -> "SpectralField":
+        """The field of a complex128 spectrum of the grid's shape. An array
+        that owns its data is one the caller just made and drops: it is
+        marked read-only and kept. A view is copied, as the constructor does.
+        (A fresh copy of 1 MiB costs more in page faults than in copying.)"""
+        if spectrum.base is not None:
+            return cls(grid, spectrum=spectrum)
+        f = cls.__new__(cls)
+        spectrum.flags.writeable = False
+        f.grid, f._values, f._spectrum = grid, None, spectrum
+        return f
 
     @classmethod
     def zero(cls, grid: GridSpec) -> "SpectralField":
@@ -427,15 +448,18 @@ def time_lp_norm(values, times, r) -> float:
 class Trajectory:
     """Time-sampled fields sharing one grid, stored as a spectral stack.
 
-    The canonical storage is the (N_t, n, ..., n) array of math-ordered
-    spectra: every operation in the toolkit (propagation, Duhamel sums,
-    box norms) acts on spectra, so spatial samples are materialized only
+    Every operation in the toolkit (propagation, Duhamel sums, box norms)
+    acts on math-ordered spectra, so spatial samples are materialized only
     on demand. Quadrature in time is the trapezoid rule.
 
     `support` is a bound W on the spectral support: every coefficient with
     |k|_inf > W is exactly zero (W = n/2 is the whole grid). None means
     unknown. The producers that know it set it (the free flow, the Duhamel
-    sums, the pointwise maps), and the consumers read only that box.
+    sums, the pointwise maps). The stored stack `box` is the centered crop
+    |k|_inf <= W, of shape (N_t, 2W + 1, ..); with W >= n/2 or unknown it is
+    the whole (N_t, n, .., n) stack. The consumers read `box` (see _rebox);
+    `spectra`, the full-grid stack, is materialized read-only on access.
+    `spectra` passed in may be either stack: the full one is cropped (a view).
     """
 
     quadrature = "trapezoid"
@@ -447,13 +471,16 @@ class Trajectory:
             raise ValueError("times must be a non-empty 1-d array")
         if t.size > 1 and np.any(np.diff(t) <= 0):
             raise ValueError("times must be strictly increasing")
-        if spectra.shape != (t.size,) + grid.shape:
+        width = _box_width(grid, support)
+        if spectra.shape == (t.size,) + grid.shape:
+            spectra = _rebox(spectra, grid.d, width)
+        if spectra.shape != (t.size,) + (width,) * grid.d:
             raise ValueError(
                 f"spectra shape {spectra.shape} != {(t.size,) + grid.shape}"
             )
         self.grid = grid
         self.times = t
-        self.spectra = np.asarray(spectra, dtype=np.complex128)
+        self.box = np.asarray(spectra, dtype=np.complex128)
         self.support = support
 
     @classmethod
@@ -472,11 +499,18 @@ class Trajectory:
     def n_samples(self) -> int:
         return self.times.size
 
+    @property
+    def spectra(self) -> np.ndarray:
+        """The full-grid (N_t, n, .., n) stack, read-only."""
+        full = _rebox(self.box, self.grid.d, self.grid.n)
+        full.flags.writeable = False
+        return full
+
     def field(self, j: int) -> SpectralField:
-        return SpectralField(self.grid, spectrum=self.spectra[j])
+        return SpectralField._adopt(self.grid, _rebox(self.box[j], self.grid.d, self.grid.n))
 
     def values(self, j: int) -> np.ndarray:
-        return _centered_ifft(self.spectra[j], self.grid)
+        return _centered_ifft(_rebox(self.box[j], self.grid.d, self.grid.n), self.grid)
 
 
 # ---------------------------------------------------------------------------
@@ -530,7 +564,7 @@ def write_trajectory(path, traj: Trajectory) -> None:
         fh.write(struct.pack("<q", traj.n_samples))
         fh.write(traj.times.astype("<f8").tobytes())
         for t0, t1 in _chunks(traj.n_samples, _CHUNK_BYTES // (16 * grid.size)):
-            for values in _centered_ifft(traj.spectra[t0:t1], grid):
+            for values in _centered_ifft(_rebox(traj.box[t0:t1], grid.d, grid.n), grid):
                 fh.write(header)
                 fh.write(np.ascontiguousarray(values, dtype="<c16").tobytes())
 

@@ -257,7 +257,9 @@ class TestStackPasses:
     @pytest.mark.parametrize("p", [2, 6, 3])  # Plancherel, support-sized, full grid
     def test_lebesgue_side_rejects_nan(self, grid2d, p):
         traj = hn.sample_trajectory(grid2d, COEFFS, small_ensemble(count=1), 0, TIMES)
-        traj.spectra[4, 64, 62] = np.nan
+        spectra = traj.spectra.copy()
+        spectra[4, 64, 62] = np.nan
+        traj = sp.Trajectory(grid2d, TIMES, spectra, support=traj.support)
         with pytest.raises(ValueError, match="NaN values in field"):
             hn._lebesgue_space_time(traj, p, 4)
 

@@ -126,8 +126,8 @@ class TestModNorm:
         f = band_limited_field(grid2d, partition2d.k_max + 1, rng)
         traj = dsp.propagate_trajectory(dsp.EquationCoeffs(1.0, 0.0, 1.0),
                                         np.linspace(0.0, 1.0, 5), f)
-        traj.spectra[3] *= 3.0
-        traj.spectra[1] = 0.0
+        traj.box[3] *= 3.0
+        traj.box[1] = 0.0
         per_sample = [ms.truncation_residual(traj.field(j), partition2d) for j in range(5)]
         assert per_sample[1] == 0.0 and per_sample[3] > 0.0
         assert ms.truncation_residual(traj, partition2d) == max(per_sample)

@@ -111,7 +111,7 @@ class TestDuhamel:
         cfg = small_config(grid2d_small, nonlin=nonlin, nt=nt, t_min=t_min, t_max=1.0)
         u0 = small_datum(cfg)
         u = dsp.propagate_trajectory(COEFFS, cfg.times(), small_datum(cfg, seed=1))
-        u.spectra *= (1.0 + 0.5 * np.sin(3.0 * u.times))[:, None, None]
+        u.box *= (1.0 + 0.5 * np.sin(3.0 * u.times))[:, None, None]
         source = np.array([
             sp.SpectralField(cfg.grid, values=nl.evaluate(nonlin, u.values(j))).spectrum
             for j in range(nt)])
@@ -326,7 +326,7 @@ class TestMass:
         rng = np.random.default_rng(8)
         f = band_limited_field(grid2d_small, 2, rng)
         traj = dsp.propagate_trajectory(COEFFS, np.linspace(0.0, 1.0, 5), f)
-        traj.spectra[2] = 0.0
+        traj.box[2] = 0.0
         series = sv.mass_series(traj)
         expected = [sv.mass(traj.field(j)) for j in range(traj.n_samples)]
         np.testing.assert_allclose(series, expected, rtol=1e-12, atol=0.0)

@@ -1,21 +1,24 @@
-"""The support bound a Trajectory carries.
+"""The support bound a Trajectory carries, and the box it stores.
 
 Every producer emits exact zeros beyond the support W it declares, and
 every consumer given W matches its result without it: bitwise where the
 arithmetic is unchanged (the pass to physical space, the even-p sums, the
-Duhamel prefix sum), to 1e-13 relative where a Plancherel sum runs on the
-support box only.
+Duhamel prefix sum, the pruned DFT), to 1e-13 relative where a Plancherel
+sum runs on the support box only. A stack stored as its box |k|_inf <= W
+gives every consumer the result of the same stack stored on the full grid.
+The split-step oracle, blocked over rows, matches the unblocked reference.
 """
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from modnls import dispersion as dsp, harness as hn, modspace as ms, nonlinear as nl
 from modnls import solver as sv, spectral as sp
 
-from conftest import assert_rel_close, support_stack
+from conftest import assert_rel_close, reference_split_step, support_stack
 
 COEFFS = dsp.EquationCoeffs(alpha=1.0, beta=0.0, gamma=1.0)
 
@@ -47,7 +50,7 @@ def assert_vanishes_beyond(traj, W=None):
     W = traj.support if W is None else W
     assert W is not None and 0 <= W <= traj.grid.n // 2
     outside = traj.spectra.copy()
-    outside[sp._box(traj.grid, W)] = 0.0
+    sp._rebox(outside, traj.grid.d, sp._box_width(traj.grid, W))[...] = 0.0
     assert not outside.any()
 
 
@@ -74,7 +77,7 @@ class TestProducers:
         diff, reach = sp._pointwise_map(lambda a, b: a * b - b, grid, flow.spectra, v.spectra,
                                         degree=2, support=w)
         assert reach in (2 * w, grid.n // 2)
-        assert_vanishes_beyond(sp.Trajectory(grid, times, diff), reach)
+        assert_vanishes_beyond(sp.Trajectory(grid, times, diff, support=reach))
 
         integral = hn.duhamel_integral(COEFFS, times, v)
         assert integral.support == w
@@ -177,3 +180,109 @@ class TestConsumers:
         got = nl.power_lipschitz_witness(u, v, _power(degree), exps, part)
         ref = nl.power_lipschitz_witness(bare(u), bare(v), _power(degree), exps, part)
         assert_rel_close(np.array(got), np.array(ref), 1e-13)
+
+
+def _boxed(stack, grid, w):
+    """The stack as a Trajectory stores it for support w: its box, contiguous."""
+    return np.ascontiguousarray(sp._rebox(stack, grid.d, sp._box_width(grid, w)))
+
+
+class TestBoxStorage:
+    @settings(max_examples=40, deadline=None)
+    @given(**_CASES, grow=st.integers(1, 8))
+    def test_rebox_round_trips(self, d, log_n, w, seed, degree, grow):
+        grid, w, stack, times = _case(d, log_n, w, seed)
+        box = _boxed(stack, grid, w)
+        assert box.shape == (3,) + (2 * w + 1,) * d
+        assert np.array_equal(sp._rebox(box, d, grid.n), stack)  # zero-padded back
+        wider = sp._box_width(grid, w + grow)
+        assert np.array_equal(sp._rebox(sp._rebox(box, d, wider), d, 2 * w + 1), box)
+        assert np.shares_memory(sp._rebox(stack, d, 2 * w + 1), stack)  # a crop is a view
+
+    @settings(max_examples=40, deadline=None)
+    @given(**_CASES)
+    def test_spectra_materializes_zeros_outside_the_box(self, d, log_n, w, seed, degree):
+        grid, w, stack, times = _case(d, log_n, w, seed)
+        box = _boxed(stack, grid, w)
+        traj = sp.Trajectory(grid, times, box, support=w)
+        assert traj.box is box
+        full = traj.spectra
+        assert full.shape == stack.shape and np.array_equal(full, stack)
+        assert not full.flags.writeable
+        assert np.array_equal(traj.field(1).spectrum, stack[1])
+        assert np.array_equal(traj.values(2), sp.Trajectory(grid, times, stack).values(2))
+        # a full stack handed in with its support is stored as its box
+        cropped = sp.Trajectory(grid, times, stack, support=w)
+        assert cropped.box.shape == box.shape and np.array_equal(cropped.box, box)
+
+    @settings(max_examples=40, deadline=None)
+    @given(**_CASES, narrower=st.integers(0, 12))
+    def test_consumers_match_full_storage(self, d, log_n, w, seed, degree, narrower):
+        grid, w, stack, times = _case(d, log_n, w, seed)
+        w2 = min(narrower, w)
+        other = support_stack(d, grid.n, w2, seed + 1)[1]
+        box, box2 = _boxed(stack, grid, w), _boxed(other, grid, w2)
+        fn = _power(degree)
+
+        # the pass, and the L^p series that run it: bitwise
+        got, reach = sp._pointwise_map(lambda v: nl.evaluate(fn, v), grid, box,
+                                       degree=degree, support=w)
+        ref, ref_reach = sp._pointwise_map(lambda v: nl.evaluate(fn, v), grid, stack,
+                                           degree=degree)
+        assert reach == ref_reach and np.array_equal(got, ref)
+        for p in (4, 6, 3):
+            assert np.array_equal(sp._lp_series(box, grid, p, w), sp._lp_series(stack, grid, p))
+
+        # the prefix sum, into a box-sized and a full-grid prefix: bitwise
+        out, prefix = box.copy(), np.empty_like(box)
+        dsp.duhamel_sum(COEFFS, grid, times, out, base=stack[1], coef=1j, prefix=prefix,
+                        support=w)
+        ref_out, ref_prefix = stack.copy(), np.empty_like(stack)
+        dsp.duhamel_sum(COEFFS, grid, times, ref_out, base=stack[1], coef=1j,
+                        prefix=ref_prefix, support=w)
+        assert np.array_equal(sp._rebox(out, d, grid.n), ref_out)
+        assert np.array_equal(sp._rebox(prefix, d, grid.n), ref_prefix)
+
+        K = (grid.n // (2 * grid.M) - 2) // 2
+        part = ms.build_partition(ms.PartitionSpec("trigonometric-window", min(K, 4)), grid)
+        engine = ms._BoxNormEngine(part)
+        for stacks, full, W in (((box), stack, w), ((box, box2), (stack, other), w)):
+            l2 = engine.series(full, 2)
+            # the Plancherel sums on the box: within roundoff
+            assert_rel_close(engine.series(stacks, 2, support=W), l2, 1e-13)
+            assert_rel_close(sp._plancherel(stacks, grid, support=W),
+                             sp._plancherel(full, grid), 1e-13)
+            # the pruned DFT fed the same table: bitwise
+            assert np.array_equal(engine.series(stacks, 6, l2), engine.series(full, 6, l2))
+
+        u = sp.Trajectory(grid, times, box, support=w)
+        v = sp.Trajectory(grid, times, box2, support=w2)
+        full_u, full_v = sp.Trajectory(grid, times, stack), sp.Trajectory(grid, times, other)
+        assert_rel_close(sv.mass_series(u), sv.mass_series(full_u), 1e-13)
+        assert_rel_close(np.array(sv.oracle_deviation(u, v)),
+                         np.array(sv.oracle_deviation(full_u, full_v)), 1e-13)
+        assert np.array_equal(nl.apply_to_trajectory(fn, u).spectra,
+                              nl.apply_to_trajectory(fn, full_u).spectra)
+
+
+class TestBlockedOracle:
+    @pytest.mark.parametrize("d, n", [(1, 65536), (2, 256), (3, 64)])
+    @pytest.mark.parametrize("nonlin", [
+        nl.NonlinSpec.cubic(-1.0),
+        nl.NonlinSpec(kind="exponential", lam=-1.0, rho=0.5),
+        nl.NonlinSpec(kind="power", pattern=("u", "conj", "u"), coeff=1j),
+    ], ids=["rotation", "exponential-rotation", "rk4"])
+    def test_matches_unblocked_reference_bitwise(self, d, n, nonlin):
+        """The substep runs over several blocks of rows on these grids."""
+        assert solver_rows(d, n) < n
+        grid, stack = support_stack(d, n, 4, seed=d)
+        cfg = sv.SolveConfig(coeffs=COEFFS, nonlin=nonlin, grid=grid, t_min=0.0, t_max=0.5,
+                             nt=3, delta=1.0, oracle_substeps=2, override_hypotheses=True)
+        u0 = sp.SpectralField(grid, spectrum=stack[0] * (2 * 4 + 1) ** d)
+        traj = sv.split_step_oracle(cfg, u0)
+        assert np.array_equal(traj.spectra, reference_split_step(cfg, u0))
+
+
+def solver_rows(d, n):
+    """Rows of samples per block of the oracle's nonlinear substep."""
+    return max(1, sv._BLOCK_BYTES // (16 * n ** (d - 1)))

@@ -235,7 +235,14 @@ def _run_fixed_point(cfg: SolveConfig, u0: SpectralField, ledger: dict,
     successive differences reaching it (denominator above the noise floor)
     raises NumericsError at once: theta_hat, the maximum of those ratios,
     can then only end at or above theta_max. `prefix`, if given, receives
-    the Duhamel prefix integrals of the last iteration."""
+    the Duhamel prefix integrals of the last iteration.
+
+    `spent`, the iterate the last one replaced, is kept until the solve
+    returns. The checks after the loop then cannot leave blocks in the
+    memory it frees, which comes back whole for the caller's next stack
+    of that size (the split-step oracle's, say) instead of making that
+    stack map fresh pages beside it: peak RSS no longer depends on where
+    malloc put those blocks."""
     times = cfg.times()
     u = disp.propagate_trajectory(cfg.coeffs, times, u0)
     W0 = u.support
@@ -252,11 +259,12 @@ def _run_fixed_point(cfg: SolveConfig, u0: SpectralField, ledger: dict,
     ratios = []  # successive-difference ratios whose denominator is above the floor
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(1, cfg.max_iters + 1):
+            spent = None  # free the iterate before last before making the next one
             u_new = duhamel_apply(cfg, u, u0, prefix, _u0_support=W0)
             diff = _x_diff(cfg, partition, u_new, u)
             report.diff_norms.append(diff)
             report.iterations = it
-            u = u_new
+            spent, u = u, u_new
             if not math.isfinite(diff):
                 report.theta_hat = math.inf
                 raise NumericsError(
@@ -368,14 +376,14 @@ def split_step_oracle(cfg: SolveConfig, u0: SpectralField) -> Trajectory:
     stored sample is shifted to math order once. The pointwise substep runs
     over blocks of rows of _BLOCK_BYTES, which it does not see."""
     times = cfg.times()
-    sub = max(1, int(cfg.oracle_substeps))
     grid = cfg.grid
+    stack = np.empty((times.size,) + grid.shape, dtype=np.complex128)  # before the tables
+    sub = max(1, int(cfg.oracle_substeps))
     axes = tuple(range(-grid.d, 0))
     scale = grid.h**grid.d
     terms = [np.fft.ifftshift(term) for term in disp._axis_terms(cfg.coeffs, grid)]
     rows = max(1, _BLOCK_BYTES // (16 * grid.size // grid.n))
 
-    stack = np.empty((times.size,) + grid.shape, dtype=np.complex128)
     stack[0] = u0.spectrum
     spec = np.fft.ifftshift(u0.spectrum)
     for j in range(1, times.size):

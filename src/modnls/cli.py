@@ -20,16 +20,18 @@ import math
 import os
 import sys
 import time
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import __version__, dispersion as disp, harness, modspace, nonlinear, solver
 from .errors import HypothesisError, NumericsError
 from .spectral import (
+    GridSpec,
     SpectralField,
-    _rebox,
     lp_norm,
     make_grid,
     read_field,
@@ -45,8 +47,6 @@ EXIT_REJECTED = 2
 def _json_default(obj):
     if isinstance(obj, Fraction):
         return str(obj)
-    if isinstance(obj, float) and math.isinf(obj):
-        return "inf"
     if isinstance(obj, np.floating):
         return float(obj)
     if isinstance(obj, np.integer):
@@ -116,23 +116,33 @@ def _load_config(args) -> dict:
     return cfg
 
 
+# The readers of the config blocks that both the solve subcommands and
+# `verify` have; each subcommand passes in its own documented defaults.
+def _read_grid(block: dict) -> GridSpec:
+    return make_grid(int(block.get("d", 2)), math.pi * int(block.get("L_over_pi", 4)),
+                     int(block.get("n", 128)))
+
+
+def _read_coeffs(block: dict, gamma: float) -> disp.EquationCoeffs:
+    return disp.EquationCoeffs(alpha=float(block.get("alpha", 1.0)),
+                               beta=float(block.get("beta", 0.0)),
+                               gamma=float(block.get("gamma", gamma)))
+
+
+def _read_partition(block: dict, k_max: int) -> tuple[str, int]:
+    """(partition kind, k_max)."""
+    return block.get("partition", "trigonometric-window"), int(block.get("k_max", k_max))
+
+
 def _build_solve_config(cfg: dict, seed: int) -> solver.SolveConfig:
-    g = cfg.get("grid", {})
-    grid = make_grid(
-        int(g.get("d", 2)),
-        math.pi * int(g.get("L_over_pi", 4)),
-        int(g.get("n", 128)),
-    )
-    co = cfg.get("coeffs", {})
-    coeffs = disp.EquationCoeffs(
-        alpha=float(co.get("alpha", 1.0)),
-        beta=float(co.get("beta", 0.0)),
-        gamma=float(co.get("gamma", 0.0)),
-    )
+    """The solve subcommands' config: gamma defaults to 0 and k_max to 4."""
+    grid = _read_grid(cfg.get("grid", {}))
+    coeffs = _read_coeffs(cfg.get("coeffs", {}), gamma=0.0)
     nonlin = nonlinear.NonlinSpec.from_json(cfg.get("nonlinearity", {"kind": "zero"}))
     w = cfg.get("window", {})
     norms = cfg.get("norms", {})
     sol = cfg.get("solver", {})
+    partition_kind, k_max = _read_partition(norms, 4)
     return solver.SolveConfig(
         coeffs=coeffs,
         nonlin=nonlin,
@@ -145,8 +155,8 @@ def _build_solve_config(cfg: dict, seed: int) -> solver.SolveConfig:
         q=_config_exponent(norms.get("q", 1)),
         r=_config_exponent(norms.get("r", 4)),
         p=_config_exponent(norms.get("p", 6)),
-        partition_kind=norms.get("partition", "trigonometric-window"),
-        k_max=int(norms.get("k_max", 4)),
+        partition_kind=partition_kind,
+        k_max=k_max,
         max_iters=int(sol.get("max_iters", 25)),
         eps_fix=float(sol.get("eps_fix", 1e-10)),
         oracle_substeps=int(sol.get("oracle_substeps", 2)),
@@ -158,6 +168,8 @@ def _build_solve_config(cfg: dict, seed: int) -> solver.SolveConfig:
 
 def _initial_datum(cfg: dict, scfg: solver.SolveConfig, seed: int,
                    partition: modspace.Partition) -> SpectralField:
+    """The `initial_data` block: a field file, or harness.sample_field's draw
+    rescaled to the target modulation norm (delta / 2 by default)."""
     spec = cfg.get("initial_data", {})
     if "file" in spec:
         return read_field(spec["file"])
@@ -166,17 +178,12 @@ def _initial_datum(cfg: dict, scfg: solver.SolveConfig, seed: int,
         seed=int(spec.get("seed", seed)),
         law=spec.get("kind", "gaussian-spectrum"),
         decay=float(spec.get("decay", 2.0)),
-        amplitude=1.0,
         band=int(spec.get("band", 1)),
     )
-    # harness.sample_field's draw, normalized by the full-grid L^2 sum (its
-    # box sum differs in the last bits, and the datum's bits are recorded)
-    draw = _rebox(harness._draw(scfg.grid, ens, 0), scfg.grid.d, scfg.grid.n)
-    draw *= ens.amplitude / harness._l2(draw, scfg.grid)
-    f = SpectralField(scfg.grid, spectrum=draw)
+    f = harness.sample_field(scfg.grid, ens, 0)
     norm = modspace.mod_norm(f, scfg.mod_spec(), partition).value
     target = float(spec.get("mod_norm", scfg.delta / 2.0))
-    return SpectralField(scfg.grid, spectrum=f.spectrum * (target / norm))
+    return SpectralField._adopt(scfg.grid, f.spectrum * (target / norm))
 
 
 def _solve_setup(args, run: _Run):
@@ -191,12 +198,10 @@ def _solve_setup(args, run: _Run):
 
 def _series_csv(run: _Run, name: str, cfg: solver.SolveConfig, traj,
                 partition: modspace.Partition) -> np.ndarray:
-    """Write the per-sample mass and modulation norms; returns the masses.
-    The L^p box table reuses the L^2 one."""
-    engine, spec = modspace._BoxNormEngine(partition), cfg.mod_spec()  # q, s of both
-    l2 = engine.series(traj.box, 2, support=traj.support)
-    norm_l2 = modspace._series_norm(l2, spec, partition)
-    norm_lp = modspace._series_norm(engine.series(traj.box, cfg.p, l2), spec, partition)
+    """Write the per-sample mass and modulation norms; returns the masses."""
+    spec = cfg.mod_spec()  # p = 2 and the q, s of both norms
+    norm_l2 = modspace.mod_norm_series(traj, spec, partition)
+    norm_lp = modspace.mod_norm_series(traj, replace(spec, p=cfg.p), partition)
     masses = solver.mass_series(traj)
     with open(run.path(name), "w") as fh:
         fh.write("t,mass,mod_norm_l2,mod_norm_lp\n")
@@ -318,100 +323,78 @@ def _cmd_scatter(args, run: _Run) -> int:
     return EXIT_OK
 
 
-_VERIFY_CHECKS = ("strichartz-hom", "strichartz-inhom", "hoelder", "lipschitz",
-                  "embeddings", "all")
+def _named(prefix: str, reports: dict) -> dict:
+    return {f"{prefix}_{key}": rep for key, rep in reports.items()}
+
+
+# --check name -> the ratio reports it emits, by output name, for the run `c`
+# (grid, coeffs, ens, times, partition, q, s, and kw: probe and threads)
+_VERIFY_CHECKS = {
+    "strichartz-hom": lambda c: _named(
+        "strichartz_hom", harness.check_homogeneous_strichartz(
+            c.grid, c.coeffs, c.ens, 6, 4, c.q, c.s, c.times, c.partition, **c.kw)),
+    "strichartz-inhom": lambda c: _named(
+        "strichartz_inhom", harness.check_inhomogeneous_strichartz(
+            c.grid, c.coeffs, c.ens, 6, 4, 2, 1, c.q, c.s, c.times, c.partition, **c.kw)),
+    "hoelder": lambda c: {
+        "hoelder_modulation": harness.check_hoelder_like(
+            c.grid, c.coeffs, c.ens, c.q, c.s, p_target=2, p_factors=(4, 4),
+            partition=c.partition, mode="modulation", **c.kw),
+        "hoelder_planchon": harness.check_hoelder_like(
+            c.grid, c.coeffs, c.ens, c.q, c.s, p_target=2, p_factors=(4, 4), r_target=2,
+            r_factors=(4, 4), times=c.times, partition=c.partition, mode="planchon", **c.kw),
+    },
+    "lipschitz": lambda c: {"lipschitz": harness.check_power_lipschitz(
+        c.grid, c.coeffs, c.ens,
+        nonlinear.NonlinSpec(kind="power", pattern=("u", "conj", "u", "u"), coeff=-1.0),
+        nonlinear.LipschitzExponents(s=c.s, q=c.q, r_tilde=1, p_tilde=2, l=3, m=3),
+        c.times, c.partition, **c.kw)},
+    "embeddings": lambda c: harness.check_embeddings(
+        c.grid, c.coeffs, c.ens, c.q, c.s, r=4, p1=2, p2=6, times=c.times,
+        partition=c.partition, **c.kw),
+}
 
 
 def _cmd_verify(args, run: _Run) -> int:
+    """The `verify` block: gamma defaults to 1 and k_max to 5."""
     cfg = _load_config(args) if args.config else {}
     run.config_text = json.dumps(cfg, sort_keys=True)
     v = cfg.get("verify", {})
-    grid = make_grid(int(v.get("d", 2)), math.pi * int(v.get("L_over_pi", 4)),
-                     int(v.get("n", 128)))
-    coeffs = disp.EquationCoeffs(alpha=float(v.get("alpha", 1.0)),
-                                 beta=float(v.get("beta", 0.0)),
-                                 gamma=float(v.get("gamma", 1.0)))
-    k_max = int(v.get("k_max", 5))
-    partition = modspace.build_partition(
-        modspace.PartitionSpec(v.get("partition", "trigonometric-window"), k_max), grid)
-    count = int(v.get("count", 25))
-    t_max = float(v.get("t_max", 8.0))
-    nt = int(v.get("nt", 33))
-    times = np.linspace(0.0, t_max, nt)
-    ens = harness.EnsembleSpec(count=count, seed=args.seed,
-                               law=v.get("law", "gaussian-spectrum"),
-                               decay=float(v.get("decay", 2.0)),
-                               amplitude=float(v.get("amplitude", 1.0)),
-                               band=int(v.get("band", 1)))
-    q, s = 1, 0.0
-    probe = args.probe
-    wanted = _VERIFY_CHECKS[:-1] if args.check == "all" else (args.check,)
-    summary = {}
-    flagged = False
-
-    def emit(name: str, report: harness.RatioReport):
-        nonlocal flagged
-        with open(run.path(f"ratios_{name}.csv"), "w") as fh:
-            fh.write("index,lhs,rhs,ratio\n")
-            for row in report.csv_rows():
-                fh.write(",".join(repr(x) for x in row) + "\n")
-        summary[name] = report.to_json()
-        flagged = flagged or report.flagged
-
+    grid = _read_grid(v)
+    c = SimpleNamespace(
+        grid=grid, coeffs=_read_coeffs(v, gamma=1.0), q=1, s=0.0,
+        partition=modspace.build_partition(
+            modspace.PartitionSpec(*_read_partition(v, 5)), grid),
+        times=np.linspace(0.0, float(v.get("t_max", 8.0)), int(v.get("nt", 33))),
+        ens=harness.EnsembleSpec(count=int(v.get("count", 25)), seed=args.seed,
+                                 law=v.get("law", "gaussian-spectrum"),
+                                 decay=float(v.get("decay", 2.0)),
+                                 amplitude=float(v.get("amplitude", 1.0)),
+                                 band=int(v.get("band", 1))),
+        kw={"probe": args.probe, "threads": args.threads})
+    wanted = list(_VERIFY_CHECKS) if args.check == "all" else [args.check]
+    summary, flagged = {}, False
     for check in wanted:
-        if check == "strichartz-hom":
-            rep = harness.check_homogeneous_strichartz(
-                grid, coeffs, ens, 6, 4, q, s, times, partition,
-                probe=probe, threads=args.threads)
-            emit("strichartz_hom_lebesgue", rep["lebesgue"])
-            emit("strichartz_hom_lifted", rep["lifted"])
-        elif check == "strichartz-inhom":
-            rep = harness.check_inhomogeneous_strichartz(
-                grid, coeffs, ens, 6, 4, 2, 1, q, s, times, partition,
-                probe=probe, threads=args.threads)
-            emit("strichartz_inhom_lebesgue", rep["lebesgue"])
-            emit("strichartz_inhom_lifted", rep["lifted"])
-        elif check == "hoelder":
-            rep = harness.check_hoelder_like(
-                grid, coeffs, ens, q, s, p_target=2, p_factors=(4, 4),
-                partition=partition, mode="modulation", probe=probe,
-                threads=args.threads)
-            emit("hoelder_modulation", rep)
-            rep = harness.check_hoelder_like(
-                grid, coeffs, ens, q, s, p_target=2, p_factors=(4, 4),
-                r_target=2, r_factors=(4, 4), times=times,
-                partition=partition, mode="planchon", probe=probe,
-                threads=args.threads)
-            emit("hoelder_planchon", rep)
-        elif check == "lipschitz":
-            spec = nonlinear.NonlinSpec(kind="power",
-                                        pattern=("u", "conj", "u", "u"), coeff=-1.0)
-            exps = nonlinear.LipschitzExponents(s=s, q=q, r_tilde=1, p_tilde=2,
-                                                l=3, m=3)
-            rep = harness.check_power_lipschitz(
-                grid, coeffs, ens, spec, exps, times, partition,
-                probe=probe, threads=args.threads)
-            emit("lipschitz", rep)
-            summary["lipschitz_scalar_max_ratio"] = harness.scalar_lipschitz_ratio(3)
-        elif check == "embeddings":
-            rep = harness.check_embeddings(
-                grid, coeffs, ens, q, s, r=4, p1=2, p2=6, times=times,
-                partition=partition, probe=probe, threads=args.threads)
-            emit("minkowski", rep["minkowski"])
-            emit("bernstein", rep["bernstein"])
-
-    if probe:
-        trend = harness.probe_hoelder_growth(grid, coeffs, q=2, s=0.0,
-                                             box_counts=(1, 2, 3),
-                                             seed=args.seed, partition=partition)
-        summary["probe_hoelder_growth"] = trend
+        for name, report in _VERIFY_CHECKS[check](c).items():
+            with open(run.path(f"ratios_{name}.csv"), "w") as fh:
+                fh.write("index,lhs,rhs,ratio\n")
+                for row in report.csv_rows():
+                    fh.write(",".join(repr(x) for x in row) + "\n")
+            summary[name] = report.to_json()
+            flagged = flagged or report.flagged
+    if "lipschitz" in wanted:
+        summary["lipschitz_scalar_max_ratio"] = harness.scalar_lipschitz_ratio(3)
+    if args.probe:
+        summary["probe_hoelder_growth"] = harness.probe_hoelder_growth(
+            grid, c.coeffs, q=2, s=0.0, box_counts=(1, 2, 3), seed=args.seed,
+            partition=c.partition)
 
     summary["flagged"] = flagged
     _dump_json(run.path("summary.json"), summary)
     print(json.dumps({"flagged": flagged,
                       "checks": sorted(k for k in summary if k != "flagged")},
                      sort_keys=True, default=_json_default))
-    return EXIT_NUMERICAL if flagged and not probe else EXIT_OK
+    return EXIT_NUMERICAL if flagged and not args.probe else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -462,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="Monte-Carlo inequality checks")
     common(p)
-    p.add_argument("--check", default="all", choices=_VERIFY_CHECKS)
+    p.add_argument("--check", default="all", choices=(*_VERIFY_CHECKS, "all"))
     p.add_argument("--probe", action="store_true",
                    help="hypothesis-violation probe mode (trend data only)")
     p.set_defaults(func=_cmd_verify)

@@ -192,19 +192,16 @@ def verify_hypotheses(cfg: SolveConfig, scattering: bool = False) -> dict:
     return ledger
 
 
-def duhamel_apply(cfg: SolveConfig, u: Trajectory, u0: SpectralField,
-                  prefix: np.ndarray | None = None, *,
+def duhamel_apply(cfg: SolveConfig, u: Trajectory, u0: SpectralField, *,
                   _u0_support: int | None = None) -> Trajectory:
     """One application of the Duhamel operator to the trajectory u.
 
     The integral runs from the window start times[0]: t = 0 for
     `picard_solve`, and T_min for `scatter_minus`, the discrete stand-in
     for the integral from -infinity (the neglected part is a recorded
-    small-data assumption). `prefix`, if given, receives the integrals
-    of W(-s) f(u(s)) from times[0] to every sample. The result carries
-    the joint support of f(u) and u0; `_u0_support`, the support of u0
-    when the caller has it (the Picard loop does, from the free flow),
-    saves scanning u0 for it.
+    small-data assumption). The result carries the joint support of f(u)
+    and u0; `_u0_support`, the support of u0 when the caller has it (the
+    Picard loop does, from the free flow), saves scanning u0 for it.
     """
     if u.grid != u0.grid:
         raise ValueError("initial datum grid does not match trajectory grid")
@@ -217,7 +214,7 @@ def duhamel_apply(cfg: SolveConfig, u: Trajectory, u0: SpectralField,
     W = max(f.support, _u0_support)
     stack = _rebox(f.box, cfg.grid.d, _box_width(cfg.grid, W))
     disp.duhamel_sum(cfg.coeffs, cfg.grid, u.times, stack, base=u0.spectrum, coef=1j,
-                     prefix=prefix, support=W)
+                     support=W)
     return Trajectory(cfg.grid, u.times, stack, support=W)
 
 
@@ -229,13 +226,12 @@ _FLOOR_REL = 1e-13  # below this (relative to the first difference) ratios are n
 
 
 def _run_fixed_point(cfg: SolveConfig, u0: SpectralField, ledger: dict,
-                     partition: modspace.Partition, theta_max: float | None = None,
-                     prefix: np.ndarray | None = None) -> tuple[Trajectory, SolveReport]:
+                     partition: modspace.Partition,
+                     theta_max: float | None = None) -> tuple[Trajectory, SolveReport]:
     """Picard iteration from the free flow. With `theta_max`, a ratio of
     successive differences reaching it (denominator above the noise floor)
     raises NumericsError at once: theta_hat, the maximum of those ratios,
-    can then only end at or above theta_max. `prefix`, if given, receives
-    the Duhamel prefix integrals of the last iteration.
+    can then only end at or above theta_max.
 
     `spent`, the iterate the last one replaced, is kept until the solve
     returns. The checks after the loop then cannot leave blocks in the
@@ -260,7 +256,7 @@ def _run_fixed_point(cfg: SolveConfig, u0: SpectralField, ledger: dict,
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(1, cfg.max_iters + 1):
             spent = None  # free the iterate before last before making the next one
-            u_new = duhamel_apply(cfg, u, u0, prefix, _u0_support=W0)
+            u_new = duhamel_apply(cfg, u, u0, _u0_support=W0)
             diff = _x_diff(cfg, partition, u_new, u)
             report.diff_norms.append(diff)
             report.iterations = it
@@ -430,15 +426,19 @@ def scatter_minus(cfg: SolveConfig, u0_minus: SpectralField,
     """Fixed point of the Duhamel operator with lower limit -infinity,
     approximated on the window from T_min; reports the tail sequence
     ||u(t) - W(t) u0minus|| near the left end (it must shrink to zero).
-    Checks the hypotheses once, scattering's q <= m + 1 included."""
+    Checks the hypotheses once, scattering's q <= m + 1 included.
+
+    Returns (u, report, prefix): `prefix` holds the integrals of
+    W(-s) f(u(s)) from T_min to every sample, for the returned u. One pass
+    of the nonlinearity over u gives the integrand norms and, summed in
+    place on its stack, the prefix."""
     ledger = verify_hypotheses(cfg, scattering=True)
     partition = partition or cfg.partition()
-    prefix = np.empty((cfg.nt,) + cfg.grid.shape, dtype=np.complex128)
-    u, report = _run_fixed_point(cfg, u0_minus, ledger, partition, prefix=prefix)
+    u, report = _run_fixed_point(cfg, u0_minus, ledger, partition)
 
     mspec = cfg.mod_spec()
-    g_norms = modspace.mod_norm_series(
-        nonlinear.apply_to_trajectory(cfg.nonlin, u), mspec, partition)
+    f = nonlinear.apply_to_trajectory(cfg.nonlin, u)
+    g_norms = modspace.mod_norm_series(f, mspec, partition)
     # integrand magnitude at the window edges: the recorded decay assumption
     report.tail_rate_start, report.tail_rate_end = float(g_norms[0]), float(g_norms[-1])
     report.warnings.append(
@@ -452,11 +452,14 @@ def scatter_minus(cfg: SolveConfig, u0_minus: SpectralField,
                 f"tail_tol {cfg.tail_tol:.3e}", report)
 
     report.quad_tol = _quad_tolerance(u.times, g_norms)
+    prefix = Trajectory(cfg.grid, u.times, np.empty_like(f.box), support=f.support)
+    disp.duhamel_sum(cfg.coeffs, cfg.grid, u.times, f.box, prefix=prefix.box,
+                     support=f.support)
     report.tail_minus = modspace.mod_norm_series(prefix, mspec, partition).tolist()
     return u, report, prefix
 
 
-def wave_operator_plus(cfg: SolveConfig, u0_minus: SpectralField, prefix: np.ndarray,
+def wave_operator_plus(cfg: SolveConfig, u0_minus: SpectralField, prefix: Trajectory,
                        partition: modspace.Partition | None = None):
     """u0plus = u0minus + i * integral over the whole window of W(-s) f(u(s)),
     read from the Duhamel prefix integrals that `scatter_minus` returns.
@@ -464,10 +467,11 @@ def wave_operator_plus(cfg: SolveConfig, u0_minus: SpectralField, prefix: np.nda
     Also returns the outgoing tail sequence ||W(-t)u(t) - u0plus|| in the
     modulation norm, which must shrink toward the right end of the window.
     """
-    full = prefix[-1]
-    u0_plus = SpectralField(cfg.grid, spectrum=u0_minus.spectrum + 1j * full)
+    last = prefix.box[-1]
+    full = _rebox(last, cfg.grid.d, cfg.grid.n)
+    u0_plus = SpectralField._adopt(cfg.grid, u0_minus.spectrum + 1j * full)
     tail_plus = modspace.mod_norm_series(
-        (np.broadcast_to(full, prefix.shape), prefix), cfg.mod_spec(),
+        (np.broadcast_to(last, prefix.box.shape), prefix.box), cfg.mod_spec(),
         partition or cfg.partition())
     return u0_plus, tail_plus.tolist()
 
@@ -509,8 +513,7 @@ def delta_bisection(cfg: SolveConfig, profile: SpectralField,
         raise ValueError("profile must be nonzero")
 
     def trial(delta: float):
-        scaled = SpectralField(cfg.grid,
-                               spectrum=profile.spectrum * (delta / 2.0 / base))
+        scaled = SpectralField._adopt(cfg.grid, profile.spectrum * (delta / 2.0 / base))
         trial_cfg = replace(cfg, delta=delta)
         try:
             _, rep = picard_solve(trial_cfg, scaled, partition, theta_max=theta_max)

@@ -370,7 +370,7 @@ class SpectralField:
         if self._values is None:
             vals = _centered_ifft(self._spectrum, self.grid)
             vals.flags.writeable = False
-            self._set("_values", vals)
+            self._values = vals
         return self._values
 
     @property
@@ -378,12 +378,8 @@ class SpectralField:
         if self._spectrum is None:
             spec = _centered_fft(self._values, self.grid)
             spec.flags.writeable = False
-            self._set("_spectrum", spec)
+            self._spectrum = spec
         return self._spectrum
-
-    def _set(self, name, value):
-        # __slots__ classes still allow normal attribute assignment
-        object.__setattr__(self, name, value)
 
 
 def _lp(values: np.ndarray, grid: GridSpec, p):

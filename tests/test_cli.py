@@ -1,9 +1,11 @@
 import json
+import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
-from modnls import spectral as sp
+from modnls import cli, harness, spectral as sp
 from modnls.cli import main
 
 from conftest import band_limited_field
@@ -67,6 +69,34 @@ class TestNorm:
         assert code == 0
         rep = read_json(out_dir / "norm.json")
         assert rep["value"] > 0 and rep["truncation_residual"] < 1e-10
+
+
+class TestDumpJson:
+    def test_floats_and_exact_exponents(self, tmp_path):
+        cli._dump_json(tmp_path / "x.json", {"a": math.inf, "b": np.float64(math.inf),
+                                             "c": np.float32(0.5), "d": Fraction(16, 3)})
+        assert (tmp_path / "x.json").read_text() == (
+            '{\n  "a": Infinity,\n  "b": Infinity,\n  "c": 0.5,\n  "d": "16/3"\n}\n')
+
+
+class TestConfigReaders:
+    def test_solve_defaults(self):
+        scfg = cli._build_solve_config({"coeffs": {"beta": 1.0}}, seed=0)
+        assert scfg.coeffs.gamma == 0.0 and scfg.k_max == 4
+        assert scfg.partition_kind == "trigonometric-window"
+
+    def test_empty_verify_block_defaults(self, tmp_path, monkeypatch):
+        seen = {}
+
+        def check(grid, coeffs, ens, p, r, q, s, times, partition, **kw):
+            seen.update(coeffs=coeffs, partition=partition)
+            return {"lebesgue": harness.RatioReport(), "lifted": harness.RatioReport()}
+
+        monkeypatch.setattr(harness, "check_homogeneous_strichartz", check)
+        code = run_cli(["verify", "--check", "strichartz-hom", "--out", str(tmp_path)])
+        assert code == 0
+        assert seen["coeffs"].gamma == 1.0 and seen["partition"].k_max == 5
+        assert seen["partition"].spec.kind == "trigonometric-window"
 
 
 class TestSolveCommands:

@@ -118,9 +118,11 @@ class TestDuhamel:
         ref, ref_prefix = reference_duhamel(COEFFS, cfg.grid, u.times, source,
                                             base=u0.spectrum, coef=1j)
         assert_rel_close(sv.duhamel_apply(cfg, u, u0).spectra, ref, 1e-13)
-        prefix = np.empty_like(ref_prefix)
-        out = sv.duhamel_apply(cfg, u, u0, prefix)
-        assert_rel_close(out.spectra, ref, 1e-13)
+        # the prefix integrals, which scattering reads, from the same kernel
+        out, prefix = source.copy(), np.empty_like(ref_prefix)
+        dsp.duhamel_sum(COEFFS, cfg.grid, u.times, out, base=u0.spectrum, coef=1j,
+                        prefix=prefix)
+        assert_rel_close(out, ref, 1e-13)
         assert_rel_close(prefix, ref_prefix, 1e-13)
 
     def test_zero_nonlinearity_is_free_flow(self, grid2d_small):
@@ -383,6 +385,16 @@ class TestScattering:
         u0p, tails = sv.wave_operator_plus(cfg, u0, prefix)
         assert np.max(np.abs(u0p.spectrum - u0.spectrum)) == 0.0
         assert max(tails) == 0.0
+
+    def test_prefix_integrates_f_of_the_returned_u(self, grid2d_small):
+        cfg = small_config(grid2d_small, t_min=-2.0, t_max=2.0, nt=33)
+        u0 = small_datum(cfg, seed=14)
+        u, rep, prefix = sv.scatter_minus(cfg, u0)
+        source = nl.apply_to_trajectory(cfg.nonlin, u).spectra
+        _, ref_prefix = reference_duhamel(COEFFS, cfg.grid, u.times, source)
+        assert_rel_close(prefix.spectra, ref_prefix, 1e-13)
+        _, tail_plus = sv.wave_operator_plus(cfg, u0, prefix)
+        assert rep.tail_minus[0] == 0.0 and tail_plus[-1] == 0.0
 
     def test_scattering_zero_maps_to_zero(self, grid2d):
         cfg = self._scatter_config(grid2d)

@@ -134,7 +134,7 @@ def _read_partition(block: dict, k_max: int) -> tuple[str, int]:
     return block.get("partition", "trigonometric-window"), int(block.get("k_max", k_max))
 
 
-def _build_solve_config(cfg: dict, seed: int) -> solver.SolveConfig:
+def _build_solve_config(cfg: dict) -> solver.SolveConfig:
     """The solve subcommands' config: gamma defaults to 0 and k_max to 4."""
     grid = _read_grid(cfg.get("grid", {}))
     coeffs = _read_coeffs(cfg.get("coeffs", {}), gamma=0.0)
@@ -191,7 +191,7 @@ def _solve_setup(args, run: _Run):
     for the manifest), the SolveConfig, its partition and the initial datum."""
     cfg = _load_config(args)
     run.config_text = json.dumps(cfg, sort_keys=True)
-    scfg = _build_solve_config(cfg, args.seed)
+    scfg = _build_solve_config(cfg)
     partition = scfg.partition()
     return cfg, scfg, partition, _initial_datum(cfg, scfg, args.seed, partition)
 

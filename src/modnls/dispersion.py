@@ -127,13 +127,17 @@ def propagate(coeffs: EquationCoeffs, t: float, f: SpectralField) -> SpectralFie
     return SpectralField(f.grid, spectrum=f.spectrum * phasor(coeffs, f.grid, t))
 
 
-def propagate_trajectory(coeffs: EquationCoeffs, times, u0: SpectralField) -> Trajectory:
+def propagate_trajectory(coeffs: EquationCoeffs, times, u0: SpectralField, *,
+                         _support: int | None = None) -> Trajectory:
     """Free flow t -> W(t) u0 sampled at `times`. W(t) is a Fourier
     multiplier, so the flow keeps the support of u0: the trajectory carries
-    it and stores only that box."""
+    it and stores only that box. `_support`, the support of u0 when the
+    caller has it, saves scanning u0 for it."""
     times = np.asarray(times, dtype=np.float64)
     grid = u0.grid
-    W = _scan_support(grid, (u0.spectrum[None],), grid.n // 2)
+    W = _support
+    if W is None:
+        W = _scan_support(grid, (u0.spectrum[None],), grid.n // 2)
     width = _box_width(grid, W)
     terms = [_rebox(term, 1, width) for term in _axis_terms(coeffs, grid)]
     spec0 = _rebox(u0.spectrum, grid.d, width)
@@ -145,30 +149,27 @@ def propagate_trajectory(coeffs: EquationCoeffs, times, u0: SpectralField) -> Tr
 
 def duhamel_sum(coeffs: EquationCoeffs, grid: GridSpec, times, stack: np.ndarray,
                 base: np.ndarray | None = None, coef: complex = 1.0,
-                prefix: np.ndarray | None = None, support: int | None = None) -> None:
+                prefix: bool = False, support: int | None = None) -> None:
     """The Duhamel prefix sum, in place over the source stack.
 
     On entry stack[j] holds the source spectrum F(t_j); on return it holds
     W(t_j) (base + coef acc_j), where acc_j is the trapezoid integral of
     W(-s) F(s) over [t_0, t_j]: the integrand g_j = conj(E_j) F_j with
     E_j = phasor(t_j) is formed before stack[j] is overwritten, so one
-    sample of work space is all it takes. `prefix`, if given, receives acc_j.
+    sample of work space is all it takes. With `prefix` it holds acc_j
+    itself instead (`base` and `coef` are not read).
 
     With `support` W, every source sample and `base` must vanish outside
-    the box |k|_inf <= W; the sum then runs on that box only (the result
-    vanishes outside it too), and `prefix` is exactly zero outside it.
-    `stack` and `prefix` hold at least that box (the whole grid, or the box
-    as a Trajectory stores it, see _rebox); `base` is a full-grid spectrum.
+    the box |k|_inf <= W; the sum then runs on that box only, and the
+    result vanishes outside it too. `stack` holds at least that box (the
+    whole grid, or the box as a Trajectory stores it, see _rebox); `base`
+    is a full-grid spectrum.
     """
     width = _box_width(grid, support)
     terms = [_rebox(term, 1, width) for term in _axis_terms(coeffs, grid)]
     view = _rebox(stack, grid.d, width)
     if base is not None:
         base = _rebox(base, grid.d, width)
-    if prefix is not None:
-        whole, prefix = prefix, _rebox(prefix, grid.d, width)
-        if prefix.shape != whole.shape:
-            whole.fill(0.0)  # the sum writes the box only
     acc = np.zeros(view.shape[1:], dtype=np.complex128)
     g, g_prev, tmp = (np.empty_like(acc) for _ in range(3))
     for j, t in enumerate(times):
@@ -179,8 +180,9 @@ def duhamel_sum(coeffs: EquationCoeffs, grid: GridSpec, times, stack: np.ndarray
             g_prev *= (times[j] - times[j - 1]) * 0.5
             acc += g_prev
         g, g_prev = g_prev, g
-        if prefix is not None:
-            prefix[j] = acc
+        if prefix:
+            view[j] = acc
+            continue
         np.multiply(acc, coef, out=tmp)
         if base is not None:
             tmp += base

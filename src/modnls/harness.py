@@ -23,8 +23,8 @@ import numpy as np
 from . import dispersion as disp
 from . import modspace, nonlinear
 from .errors import HypothesisError
-from .spectral import (GridSpec, SpectralField, Trajectory, _joint_support, _lp_series,
-                       _pointwise_map, _rebox, time_lp_norm)
+from .spectral import (GridSpec, SpectralField, Trajectory, _box_width, _joint_support,
+                       _lp_series, _pointwise_map, _rebox, _scan_support, time_lp_norm)
 from .spectral import lp_norm  # noqa: F401  (the benchmark tracer patches this binding)
 
 __all__ = [
@@ -166,16 +166,26 @@ def sample_field(grid: GridSpec, ens: EnsembleSpec, index: int) -> SpectralField
     return SpectralField._adopt(grid, _rebox(box, grid.d, grid.n))
 
 
+def _free_flow(grid: GridSpec, coeffs: disp.EquationCoeffs, ens: EnsembleSpec,
+               index: int, times) -> tuple[SpectralField, Trajectory]:
+    """sample_field's datum and its free flow. The draw lies in the box
+    |k|_inf <= band M, so only that box is scanned for its support: the
+    value a scan of the whole grid finds, for every law."""
+    u0 = sample_field(grid, ens, index)
+    box = _rebox(u0.spectrum, grid.d, _box_width(grid, ens.band * grid.M))
+    W = _scan_support(grid, (box[None],), grid.n // 2)
+    return u0, disp.propagate_trajectory(coeffs, times, u0, _support=W)
+
+
 def sample_trajectory(grid: GridSpec, coeffs: disp.EquationCoeffs,
                       ens: EnsembleSpec, index: int, times) -> Trajectory:
     """Free flow of a random field with a random smooth time envelope."""
-    f = sample_field(grid, ens, index)
     rng = _rng(ens, index * 7919 + 1)
     omega = float(rng.integers(1, 4))
     phase0 = float(rng.uniform(0, 2 * math.pi))
     times = np.asarray(times, dtype=np.float64)
     env = 1.0 + 0.3 * np.sin(omega * times + phase0)
-    traj = disp.propagate_trajectory(coeffs, times, f)
+    traj = _free_flow(grid, coeffs, ens, index, times)[1]
     traj.box *= env[(slice(None),) + (None,) * grid.d]
     return traj
 
@@ -225,8 +235,7 @@ def check_homogeneous_strichartz(grid: GridSpec, coeffs: disp.EquationCoeffs,
     mod_spec = modspace.ModNormSpec(p=2, q=q, s=s)
 
     def one(i):
-        u0 = sample_field(grid, ens, i)
-        traj = disp.propagate_trajectory(coeffs, times, u0)
+        u0, traj = _free_flow(grid, coeffs, ens, i, times)
         leb = (_lebesgue_space_time(traj, p, r), _l2(u0.spectrum, grid, traj.support))
         lift = (
             modspace.planchon_norm(traj, pl_spec, partition).value,

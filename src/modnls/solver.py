@@ -430,8 +430,8 @@ def scatter_minus(cfg: SolveConfig, u0_minus: SpectralField,
 
     Returns (u, report, prefix): `prefix` holds the integrals of
     W(-s) f(u(s)) from T_min to every sample, for the returned u. One pass
-    of the nonlinearity over u gives the integrand norms and, summed in
-    place on its stack, the prefix."""
+    of the nonlinearity over u gives the integrand norms; the prefix is
+    then summed in place over that f(u) stack, so no third stack is made."""
     ledger = verify_hypotheses(cfg, scattering=True)
     partition = partition or cfg.partition()
     u, report = _run_fixed_point(cfg, u0_minus, ledger, partition)
@@ -452,11 +452,9 @@ def scatter_minus(cfg: SolveConfig, u0_minus: SpectralField,
                 f"tail_tol {cfg.tail_tol:.3e}", report)
 
     report.quad_tol = _quad_tolerance(u.times, g_norms)
-    prefix = Trajectory(cfg.grid, u.times, np.empty_like(f.box), support=f.support)
-    disp.duhamel_sum(cfg.coeffs, cfg.grid, u.times, f.box, prefix=prefix.box,
-                     support=f.support)
-    report.tail_minus = modspace.mod_norm_series(prefix, mspec, partition).tolist()
-    return u, report, prefix
+    disp.duhamel_sum(cfg.coeffs, cfg.grid, u.times, f.box, prefix=True, support=f.support)
+    report.tail_minus = modspace.mod_norm_series(f, mspec, partition).tolist()
+    return u, report, f
 
 
 def wave_operator_plus(cfg: SolveConfig, u0_minus: SpectralField, prefix: Trajectory,

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -145,42 +146,59 @@ def _abs2(x: np.ndarray) -> np.ndarray:
     return np.square(x.real) + np.square(x.imag)
 
 
-def _to_physical(spectra: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Math-ordered spectra -> samples, over the trailing d axes, in FFT
-    order (x = 0 first): the centered inverse transform without its spatial
-    fftshift, which pointwise maps and sums over x do not see."""
+def _centered_ifft(spectrum: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Math-ordered spectra -> math-ordered samples (x ascending from -L),
+    over the trailing d axes."""
     axes = tuple(range(-grid.d, 0))
-    vals = np.fft.ifftn(np.fft.ifftshift(spectra, axes), axes=axes)
+    vals = np.fft.fftshift(np.fft.ifftn(np.fft.ifftshift(spectrum, axes), axes=axes), axes)
     vals /= grid.h**grid.d
     return vals
 
 
-def _from_physical(values: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Inverse of _to_physical: FFT-ordered samples -> math-ordered spectra."""
+def _centered_fft(values: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Inverse of _centered_ifft."""
     axes = tuple(range(-grid.d, 0))
-    spec = np.fft.fftshift(np.fft.fftn(values, axes=axes), axes)
+    spec = np.fft.fftshift(np.fft.fftn(np.fft.ifftshift(values, axes), axes=axes), axes)
     spec *= grid.h**grid.d
     return spec
 
 
-def _centered_ifft(spectrum: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Math-ordered spectra -> math-ordered samples (x ascending from -L)."""
-    return np.fft.fftshift(_to_physical(spectrum, grid), tuple(range(-grid.d, 0)))
-
-
-def _centered_fft(values: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Inverse of _centered_ifft."""
-    return _from_physical(np.fft.ifftshift(values, tuple(range(-grid.d, 0))), grid)
+def _flip_odd(x: np.ndarray, d: int) -> None:
+    """Multiply x in place by s = (-1)^(j_1 + .. + j_d) over its trailing d
+    axes, by exact negation of the odd-parity points (a complex multiply by
+    -1 would turn an inf component into NaN). For even n this is the
+    half-period shift of the other side of a transform:
+    ifftn(ifftshift(F)) = s ifftn(F) and fftshift(fftn(g)) = fftn(s g),
+    both bit for bit on the power-of-two grids of pocketfft."""
+    for starts in product((0, 1), repeat=d):
+        if sum(starts) % 2:
+            view = x[(Ellipsis,) + tuple(slice(j, None, 2) for j in starts)]
+            np.negative(view, out=view)
 
 
 def _physical_chunks(grid: GridSpec, *stacks: np.ndarray):
     """The one pass of spectral stacks to physical space, in lockstep: yields
-    (rows, [samples `rows` of each stack, see _to_physical]) for chunks of
-    about _CHUNK_BYTES of samples. A stack holding a box narrower or wider
-    than the grid is padded or cropped to it, a chunk at a time."""
-    for t0, t1 in _chunks(stacks[0].shape[0], _CHUNK_BYTES // (16 * grid.size)):
-        yield slice(t0, t1), [_to_physical(_rebox(s[t0:t1], grid.d, grid.n), grid)
-                              for s in stacks]
+    (rows, [samples `rows` of each stack]) for chunks of about _CHUNK_BYTES
+    of samples. The samples are ifftn of the math-ordered spectra: in FFT
+    order (x = 0 first) and times the sign s of _flip_odd, which neither a
+    sum of |v|^p nor a max sees. A stack holding a box narrower or wider
+    than the grid is padded or cropped to it. Each stack has one chunk
+    buffer, transformed in place and overwritten by the next chunk."""
+    chunks = _chunks(stacks[0].shape[0], _CHUNK_BYTES // (16 * grid.size))
+    axes = tuple(range(-grid.d, 0))
+    bufs = [np.empty((chunks[0][1],) + grid.shape, dtype=np.complex128) for _ in stacks]
+    for t0, t1 in chunks:
+        vals = [buf[:t1 - t0] for buf in bufs]
+        for s, v in zip(stacks, vals):
+            rows = s[t0:t1]
+            if rows.shape[-1] < grid.n:
+                v.fill(0.0)
+                _rebox(v, grid.d, rows.shape[-1])[...] = rows
+            else:
+                v[...] = _rebox(rows, grid.d, grid.n)
+            np.fft.ifftn(v, axes=axes, out=v)
+            v /= grid.h**grid.d
+        yield slice(t0, t1), vals
 
 
 def _box_width(grid: GridSpec, W: int | None) -> int:
@@ -263,13 +281,22 @@ def _pointwise_map(fn, grid: GridSpec, *stacks: np.ndarray, degree: int | None =
     (_support_grid, given the inputs' `support` or scanning for it) and
     returns the box |k| <= degree W, that reach being the support (every
     other coefficient is exactly zero). Otherwise the support is the whole
-    grid, n/2. The stack returned is stored as its box (see Trajectory)."""
+    grid, n/2. The stack returned is stored as its box (see Trajectory).
+    The sign of _flip_odd, on the inputs and on fn's output, stands in for
+    the half-period shifts of the centered pair, bit for bit; the forward
+    transform runs in place on fn's output."""
     sub, W = _support_grid(grid, stacks, 2 * degree, support) if degree else (grid, None)
     reach = grid.n // 2 if W is None else degree * W
     width = _box_width(grid, reach)
+    axes = tuple(range(-grid.d, 0))
     out = np.empty((stacks[0].shape[0],) + (width,) * grid.d, dtype=np.complex128)
     for rows, vals in _physical_chunks(sub, *stacks):
-        out[rows] = _rebox(_from_physical(fn(*vals), sub), grid.d, width)
+        for v in vals:
+            _flip_odd(v, grid.d)
+        g = np.asarray(fn(*vals), dtype=np.complex128)
+        _flip_odd(g, grid.d)
+        np.fft.fftn(g, axes=axes, out=g)
+        np.multiply(_rebox(g, grid.d, width), sub.h**grid.d, out=out[rows])
     return out, reach
 
 

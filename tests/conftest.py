@@ -112,6 +112,29 @@ def reference_apply_to_trajectory(spec, u):
     return out
 
 
+def reference_pointwise_map(fn, grid, *stacks, degree=None, support=None):
+    """spectral._pointwise_map as it was with the shifted pair: a roll of the
+    spectra before the inverse transform and after the forward one, and
+    fresh arrays for every chunk. Returns (stack, reach) like the pass."""
+    sub, W = (spectral._support_grid(grid, stacks, 2 * degree, support) if degree
+              else (grid, None))
+    reach = grid.n // 2 if W is None else degree * W
+    width = spectral._box_width(grid, reach)
+    axes = tuple(range(-grid.d, 0))
+    out = np.empty((stacks[0].shape[0],) + (width,) * grid.d, dtype=np.complex128)
+    for t0, t1 in spectral._chunks(out.shape[0], spectral._CHUNK_BYTES // (16 * sub.size)):
+        vals = []
+        for s in stacks:
+            v = np.fft.ifftn(np.fft.ifftshift(spectral._rebox(s[t0:t1], grid.d, sub.n), axes),
+                             axes=axes)
+            v /= sub.h**grid.d
+            vals.append(v)
+        spec = np.fft.fftshift(np.fft.fftn(fn(*vals), axes=axes), axes)
+        spec *= sub.h**grid.d
+        out[t0:t1] = spectral._rebox(spec, grid.d, width)
+    return out, reach
+
+
 def reference_write_trajectory(path, traj):
     """The per-sample trajectory writer: one centered inverse transform, and
     one field block, per sample."""

@@ -81,7 +81,7 @@ class TestDumpJson:
 
 class TestConfigReaders:
     def test_solve_defaults(self):
-        scfg = cli._build_solve_config({"coeffs": {"beta": 1.0}}, seed=0)
+        scfg = cli._build_solve_config({"coeffs": {"beta": 1.0}})
         assert scfg.coeffs.gamma == 0.0 and scfg.k_max == 4
         assert scfg.partition_kind == "trigonometric-window"
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -118,10 +119,11 @@ class TestDuhamel:
         ref, ref_prefix = reference_duhamel(COEFFS, cfg.grid, u.times, source,
                                             base=u0.spectrum, coef=1j)
         assert_rel_close(sv.duhamel_apply(cfg, u, u0).spectra, ref, 1e-13)
-        # the prefix integrals, which scattering reads, from the same kernel
-        out, prefix = source.copy(), np.empty_like(ref_prefix)
-        dsp.duhamel_sum(COEFFS, cfg.grid, u.times, out, base=u0.spectrum, coef=1j,
-                        prefix=prefix)
+        # the prefix integrals, which scattering reads, from the same kernel,
+        # summed in place over the source stack
+        out, prefix = source.copy(), source.copy()
+        dsp.duhamel_sum(COEFFS, cfg.grid, u.times, out, base=u0.spectrum, coef=1j)
+        dsp.duhamel_sum(COEFFS, cfg.grid, u.times, prefix, prefix=True)
         assert_rel_close(out, ref, 1e-13)
         assert_rel_close(prefix, ref_prefix, 1e-13)
 
@@ -395,6 +397,22 @@ class TestScattering:
         assert_rel_close(prefix.spectra, ref_prefix, 1e-13)
         _, tail_plus = sv.wave_operator_plus(cfg, u0, prefix)
         assert rep.tail_minus[0] == 0.0 and tail_plus[-1] == 0.0
+
+    def test_prefix_is_summed_in_place(self, grid2d):
+        """scatter_minus holds two full stacks, u and f(u), and sums the prefix
+        over f(u): its allocation peak stays below 2.5 stacks (a separate
+        prefix stack would make it 3)."""
+        cfg = small_config(grid2d, t_min=-2.0, t_max=2.0, nt=33)
+        u0 = small_datum(cfg, seed=14)
+        partition = cfg.partition()
+        tracemalloc.start()
+        try:
+            u, _, prefix = sv.scatter_minus(cfg, u0, partition)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert u.box.shape == prefix.box.shape == (cfg.nt,) + cfg.grid.shape
+        assert peak < 2.5 * u.box.nbytes
 
     def test_scattering_zero_maps_to_zero(self, grid2d):
         cfg = self._scatter_config(grid2d)

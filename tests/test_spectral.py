@@ -9,8 +9,24 @@ from modnls import nonlinear as nl, spectral as sp
 from modnls.errors import GridMismatchError
 
 from conftest import (assert_support_sized, band_limited_field, field_metadata,
-                      reference_apply_to_trajectory, reference_write_trajectory,
-                      support_stack, write_abs_csv)
+                      reference_apply_to_trajectory, reference_pointwise_map,
+                      reference_write_trajectory, support_stack, write_abs_csv)
+
+QUARTIC = nl.NonlinSpec(kind="power", pattern=("u", "conj", "u", "u"), coeff=-1.0 + 0.5j)
+
+# (fn, degree, input stacks) of every map the package runs through the pass:
+# the solver's powers and exponential, the Hölder products, the witness
+# difference f(u) - f(v)
+PASS_MAPS = {
+    "cubic": (lambda v: nl.evaluate(nl.NonlinSpec.cubic(-1.0 + 0.5j), v), 3, 1),
+    "quartic": (lambda v: nl.evaluate(QUARTIC, v), 4, 1),
+    "quintic": (lambda v: nl.evaluate(nl.NonlinSpec.odd_power(2, -1.0), v), 5, 1),
+    "exponential": (lambda v: nl.evaluate(nl.NonlinSpec(kind="exponential", lam=-1.0,
+                                                        rho=0.5), v), None, 1),
+    "hoelder2": (lambda a, b: a * b, 2, 2),
+    "hoelder3": (lambda a, b, c: a * b * c, 3, 3),
+    "witness": (lambda a, b: nl.evaluate(QUARTIC, a) - nl.evaluate(QUARTIC, b), 4, 2),
+}
 
 
 class TestMakeGrid:
@@ -186,6 +202,64 @@ class TestSupportSizedPass:
             full = np.concatenate([sp._lp(vals, grid, p)
                                    for _, (vals,) in sp._physical_chunks(grid, stack)])
             assert np.array_equal(series, full)
+
+
+class TestRollFreePass:
+    """The pass transforms in place and applies the half-period shift as the
+    exact sign (-1)^(x_1 + .. + x_d): bit for bit the shifted pass, on the
+    reduced and the full grid, for box-stored and full-grid inputs."""
+
+    @pytest.mark.parametrize("chunk_bytes", [sp._CHUNK_BYTES, 1 << 14],
+                             ids=["one_chunk", "many_chunks"])
+    @pytest.mark.parametrize("reduced", [True, False], ids=["reduced", "full"])
+    @pytest.mark.parametrize("d, n", [(1, 256), (2, 64), (3, 32)])
+    @pytest.mark.parametrize("kind", sorted(PASS_MAPS))
+    def test_bitwise_equal_to_the_shifted_pass(self, monkeypatch, kind, d, n, reduced,
+                                               chunk_bytes):
+        monkeypatch.setattr(sp, "_CHUNK_BYTES", chunk_bytes)
+        fn, degree, count = PASS_MAPS[kind]
+        w = 1 if reduced else n // 4  # 2 degree W >= n: the full grid
+        grid = sp.make_grid(d, 4 * math.pi, n)
+        stacks = [support_stack(d, n, w, seed, count=5)[1] for seed in range(count)]
+        # the first input stored as its box, as a Trajectory keeps it
+        stacks[0] = sp._rebox(stacks[0], d, 2 * w + 1)
+        got, reach = sp._pointwise_map(fn, grid, *stacks, degree=degree, support=w)
+        ref, ref_reach = reference_pointwise_map(fn, grid, *stacks, degree=degree,
+                                                 support=w)
+        assert reach == ref_reach and np.array_equal(got, ref)
+        assert (reach < n // 2) == (reduced and degree is not None)
+
+    def test_calls_no_roll_or_shift(self, monkeypatch):
+        def banned(*args, **kwargs):
+            raise AssertionError("the pass rolled or shifted")
+
+        for owner, name in ((np, "roll"), (np.fft, "fftshift"), (np.fft, "ifftshift")):
+            monkeypatch.setattr(owner, name, banned)
+        grid, stack = support_stack(2, 64, 12, 0)
+        sp._pointwise_map(lambda v: nl.evaluate(QUARTIC, v), grid, stack, degree=4)
+        for p in (6, 3):  # the reduced and the full grid
+            sp._lp_series(stack, grid, p)
+
+    @pytest.mark.parametrize("d, n", [(1, 64), (2, 16), (3, 8)])
+    def test_inf_gains_no_nan(self, d, n):
+        """f(u) holding inf + 1j at an odd-parity point: negation gives it the
+        sign exactly, where a complex multiply by -1 would make its imaginary
+        part inf * 0 + 1 * -1 = NaN, and the transform would spread it."""
+        grid = sp.make_grid(d, 4 * math.pi, n)
+        stack = support_stack(d, n, 1, 0, count=2)[1]
+        odd = (Ellipsis,) + (0,) * (d - 1) + (1,)
+
+        def with_inf(v):
+            g = v.copy()
+            g[odd] = complex(math.inf, 1.0)
+            return g
+
+        with np.errstate(invalid="ignore"):
+            got = sp._pointwise_map(with_inf, grid, stack)[0]
+            ref = reference_pointwise_map(with_inf, grid, stack)[0]
+        got, ref = got.view(np.float64), ref.view(np.float64)  # (re, im) pairs
+        assert 0 < np.isnan(got).sum() == np.isnan(ref).sum() < got.size
+        assert np.array_equal(got, ref, equal_nan=True)
 
 
 class TestArithmetic:

@@ -109,10 +109,9 @@ class TestProducers:
     @given(**_CASES)
     def test_prefix_is_zero_beyond_the_support(self, d, log_n, w, seed, degree):
         grid, w, stack, times = _case(d, log_n, w, seed)
-        out = stack.copy()
-        prefix = np.full_like(stack, np.nan)  # garbage everywhere on entry
-        dsp.duhamel_sum(COEFFS, grid, times, out, base=stack[0], coef=1j,
-                        prefix=prefix, support=w)
+        out, prefix = stack.copy(), stack.copy()
+        dsp.duhamel_sum(COEFFS, grid, times, out, base=stack[0], coef=1j, support=w)
+        dsp.duhamel_sum(COEFFS, grid, times, prefix, prefix=True, support=w)
         assert_vanishes_beyond(sp.Trajectory(grid, times, out), w)
         assert_vanishes_beyond(sp.Trajectory(grid, times, prefix), w)
 
@@ -133,9 +132,10 @@ class TestConsumers:
 
         outs, prefixes = [], []
         for support in (w, None):
-            out, prefix = stack.copy(), np.empty_like(stack)
+            out, prefix = stack.copy(), stack.copy()
             dsp.duhamel_sum(COEFFS, grid, times, out, base=stack[1], coef=1j,
-                            prefix=prefix, support=support)
+                            support=support)
+            dsp.duhamel_sum(COEFFS, grid, times, prefix, prefix=True, support=support)
             outs.append(out)
             prefixes.append(prefix)
         assert np.array_equal(*outs) and np.array_equal(*prefixes)
@@ -233,13 +233,13 @@ class TestBoxStorage:
         for p in (4, 6, 3):
             assert np.array_equal(sp._lp_series(box, grid, p, w), sp._lp_series(stack, grid, p))
 
-        # the prefix sum, into a box-sized and a full-grid prefix: bitwise
-        out, prefix = box.copy(), np.empty_like(box)
-        dsp.duhamel_sum(COEFFS, grid, times, out, base=stack[1], coef=1j, prefix=prefix,
-                        support=w)
-        ref_out, ref_prefix = stack.copy(), np.empty_like(stack)
-        dsp.duhamel_sum(COEFFS, grid, times, ref_out, base=stack[1], coef=1j,
-                        prefix=ref_prefix, support=w)
+        # the prefix sum, over a box-sized and a full-grid stack: bitwise
+        out, prefix = box.copy(), box.copy()
+        dsp.duhamel_sum(COEFFS, grid, times, out, base=stack[1], coef=1j, support=w)
+        dsp.duhamel_sum(COEFFS, grid, times, prefix, prefix=True, support=w)
+        ref_out, ref_prefix = stack.copy(), stack.copy()
+        dsp.duhamel_sum(COEFFS, grid, times, ref_out, base=stack[1], coef=1j, support=w)
+        dsp.duhamel_sum(COEFFS, grid, times, ref_prefix, prefix=True, support=w)
         assert np.array_equal(sp._rebox(out, d, grid.n), ref_out)
         assert np.array_equal(sp._rebox(prefix, d, grid.n), ref_prefix)
 

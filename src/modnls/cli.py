@@ -113,7 +113,17 @@ def _load_config(args) -> dict:
         raise ValueError(
             f"config parse error in {path}, line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from None
+    if not isinstance(cfg, dict):
+        raise ValueError(f"config {path} must hold a JSON object, got {type(cfg).__name__}")
     return cfg
+
+
+def _block(cfg: dict, key: str, default: dict | None = None) -> dict:
+    """The config object under `key`: `default`, or {}, when it is absent."""
+    block = cfg.get(key, {} if default is None else default)
+    if not isinstance(block, dict):
+        raise ValueError(f"config key {key!r} must be a JSON object, got {block!r}")
+    return block
 
 
 # The readers of the config blocks that both the solve subcommands and
@@ -136,12 +146,12 @@ def _read_partition(block: dict, k_max: int) -> tuple[str, int]:
 
 def _build_solve_config(cfg: dict) -> solver.SolveConfig:
     """The solve subcommands' config: gamma defaults to 0 and k_max to 4."""
-    grid = _read_grid(cfg.get("grid", {}))
-    coeffs = _read_coeffs(cfg.get("coeffs", {}), gamma=0.0)
-    nonlin = nonlinear.NonlinSpec.from_json(cfg.get("nonlinearity", {"kind": "zero"}))
-    w = cfg.get("window", {})
-    norms = cfg.get("norms", {})
-    sol = cfg.get("solver", {})
+    grid = _read_grid(_block(cfg, "grid"))
+    coeffs = _read_coeffs(_block(cfg, "coeffs"), gamma=0.0)
+    nonlin = nonlinear.NonlinSpec.from_json(_block(cfg, "nonlinearity", {"kind": "zero"}))
+    w = _block(cfg, "window")
+    norms = _block(cfg, "norms")
+    sol = _block(cfg, "solver")
     partition_kind, k_max = _read_partition(norms, 4)
     return solver.SolveConfig(
         coeffs=coeffs,
@@ -170,7 +180,7 @@ def _initial_datum(cfg: dict, scfg: solver.SolveConfig, seed: int,
                    partition: modspace.Partition) -> SpectralField:
     """The `initial_data` block: a field file, or harness.sample_field's draw
     rescaled to the target modulation norm (delta / 2 by default)."""
-    spec = cfg.get("initial_data", {})
+    spec = _block(cfg, "initial_data")
     if "file" in spec:
         return read_field(spec["file"])
     ens = harness.EnsembleSpec(
@@ -182,8 +192,10 @@ def _initial_datum(cfg: dict, scfg: solver.SolveConfig, seed: int,
     )
     f = harness.sample_field(scfg.grid, ens, 0)
     norm = modspace.mod_norm(f, scfg.mod_spec(), partition).value
+    if norm == 0.0:
+        raise ValueError(f"initial_data: the draw lies outside every box |k| <= {scfg.k_max}")
     target = float(spec.get("mod_norm", scfg.delta / 2.0))
-    return SpectralField._adopt(scfg.grid, f.spectrum * (target / norm))
+    return SpectralField._adopt(scfg.grid, f.spectrum * (target / norm), f.support)
 
 
 def _solve_setup(args, run: _Run):
@@ -359,7 +371,7 @@ def _cmd_verify(args, run: _Run) -> int:
     """The `verify` block: gamma defaults to 1 and k_max to 5."""
     cfg = _load_config(args) if args.config else {}
     run.config_text = json.dumps(cfg, sort_keys=True)
-    v = cfg.get("verify", {})
+    v = _block(cfg, "verify")
     grid = _read_grid(v)
     c = SimpleNamespace(
         grid=grid, coeffs=_read_coeffs(v, gamma=1.0), q=1, s=0.0,

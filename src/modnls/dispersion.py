@@ -26,8 +26,7 @@ from functools import reduce
 import numpy as np
 
 from .errors import HypothesisError
-from .spectral import (GridSpec, SpectralField, Trajectory, _box_width, _rebox,
-                       _scan_support)
+from .spectral import GridSpec, SpectralField, Trajectory, _box_width, _rebox
 
 __all__ = [
     "EquationCoeffs",
@@ -127,17 +126,12 @@ def propagate(coeffs: EquationCoeffs, t: float, f: SpectralField) -> SpectralFie
     return SpectralField(f.grid, spectrum=f.spectrum * phasor(coeffs, f.grid, t))
 
 
-def propagate_trajectory(coeffs: EquationCoeffs, times, u0: SpectralField, *,
-                         _support: int | None = None) -> Trajectory:
+def propagate_trajectory(coeffs: EquationCoeffs, times, u0: SpectralField) -> Trajectory:
     """Free flow t -> W(t) u0 sampled at `times`. W(t) is a Fourier
     multiplier, so the flow keeps the support of u0: the trajectory carries
-    it and stores only that box. `_support`, the support of u0 when the
-    caller has it, saves scanning u0 for it."""
+    it and stores only that box."""
     times = np.asarray(times, dtype=np.float64)
-    grid = u0.grid
-    W = _support
-    if W is None:
-        W = _scan_support(grid, (u0.spectrum[None],), grid.n // 2)
+    grid, W = u0.grid, u0.support
     width = _box_width(grid, W)
     terms = [_rebox(term, 1, width) for term in _axis_terms(coeffs, grid)]
     spec0 = _rebox(u0.spectrum, grid.d, width)
@@ -148,8 +142,8 @@ def propagate_trajectory(coeffs: EquationCoeffs, times, u0: SpectralField, *,
 
 
 def duhamel_sum(coeffs: EquationCoeffs, grid: GridSpec, times, stack: np.ndarray,
-                base: np.ndarray | None = None, coef: complex = 1.0,
-                prefix: bool = False, support: int | None = None) -> None:
+                support: int, base: np.ndarray | None = None, coef: complex = 1.0,
+                prefix: bool = False) -> None:
     """The Duhamel prefix sum, in place over the source stack.
 
     On entry stack[j] holds the source spectrum F(t_j); on return it holds
@@ -159,11 +153,11 @@ def duhamel_sum(coeffs: EquationCoeffs, grid: GridSpec, times, stack: np.ndarray
     sample of work space is all it takes. With `prefix` it holds acc_j
     itself instead (`base` and `coef` are not read).
 
-    With `support` W, every source sample and `base` must vanish outside
-    the box |k|_inf <= W; the sum then runs on that box only, and the
-    result vanishes outside it too. `stack` holds at least that box (the
-    whole grid, or the box as a Trajectory stores it, see _rebox); `base`
-    is a full-grid spectrum.
+    Every source sample and `base` must vanish outside the box |k|_inf <= W
+    of the `support` W (n/2: the whole grid); the sum runs on that box only,
+    and the result vanishes outside it too. `stack` holds at least that box
+    (the whole grid, or the box as a Trajectory stores it, see _rebox);
+    `base` is a full-grid spectrum.
     """
     width = _box_width(grid, support)
     terms = [_rebox(term, 1, width) for term in _axis_terms(coeffs, grid)]

@@ -23,8 +23,8 @@ import numpy as np
 from . import dispersion as disp
 from . import modspace, nonlinear
 from .errors import HypothesisError
-from .spectral import (GridSpec, SpectralField, Trajectory, _box_width, _joint_support,
-                       _lp_series, _pointwise_map, _rebox, _scan_support, time_lp_norm)
+from .spectral import (GridSpec, SpectralField, Trajectory, _box_width, _lp_series,
+                       _pointwise_map, _rebox, _scan_support, time_lp_norm)
 from .spectral import lp_norm  # noqa: F401  (the benchmark tracer patches this binding)
 
 __all__ = [
@@ -159,22 +159,14 @@ def sample_field(grid: GridSpec, ens: EnsembleSpec, index: int) -> SpectralField
     The spectral coefficients are drawn on the sub-lattice |xi|_inf <=
     band, whose size depends on (band, M) but not on n, so the same seed
     produces the same continuum field after grid doubling. The L^2
-    normalization sums that box only.
+    normalization sums that box only, and only that box is scanned for the
+    field's support: the value a scan of the whole grid finds, for every law.
     """
+    w = ens.band * grid.M
     box = _draw(grid, ens, index)
-    box *= ens.amplitude / _l2(box, grid, ens.band * grid.M)
-    return SpectralField._adopt(grid, _rebox(box, grid.d, grid.n))
-
-
-def _free_flow(grid: GridSpec, coeffs: disp.EquationCoeffs, ens: EnsembleSpec,
-               index: int, times) -> tuple[SpectralField, Trajectory]:
-    """sample_field's datum and its free flow. The draw lies in the box
-    |k|_inf <= band M, so only that box is scanned for its support: the
-    value a scan of the whole grid finds, for every law."""
-    u0 = sample_field(grid, ens, index)
-    box = _rebox(u0.spectrum, grid.d, _box_width(grid, ens.band * grid.M))
-    W = _scan_support(grid, (box[None],), grid.n // 2)
-    return u0, disp.propagate_trajectory(coeffs, times, u0, _support=W)
+    box *= ens.amplitude / _l2(box, grid, w)
+    support = _scan_support(grid, _rebox(box, grid.d, _box_width(grid, w))[None])
+    return SpectralField._adopt(grid, _rebox(box, grid.d, grid.n), support)
 
 
 def sample_trajectory(grid: GridSpec, coeffs: disp.EquationCoeffs,
@@ -185,7 +177,7 @@ def sample_trajectory(grid: GridSpec, coeffs: disp.EquationCoeffs,
     phase0 = float(rng.uniform(0, 2 * math.pi))
     times = np.asarray(times, dtype=np.float64)
     env = 1.0 + 0.3 * np.sin(omega * times + phase0)
-    traj = _free_flow(grid, coeffs, ens, index, times)[1]
+    traj = disp.propagate_trajectory(coeffs, times, sample_field(grid, ens, index))
     traj.box *= env[(slice(None),) + (None,) * grid.d]
     return traj
 
@@ -200,16 +192,16 @@ def _map_indices(fn, count: int, threads: int = 1) -> list:
 def duhamel_integral(coeffs: disp.EquationCoeffs, times,
                      source: Trajectory) -> Trajectory:
     """int_0^t W(t - s) F(s) ds via the spectral trapezoid prefix sum, on
-    the support box of F (the whole grid when it is unknown)."""
+    the support box of F."""
     times = np.asarray(times, dtype=np.float64)
     out = source.box.copy()
-    disp.duhamel_sum(coeffs, source.grid, times, out, support=source.support)
+    disp.duhamel_sum(coeffs, source.grid, times, out, source.support)
     return Trajectory(source.grid, times, out, support=source.support)
 
 
-def _l2(spectrum: np.ndarray, grid: GridSpec, support: int | None = None) -> float:
-    """L^2 norm of one field, by Plancherel on its spectrum (full-grid, or
-    the box of its `support`)."""
+def _l2(spectrum: np.ndarray, grid: GridSpec, support: int) -> float:
+    """L^2 norm of one field, by Plancherel on the box of its `support`
+    (its spectrum full-grid or box-stored)."""
     return float(_lp_series(spectrum[None], grid, 2, support)[0])
 
 
@@ -235,8 +227,9 @@ def check_homogeneous_strichartz(grid: GridSpec, coeffs: disp.EquationCoeffs,
     mod_spec = modspace.ModNormSpec(p=2, q=q, s=s)
 
     def one(i):
-        u0, traj = _free_flow(grid, coeffs, ens, i, times)
-        leb = (_lebesgue_space_time(traj, p, r), _l2(u0.spectrum, grid, traj.support))
+        u0 = sample_field(grid, ens, i)
+        traj = disp.propagate_trajectory(coeffs, times, u0)
+        leb = (_lebesgue_space_time(traj, p, r), _l2(u0.spectrum, grid, u0.support))
         lift = (
             modspace.planchon_norm(traj, pl_spec, partition).value,
             modspace.mod_norm(u0, mod_spec, partition).value,
@@ -320,14 +313,15 @@ def check_hoelder_like(grid: GridSpec, coeffs: disp.EquationCoeffs,
         """The pointwise product of the factor trajectories, with its support."""
         out, reach = _pointwise_map(lambda *vals: reduce(np.multiply, vals), grid,
                                     *(tr.box for tr in trajs), degree=len(trajs),
-                                    support=_joint_support(*(tr.support for tr in trajs)))
+                                    support=max(tr.support for tr in trajs))
         return Trajectory(grid, trajs[0].times, out, support=reach)
 
     def one(i):
         if mode == "modulation":
             fields = [sample_field(grid, ens, i * len(p_factors) + j)
                       for j in range(len(p_factors))]
-            prod = product(*(Trajectory(grid, [0.0], f.spectrum[None]) for f in fields))
+            prod = product(*(Trajectory(grid, [0.0], f.spectrum[None], f.support)
+                             for f in fields))
             lhs = modspace.mod_norm(
                 prod.field(0),
                 modspace.ModNormSpec(p=p_target, q=q, s=s), partition).value

@@ -35,7 +35,6 @@ from .spectral import (
     Trajectory,
     _abs2,
     _chunks,
-    _joint_support,
     _lp,
     _n_samples,
     _physical_chunks,
@@ -286,12 +285,10 @@ class _BoxNormEngine:
         """(T, nb, .., nb) -> (n_boxes, T), boxes in partition order."""
         return np.ascontiguousarray(table.reshape(table.shape[0], -1).T)
 
-    def series(self, stacks, p, l2: np.ndarray | None = None,
-               support: int | None = None) -> np.ndarray:
-        """(n_boxes, T) table of per-box L^p norms; `l2` may pass the p = 2
-        table when the caller already has it, and `support` the support of
-        the stacks (see Trajectory.support), to which the Plancherel pass
-        then keeps."""
+    def series(self, stacks, p, support: int, l2: np.ndarray | None = None) -> np.ndarray:
+        """(n_boxes, T) table of per-box L^p norms of stacks of `support` W
+        (see Trajectory.support), to which the Plancherel pass keeps; `l2`
+        may pass the p = 2 table when the caller already has it."""
         p = math.inf if p == math.inf else float(p)  # exact exponents end here
         grid = self.partition.grid
         # while p*M < n the reduced grid (R < n points, see _pruned_dft) gives
@@ -304,14 +301,14 @@ class _BoxNormEngine:
             l2 = self._plancherel(stacks, support)
         return l2 if p == 2.0 else self._pruned_dft(stacks, int(p), l2)
 
-    def _plancherel(self, stacks, support: int | None = None) -> np.ndarray:
+    def _plancherel(self, stacks, support: int) -> np.ndarray:
         """All box L^2 norms at once: |F|^2 on the region covering every box
         that reaches the support, contracted with window_1d**2 along each
         axis. Box k spans (k -+ 1) M, where its window vanishes, so only
         |k|_inf <= ceil(W / M) see the support W; the others are exactly 0."""
         part = self.partition
         d, M, K = part.grid.d, part.grid.M, part.k_max
-        live = K if support is None else min(K, -(-support // M))
+        live = min(K, -(-support // M))
         inner = 2 * (live + 1) * M + 1  # points per axis of the boxes |k| <= live
         boxes = (slice(None),) + (slice(K - live, K + live + 1),) * d
         w2 = part.window_1d**2
@@ -397,22 +394,22 @@ class _BoxNormEngine:
         return out
 
 
-def _as_stack(obj) -> tuple:
-    """(spectra stack or pair, its support or None when unknown)."""
+def _as_stack(obj, grid: GridSpec) -> tuple:
+    """(spectra stack or pair, its support: n/2 for raw arrays)."""
     if isinstance(obj, SpectralField):
-        return obj.spectrum[None, ...], None
+        return obj.spectrum[None, ...], obj.support
     if isinstance(obj, Trajectory):
         return obj.box, obj.support
     if isinstance(obj, (np.ndarray, tuple)):
-        return obj, None
+        return obj, grid.n // 2
     raise TypeError(f"expected SpectralField, Trajectory, array or pair, got {type(obj)}")
 
 
 def mod_norm(f: SpectralField, spec: ModNormSpec, partition: Partition,
              method: str = "fast") -> NormResult:
     """Weighted l^q over boxes of per-box L^p norms of a single field."""
-    stacks, support = _as_stack(f)
-    per_box = _BoxNormEngine(partition, method).series(stacks, spec.p, support=support)[:, 0]
+    stacks, support = _as_stack(f, partition.grid)
+    per_box = _BoxNormEngine(partition, method).series(stacks, spec.p, support)[:, 0]
     return NormResult(_lq_aggregate(partition.weights(spec.s) * per_box, spec.q))
 
 
@@ -424,8 +421,8 @@ def mod_norm_series(stack, spec: ModNormSpec, partition: Partition,
     of spectra arrays whose difference is measured (B may be a broadcast
     view).
     """
-    stacks, support = _as_stack(stack)
-    table = _BoxNormEngine(partition, method).series(stacks, spec.p, support=support)
+    stacks, support = _as_stack(stack, partition.grid)
+    table = _BoxNormEngine(partition, method).series(stacks, spec.p, support)
     return _series_norm(table, spec, partition)
 
 
@@ -437,19 +434,19 @@ def _series_norm(table: np.ndarray, spec: ModNormSpec, partition: Partition) -> 
 def planchon_norm(u: Trajectory, spec: PlanchonNormSpec, partition: Partition,
                   method: str = "fast") -> NormResult:
     """l^{s,q} over boxes of (L^r in time of (L^p in space)) of a trajectory."""
-    series = _BoxNormEngine(partition, method).series(u.box, spec.p, support=u.support)
+    series = _BoxNormEngine(partition, method).series(u.box, spec.p, u.support)
     per_box = time_lp_norm(series, u.times, spec.r)
     return NormResult(_lq_aggregate(partition.weights(spec.s) * per_box, spec.q))
 
 
 def _x_norm_impl(stacks, support, times, s, q, r, p, partition, method) -> XNormResult:
     engine = _BoxNormEngine(partition, method)
-    series2 = engine.series(stacks, 2, support=support)
+    series2 = engine.series(stacks, 2, support)
     per_box_l2 = series2.max(axis=1)
     if p == 2 and r == math.inf:
         per_box_lp = per_box_l2
     else:
-        series_p = series2 if p == 2 else engine.series(stacks, p, series2)
+        series_p = series2 if p == 2 else engine.series(stacks, p, support, series2)
         per_box_lp = time_lp_norm(series_p, times, r)
     weights = partition.weights(s)
     part_l2 = _lq_aggregate(weights * per_box_l2, q)
@@ -472,7 +469,7 @@ def x_norm_diff(u: Trajectory, v: Trajectory, s, q, r, p, partition: Partition,
     """X norm of u - v without materializing the difference trajectory."""
     if u.grid != v.grid or u.n_samples != v.n_samples:
         raise ValueError("trajectories not aligned")
-    return _x_norm_impl((u.box, v.box), _joint_support(u.support, v.support),
+    return _x_norm_impl((u.box, v.box), max(u.support, v.support),
                         u.times, s, q, r, p, partition, method)
 
 
@@ -485,5 +482,5 @@ def truncation_residual(obj, partition: Partition) -> float:
     for j in range(-partition.k_max, partition.k_max + 1):
         cov[partition.box_slices((j,))[0]] += partition.window_1d
     mult = 1.0 - reduce(np.multiply.outer, [cov] * grid.d)
-    stacks, support = _as_stack(obj)
-    return math.sqrt(float(_plancherel(stacks, grid, mult, support).max()))
+    stacks, support = _as_stack(obj, grid)
+    return math.sqrt(float(_plancherel(stacks, grid, support, mult).max()))

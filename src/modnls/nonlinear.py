@@ -16,8 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .modspace import Partition, PlanchonNormSpec, planchon_norm
-from .spectral import (SpectralField, Trajectory, _box_width, _joint_support,
-                       _pointwise_map, _stack_rows)
+from .spectral import SpectralField, Trajectory, _box_width, _pointwise_map, _stack_rows
 
 __all__ = [
     "NonlinSpec",
@@ -105,14 +104,15 @@ class NonlinSpec:
         if kind == "zero":
             return cls(kind="zero")
         if kind == "power":
-            pattern = tuple(tok.strip() for tok in obj["pattern"].split(","))
-            c = obj.get("coeff", [1.0, 0.0])
-            return cls(kind="power", pattern=pattern, coeff=complex(c[0], c[1]))
+            pattern = obj.get("pattern")
+            if not isinstance(pattern, str):
+                raise ValueError(f"nonlinearity.pattern must be a string, got {pattern!r}")
+            return cls(kind="power", pattern=tuple(tok.strip() for tok in pattern.split(",")),
+                       coeff=_complex_entry(obj, "coeff"))
         if kind == "exponential":
-            lam = obj.get("lambda", [1.0, 0.0])
             return cls(
                 kind="exponential",
-                lam=complex(lam[0], lam[1]),
+                lam=_complex_entry(obj, "lambda"),
                 rho=float(obj.get("rho", 1.0)),
                 series_cutoff=int(obj.get("cutoff", 8)),
             )
@@ -128,6 +128,14 @@ class NonlinSpec:
         lam = complex(self.lam)
         return {"kind": "exponential", "lambda": [lam.real, lam.imag],
                 "rho": self.rho, "cutoff": self.series_cutoff}
+
+
+def _complex_entry(obj: dict, key: str) -> complex:
+    """The [re, im] pair under `key` of a nonlinearity block (default 1)."""
+    c = obj.get(key, [1.0, 0.0])
+    if not (isinstance(c, list) and len(c) == 2 and all(isinstance(x, (int, float)) for x in c)):
+        raise ValueError(f"nonlinearity.{key} must be a pair [re, im], got {c!r}")
+    return complex(*c)
 
 
 def _power_values(spec: NonlinSpec, u: np.ndarray) -> np.ndarray:
@@ -243,7 +251,7 @@ def power_lipschitz_witness(u: Trajectory, v: Trajectory, spec: NonlinSpec,
     """
     if spec.kind != "power" or spec.m != exps.m:
         raise ValueError("nonlinearity spec does not match the exponent bundle")
-    W = _joint_support(u.support, v.support)
+    W = max(u.support, v.support)
     # f(u) - f(v) in one pass: one forward transform per chunk, no second stack
     diff, reach = _pointwise_map(lambda a, b: evaluate(spec, a) - evaluate(spec, b),
                                  u.grid, u.box, v.box, degree=spec.degree,

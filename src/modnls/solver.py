@@ -34,10 +34,8 @@ from .spectral import (
     SpectralField,
     Trajectory,
     _box_width,
-    _joint_support,
     _plancherel,
     _rebox,
-    _scan_support,
     lp_norm,
 )
 
@@ -88,6 +86,8 @@ class SolveConfig:
             raise ValueError("need at least two time samples")
         if self.delta <= 0:
             raise ValueError("delta must be positive")
+        if self.max_iters < 1:
+            raise ValueError(f"solver.max_iters must be >= 1, got {self.max_iters}")
         if self.exp_s_rule not in ("s>=0", "s>=p"):
             raise ValueError(f"exp_s_rule must be 's>=0' or 's>=p', got {self.exp_s_rule!r}")
 
@@ -192,16 +192,14 @@ def verify_hypotheses(cfg: SolveConfig, scattering: bool = False) -> dict:
     return ledger
 
 
-def duhamel_apply(cfg: SolveConfig, u: Trajectory, u0: SpectralField, *,
-                  _u0_support: int | None = None) -> Trajectory:
+def duhamel_apply(cfg: SolveConfig, u: Trajectory, u0: SpectralField) -> Trajectory:
     """One application of the Duhamel operator to the trajectory u.
 
     The integral runs from the window start times[0]: t = 0 for
     `picard_solve`, and T_min for `scatter_minus`, the discrete stand-in
     for the integral from -infinity (the neglected part is a recorded
     small-data assumption). The result carries the joint support of f(u)
-    and u0; `_u0_support`, the support of u0 when the caller has it (the
-    Picard loop does, from the free flow), saves scanning u0 for it.
+    and u0.
     """
     if u.grid != u0.grid:
         raise ValueError("initial datum grid does not match trajectory grid")
@@ -209,12 +207,9 @@ def duhamel_apply(cfg: SolveConfig, u: Trajectory, u0: SpectralField, *,
         raise ValueError("trajectory is not on the configured time grid")
 
     f = nonlinear.apply_to_trajectory(cfg.nonlin, u)
-    if _u0_support is None:
-        _u0_support = _scan_support(cfg.grid, (u0.spectrum[None],), cfg.grid.n // 2)
-    W = max(f.support, _u0_support)
+    W = max(f.support, u0.support)
     stack = _rebox(f.box, cfg.grid.d, _box_width(cfg.grid, W))
-    disp.duhamel_sum(cfg.coeffs, cfg.grid, u.times, stack, base=u0.spectrum, coef=1j,
-                     support=W)
+    disp.duhamel_sum(cfg.coeffs, cfg.grid, u.times, stack, W, base=u0.spectrum, coef=1j)
     return Trajectory(cfg.grid, u.times, stack, support=W)
 
 
@@ -241,7 +236,6 @@ def _run_fixed_point(cfg: SolveConfig, u0: SpectralField, ledger: dict,
     malloc put those blocks."""
     times = cfg.times()
     u = disp.propagate_trajectory(cfg.coeffs, times, u0)
-    W0 = u.support
     report = SolveReport(hypothesis_ledger=ledger)
 
     norm0 = modspace.mod_norm(u0, cfg.mod_spec(), partition).value
@@ -256,7 +250,7 @@ def _run_fixed_point(cfg: SolveConfig, u0: SpectralField, ledger: dict,
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(1, cfg.max_iters + 1):
             spent = None  # free the iterate before last before making the next one
-            u_new = duhamel_apply(cfg, u, u0, _u0_support=W0)
+            u_new = duhamel_apply(cfg, u, u0)
             diff = _x_diff(cfg, partition, u_new, u)
             report.diff_norms.append(diff)
             report.iterations = it
@@ -324,7 +318,7 @@ def mass(f: SpectralField) -> float:
 
 def mass_series(u: Trajectory) -> np.ndarray:
     """mass of every sample, by Plancherel on the stored spectra."""
-    return _plancherel(u.box, u.grid, support=u.support)
+    return _plancherel(u.box, u.grid, u.support)
 
 
 # ---------------------------------------------------------------------------
@@ -402,8 +396,8 @@ def oracle_deviation(a: Trajectory, b: Trajectory) -> float:
     """sup over samples of the L^2 distance (Plancherel, no transforms)."""
     if a.grid != b.grid or a.n_samples != b.n_samples:
         raise ValueError("trajectories not aligned")
-    W = _joint_support(a.support, b.support)
-    return math.sqrt(float(_plancherel((a.box, b.box), a.grid, support=W).max()))
+    W = max(a.support, b.support)
+    return math.sqrt(float(_plancherel((a.box, b.box), a.grid, W).max()))
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +446,7 @@ def scatter_minus(cfg: SolveConfig, u0_minus: SpectralField,
                 f"tail_tol {cfg.tail_tol:.3e}", report)
 
     report.quad_tol = _quad_tolerance(u.times, g_norms)
-    disp.duhamel_sum(cfg.coeffs, cfg.grid, u.times, f.box, prefix=True, support=f.support)
+    disp.duhamel_sum(cfg.coeffs, cfg.grid, u.times, f.box, f.support, prefix=True)
     report.tail_minus = modspace.mod_norm_series(f, mspec, partition).tolist()
     return u, report, f
 
@@ -467,7 +461,8 @@ def wave_operator_plus(cfg: SolveConfig, u0_minus: SpectralField, prefix: Trajec
     """
     last = prefix.box[-1]
     full = _rebox(last, cfg.grid.d, cfg.grid.n)
-    u0_plus = SpectralField._adopt(cfg.grid, u0_minus.spectrum + 1j * full)
+    u0_plus = SpectralField._adopt(cfg.grid, u0_minus.spectrum + 1j * full,
+                                   max(u0_minus.support, prefix.support))
     tail_plus = modspace.mod_norm_series(
         (np.broadcast_to(last, prefix.box.shape), prefix.box), cfg.mod_spec(),
         partition or cfg.partition())
@@ -511,7 +506,8 @@ def delta_bisection(cfg: SolveConfig, profile: SpectralField,
         raise ValueError("profile must be nonzero")
 
     def trial(delta: float):
-        scaled = SpectralField._adopt(cfg.grid, profile.spectrum * (delta / 2.0 / base))
+        scaled = SpectralField._adopt(cfg.grid, profile.spectrum * (delta / 2.0 / base),
+                                      profile.support)
         trial_cfg = replace(cfg, delta=delta)
         try:
             _, rep = picard_solve(trial_cfg, scaled, partition, theta_max=theta_max)

@@ -201,10 +201,10 @@ def _physical_chunks(grid: GridSpec, *stacks: np.ndarray):
         yield slice(t0, t1), vals
 
 
-def _box_width(grid: GridSpec, W: int | None) -> int:
+def _box_width(grid: GridSpec, W: int) -> int:
     """Points per axis of the box |k|_inf <= W of the grid: 2W + 1, or n for
-    the whole grid (W >= n/2, or None: unknown)."""
-    return grid.n if W is None or 2 * W >= grid.n else 2 * W + 1
+    the whole grid (W >= n/2)."""
+    return grid.n if 2 * W >= grid.n else 2 * W + 1
 
 
 def _rebox(stack: np.ndarray, d: int, width: int) -> np.ndarray:
@@ -222,71 +222,53 @@ def _rebox(stack: np.ndarray, d: int, width: int) -> np.ndarray:
     return out
 
 
-def _joint_support(*supports) -> int | None:
-    """The support of several stacks together: the largest, or None when
-    one is unknown."""
-    return None if None in supports else max(supports)
-
-
-def _scan_support(grid: GridSpec, stacks, limit: int) -> int:
-    """The support of the stacks (full-grid or box-stored, see _rebox): the
-    largest |k|_inf, in lattice steps from the center, of any exactly nonzero
-    coefficient (NaN counts as nonzero), or n/2 once that exceeds `limit`.
-    The scan reads a chunk of samples at a time and stops there; a full-grid
-    stack that fills the grid (a solver iterate after a full-grid pass)
-    already shows it on the k_1 = -n/2 face of its last sample."""
-    d, half = grid.d, grid.n // 2
-    if any(s.shape[-1] == grid.n and np.any(s[-1, 0]) for s in stacks):
-        return half
-    W = 0
-    for s in stacks:
-        c = s.shape[-1] // 2
-        for t0, t1 in _chunks(s.shape[0], _CHUNK_BYTES // s[0].size):
-            live = np.any(s[t0:t1] != 0, axis=0)
-            for axis in range(d):
-                idx = np.flatnonzero(live.any(axis=tuple(a for a in range(d) if a != axis)))
-                if idx.size:
-                    W = max(W, c - int(idx[0]), int(idx[-1]) - c)
-            if W > limit:
-                return half
+def _scan_support(grid: GridSpec, stack: np.ndarray) -> int:
+    """The support of a spectral stack (full-grid or box-stored, see _rebox):
+    the largest |k|_inf, in lattice steps from the center, of any exactly
+    nonzero coefficient (NaN counts as nonzero), 0 for a zero stack. The
+    scan reads a chunk of samples at a time; a full-grid stack that fills
+    the grid (a split-step solution) already shows it on the k_1 = -n/2
+    face of its last sample, and the scan ends there."""
+    if stack.shape[-1] == grid.n and np.any(stack[-1, 0]):
+        return grid.n // 2
+    d, c, W = grid.d, stack.shape[-1] // 2, 0
+    for t0, t1 in _chunks(stack.shape[0], _CHUNK_BYTES // stack[0].size):
+        live = np.any(stack[t0:t1] != 0, axis=0)
+        for axis in range(d):
+            idx = np.flatnonzero(live.any(axis=tuple(a for a in range(d) if a != axis)))
+            if idx.size:
+                W = max(W, c - int(idx[0]), int(idx[-1]) - c)
     return W
 
 
-def _support_grid(grid: GridSpec, stacks, factor: int,
-                  W: int | None = None) -> tuple[GridSpec, int | None]:
-    """(GridSpec(d, L, n', M), W) for the smallest power of two n' > factor * W
-    while n' < n, else (grid, None).
+def _support_grid(grid: GridSpec, factor: int, W: int) -> GridSpec:
+    """GridSpec(d, L, n', M) for the smallest power of two n' > factor * W,
+    or the grid itself unless n' < n.
 
-    W is the support of the stacks (see _scan_support), scanned when not
-    given. On n' points a product of D factors is alias-free for
+    On n' points a product of D factors of support W is alias-free for
     factor = 2 D, and the Riemann sum of |f|^p (even p) is its exact
     integral for factor = p, so either pass gives the full-grid result there.
     """
-    w_max = (grid.n // 2 - 1) // factor  # the largest W with factor * W < n/2
-    if W is None:
-        W = _scan_support(grid, stacks, w_max)
-    if W > w_max:
-        return grid, None
     n = 2
     while n <= factor * W:
         n *= 2
-    return GridSpec(grid.d, grid.L, n, grid.M), W
+    return GridSpec(grid.d, grid.L, n, grid.M) if n < grid.n else grid
 
 
-def _pointwise_map(fn, grid: GridSpec, *stacks: np.ndarray, degree: int | None = None,
-                   support: int | None = None) -> tuple[np.ndarray, int]:
+def _pointwise_map(fn, grid: GridSpec, *stacks: np.ndarray, support: int,
+                   degree: int | None = None) -> tuple[np.ndarray, int]:
     """(spectral stack of fn(*samples) at every sample, its support), for fn
-    pointwise in x: the pass to physical space and back. For fn a polynomial
-    of `degree` in its inputs the pass runs on the support-sized grid
-    (_support_grid, given the inputs' `support` or scanning for it) and
-    returns the box |k| <= degree W, that reach being the support (every
-    other coefficient is exactly zero). Otherwise the support is the whole
-    grid, n/2. The stack returned is stored as its box (see Trajectory).
+    pointwise in x and inputs of joint `support` W: the pass to physical
+    space and back. For fn a polynomial of `degree` in its inputs the pass
+    runs on the support-sized grid (_support_grid) and returns the box
+    |k| <= degree W, that reach being the support (every other coefficient
+    is exactly zero). Otherwise the support is the whole grid, n/2. The
+    stack returned is stored as its box (see Trajectory).
     The sign of _flip_odd, on the inputs and on fn's output, stands in for
     the half-period shifts of the centered pair, bit for bit; the forward
     transform runs in place on fn's output."""
-    sub, W = _support_grid(grid, stacks, 2 * degree, support) if degree else (grid, None)
-    reach = grid.n // 2 if W is None else degree * W
+    sub = _support_grid(grid, 2 * degree, support) if degree else grid
+    reach = degree * support if sub.n < grid.n else grid.n // 2
     width = _box_width(grid, reach)
     axes = tuple(range(-grid.d, 0))
     out = np.empty((stacks[0].shape[0],) + (width,) * grid.d, dtype=np.complex128)
@@ -300,16 +282,16 @@ def _pointwise_map(fn, grid: GridSpec, *stacks: np.ndarray, degree: int | None =
     return out, reach
 
 
-def _lp_series(stack: np.ndarray, grid: GridSpec, p, support: int | None = None) -> np.ndarray:
-    """lp_norm of every sample of a spectral stack, as a (T,) array: by
-    Plancherel for p = 2, on the support-sized grid for other even p, on
-    the full grid otherwise; `support`, if known, saves the scan. Raises,
-    like lp_norm, when a sample holds NaN."""
+def _lp_series(stack: np.ndarray, grid: GridSpec, p, support: int) -> np.ndarray:
+    """lp_norm of every sample of a spectral stack of `support` W, as a (T,)
+    array: by Plancherel for p = 2, on the support-sized grid for other even
+    p, on the full grid otherwise. Raises, like lp_norm, when a sample
+    holds NaN."""
     if p == 2:
-        out = np.sqrt(_plancherel(stack, grid, support=support))
+        out = np.sqrt(_plancherel(stack, grid, support))
     else:
         even = 2 < p < math.inf and float(p) % 2 == 0
-        sub = _support_grid(grid, (stack,), int(p), support)[0] if even else grid
+        sub = _support_grid(grid, int(p), support) if even else grid
         out = np.empty(stack.shape[0])
         for rows, (vals,) in _physical_chunks(sub, stack):
             out[rows] = _lp(vals, sub, p)
@@ -318,12 +300,12 @@ def _lp_series(stack: np.ndarray, grid: GridSpec, p, support: int | None = None)
     return out
 
 
-def _plancherel(stacks, grid: GridSpec, weight: np.ndarray | None = None,
-               support: int | None = None) -> np.ndarray:
+def _plancherel(stacks, grid: GridSpec, support: int,
+                weight: np.ndarray | None = None) -> np.ndarray:
     """Squared L^2 norm of every sample of a spectral stack, or of A - B for
     a pair (A, B), with no transform: (dxi/(2 pi))^d sum |w F|^2, where the
-    spectral weight w (a full-grid array) defaults to 1. With the `support`
-    W of the stacks known, the sum runs over the box |k|_inf <= W only."""
+    spectral weight w (a full-grid array) defaults to 1. The sum runs over
+    the box |k|_inf <= W of the stacks' `support` W only."""
     width = _box_width(grid, support)
     if weight is not None:
         weight = _rebox(weight, grid.d, width)
@@ -341,10 +323,11 @@ class SpectralField:
     """Immutable complex field on a GridSpec with a cached spectrum.
 
     Either view (spatial values / frequency coefficients) may be supplied;
-    the other is computed lazily. Arrays are marked read-only.
+    the other is computed lazily. Arrays are marked read-only. `support`
+    (see Trajectory) is scanned on first use unless the maker passed it.
     """
 
-    __slots__ = ("grid", "_values", "_spectrum")
+    __slots__ = ("grid", "_values", "_spectrum", "_support")
 
     def __init__(self, grid: GridSpec, values=None, spectrum=None):
         if values is None and spectrum is None:
@@ -352,6 +335,7 @@ class SpectralField:
         self.grid = grid
         self._values = self._own(grid, values)
         self._spectrum = self._own(grid, spectrum)
+        self._support = None
 
     @staticmethod
     def _own(grid: GridSpec, arr):
@@ -365,16 +349,16 @@ class SpectralField:
         return a
 
     @classmethod
-    def _adopt(cls, grid: GridSpec, spectrum: np.ndarray) -> "SpectralField":
-        """The field of a complex128 spectrum of the grid's shape. An array
-        that owns its data is one the caller just made and drops: it is
-        marked read-only and kept. A view is copied, as the constructor does.
-        (A fresh copy of 1 MiB costs more in page faults than in copying.)"""
+    def _adopt(cls, grid: GridSpec, spectrum: np.ndarray, support: int) -> "SpectralField":
+        """The field of a complex128 spectrum of the grid's shape and known
+        support. An array that owns its data is one the caller just made and
+        drops: it is marked read-only and kept; a view is copied. (A fresh
+        copy of 1 MiB costs more in page faults than in copying.)"""
         if spectrum.base is not None:
-            return cls(grid, spectrum=spectrum)
+            spectrum = spectrum.copy()
         f = cls.__new__(cls)
         spectrum.flags.writeable = False
-        f.grid, f._values, f._spectrum = grid, None, spectrum
+        f.grid, f._values, f._spectrum, f._support = grid, None, spectrum, support
         return f
 
     @classmethod
@@ -407,6 +391,12 @@ class SpectralField:
             spec.flags.writeable = False
             self._spectrum = spec
         return self._spectrum
+
+    @property
+    def support(self) -> int:
+        if self._support is None:
+            self._support = _scan_support(self.grid, self.spectrum[None])
+        return self._support
 
 
 def _lp(values: np.ndarray, grid: GridSpec, p):
@@ -476,13 +466,13 @@ class Trajectory:
     on demand. Quadrature in time is the trapezoid rule.
 
     `support` is a bound W on the spectral support: every coefficient with
-    |k|_inf > W is exactly zero (W = n/2 is the whole grid). None means
-    unknown. The producers that know it set it (the free flow, the Duhamel
+    |k|_inf > W is exactly zero (W = n/2 is the whole grid), scanned from
+    `spectra` unless given. The producers give it (the free flow, the Duhamel
     sums, the pointwise maps). The stored stack `box` is the centered crop
-    |k|_inf <= W, of shape (N_t, 2W + 1, ..); with W >= n/2 or unknown it is
-    the whole (N_t, n, .., n) stack. The consumers read `box` (see _rebox);
-    `spectra`, the full-grid stack, is materialized read-only on access.
-    `spectra` passed in may be either stack: the full one is cropped (a view).
+    |k|_inf <= W, of shape (N_t, 2W + 1, ..); with W >= n/2 it is the whole
+    (N_t, n, .., n) stack. The consumers read `box` (see _rebox); `spectra`,
+    the full-grid stack, is materialized read-only on access. `spectra`
+    passed in may be the full stack or a box: it is re-centred (see _rebox).
     """
 
     quadrature = "trapezoid"
@@ -494,16 +484,18 @@ class Trajectory:
             raise ValueError("times must be a non-empty 1-d array")
         if t.size > 1 and np.any(np.diff(t) <= 0):
             raise ValueError("times must be strictly increasing")
-        width = _box_width(grid, support)
-        if spectra.shape == (t.size,) + grid.shape:
-            spectra = _rebox(spectra, grid.d, width)
-        if spectra.shape != (t.size,) + (width,) * grid.d:
+        have = spectra.shape[-1]
+        if spectra.shape != (t.size,) + (_box_width(grid, have // 2),) * grid.d:
             raise ValueError(
                 f"spectra shape {spectra.shape} != {(t.size,) + grid.shape}"
             )
+        if support is None:
+            support = _scan_support(grid, spectra)
+        width = _box_width(grid, support)
         self.grid = grid
         self.times = t
-        self.box = np.asarray(spectra, dtype=np.complex128)
+        self.box = np.asarray(spectra if have == width else _rebox(spectra, grid.d, width),
+                              dtype=np.complex128)
         self.support = support
 
     @classmethod
@@ -530,7 +522,8 @@ class Trajectory:
         return full
 
     def field(self, j: int) -> SpectralField:
-        return SpectralField._adopt(self.grid, _rebox(self.box[j], self.grid.d, self.grid.n))
+        return SpectralField._adopt(self.grid, _rebox(self.box[j], self.grid.d, self.grid.n),
+                                    self.support)
 
     def values(self, j: int) -> np.ndarray:
         return _centered_ifft(_rebox(self.box[j], self.grid.d, self.grid.n), self.grid)

@@ -112,13 +112,14 @@ def reference_apply_to_trajectory(spec, u):
     return out
 
 
-def reference_pointwise_map(fn, grid, *stacks, degree=None, support=None):
+def reference_pointwise_map(fn, grid, *stacks, degree=None):
     """spectral._pointwise_map as it was with the shifted pair: a roll of the
     spectra before the inverse transform and after the forward one, and
-    fresh arrays for every chunk. Returns (stack, reach) like the pass."""
-    sub, W = (spectral._support_grid(grid, stacks, 2 * degree, support) if degree
-              else (grid, None))
-    reach = grid.n // 2 if W is None else degree * W
+    fresh arrays for every chunk, for the joint support it scans. Returns
+    (stack, reach) like the pass."""
+    W = max(spectral._scan_support(grid, s) for s in stacks)
+    sub = spectral._support_grid(grid, 2 * degree, W) if degree else grid
+    reach = degree * W if sub.n < grid.n else grid.n // 2
     width = spectral._box_width(grid, reach)
     axes = tuple(range(-grid.d, 0))
     out = np.empty((stacks[0].shape[0],) + (width,) * grid.d, dtype=np.complex128)

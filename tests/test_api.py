@@ -1,5 +1,7 @@
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -15,3 +17,12 @@ def test_star_import(name):
     exec(f"from modnls.{name} import *", namespace)
     exported = getattr(importlib.import_module(f"modnls.{name}"), "__all__", [])
     assert set(exported) <= set(namespace)
+
+
+def test_no_assert_statements_in_src():
+    # python -O strips assert statements: an invariant of the package raises
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(Path(modnls.__file__).parent.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == []

@@ -1,11 +1,14 @@
 import json
 import math
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
 
-from modnls import cli, harness, spectral as sp
+from modnls import cli, dispersion as dsp, harness, spectral as sp
 from modnls.cli import main
 
 from conftest import band_limited_field
@@ -244,6 +247,38 @@ class TestConfigValues:
         assert read_json(tmp_path / "manifest.json")["status"] == "rejected"
 
 
+# (edit of PICARD_CONFIG, the key the rejection names); None stands for a
+# config whose root is a list
+_MALFORMED = {
+    "power_without_pattern": ({"nonlinearity": {"kind": "power", "coeff": [-1.0, 0.0]}},
+                              "pattern"),
+    "scalar_coeff": ({"nonlinearity": {"kind": "power", "pattern": "u,conj,u,u",
+                                       "coeff": -1.0}}, "coeff"),
+    "scalar_lambda": ({"nonlinearity": {"kind": "exponential", "lambda": -1.0,
+                                        "rho": 0.5}}, "lambda"),
+    "root_not_an_object": (None, "JSON object"),
+    "block_not_an_object": ({"solver": [0.2]}, "solver"),
+    "max_iters_zero": ({"solver": {"delta": 0.2, "max_iters": 0}}, "max_iters"),
+    # single-box draws at band 7 land in boxes |k| >= 3 for seed 0
+    "draw_outside_every_box": ({"grid": {"d": 2, "L_over_pi": 4, "n": 128},
+                                "initial_data": {"kind": "single-box", "band": 7}},
+                               "initial_data"),
+}
+
+
+class TestMalformedConfig:
+    @pytest.mark.parametrize("edit, key", list(_MALFORMED.values()), ids=list(_MALFORMED))
+    def test_rejected_naming_the_key(self, tmp_path, capsys, edit, key):
+        cfg = [PICARD_CONFIG] if edit is None else {**PICARD_CONFIG, **edit}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code = run_cli(["picard", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("rejected:") and key in err
+        assert read_json(tmp_path / "out" / "manifest.json")["status"] == "rejected"
+
+
 def _rejected_ledger(out_dir, capsys):
     """The ledger a rejected run wrote, after checking that stderr carries
     the same ledger and the manifest lists it."""
@@ -297,6 +332,56 @@ class TestRejectionLedger:
         assert code == 2
         led = _rejected_ledger(tmp_path / "out", capsys)
         assert led["q_le_m_plus_1"] is False and led["J"] == ["1/8", "1/6"]
+
+
+_OUTSIDE = {  # which coordinate leaves the admitted region -> the problem it raises
+    "m": "below minimal degree",
+    "r_low": "outside I", "r_high": "outside I",
+    "p_low": "outside J", "p_high": "outside J",
+    "s": "requires s > d/q'",
+}
+
+
+class TestRejectedRegion:
+    """Points just outside the admitted region exit 2 with their ledger. The
+    base point is admitted: m = m0, 1/r = max I and 1/p = max J, q = 1 and
+    s = 0; one coordinate then leaves it by 1/j of its interval's width, or
+    m drops to m0 - 1, or s sits on d/q' for q > 1."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(d=st.sampled_from([2, 3]), gamma=st.sampled_from([0.0, 1.0]),
+           side=st.sampled_from(sorted(_OUTSIDE)), j=st.integers(2, 8),
+           q=st.sampled_from([2, math.inf]))
+    def test_picard_exits_2_with_ledger(self, d, gamma, side, j, q):
+        m0 = dsp.compute_m0(d, gamma)
+        I = dsp.interval_I(m0, d, gamma)
+        J = dsp.interval_J(1 / I[1], d, gamma, m0)
+        inv_r, inv_p = {
+            "r_low": (I[0] - (I[1] - I[0]) / j, J[1]),
+            "r_high": (I[1] + (I[1] - I[0]) / j, J[1]),
+            "p_low": (I[1], J[0] - (J[1] - J[0]) / j),
+            "p_high": (I[1], J[1] + (J[1] - J[0]) / j),
+        }.get(side, (I[1], J[1]))
+        m = m0 - 1 if side == "m" else m0
+        q, s = (q, d * (1 - 1 / q)) if side == "s" else (1, 0.0)
+        cfg = {
+            "grid": {"d": d, "L_over_pi": 4, "n": 64},
+            "coeffs": {"alpha": 1.0, "beta": 1.0 - gamma, "gamma": gamma},
+            "nonlinearity": {"kind": "power", "pattern": ",".join(["u"] * (m + 1)),
+                             "coeff": [-1.0, 0.0]},
+            "window": {"t_min": 0.0, "t_max": 1.0, "nt": 5},
+            "norms": {"s": s, "q": "inf" if q == math.inf else q, "r": str(1 / inv_r),
+                      "p": str(1 / inv_p), "k_max": 2},
+            "initial_data": {"band": 1, "mod_norm": 0.05},
+        }
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg_path = Path(tmp) / "cfg.json"
+            cfg_path.write_text(json.dumps(cfg))
+            code = run_cli(["picard", "--config", str(cfg_path), "--out", tmp])
+            assert code == 2
+            led = read_json(Path(tmp) / "ledger.json")
+            assert read_json(Path(tmp) / "manifest.json")["status"] == "rejected"
+        assert len(led["problems"]) == 1 and _OUTSIDE[side] in led["problems"][0]
 
 
 VERIFY_CONFIG = {

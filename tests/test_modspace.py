@@ -319,8 +319,8 @@ class TestEngine:
         a = _random_stack(grid, 2, rng, band)
         b = _random_stack(grid, 2, rng, band)
         for stacks in (a, (a, b)):
-            fast = ms._BoxNormEngine(part, "fast").series(stacks, p)
-            ref = ms._BoxNormEngine(part, "reference").series(stacks, p)
+            fast = ms._BoxNormEngine(part, "fast").series(stacks, p, grid.n // 2)
+            ref = ms._BoxNormEngine(part, "reference").series(stacks, p, grid.n // 2)
             assert fast.shape == (len(part.boxes), 2)
             _assert_tables_close(fast, ref)
 
@@ -351,8 +351,8 @@ class TestEngine:
         for k1, k2 in ((K, -K), (-K, K)):
             sl = (slice(c + k1 * M - 2, c + k1 * M + 3), slice(c + k2 * M - 2, c + k2 * M + 3))
             spectra[(slice(None),) + sl] = rng.standard_normal((2, 5, 5)) + 1j
-        fast = ms._BoxNormEngine(part, "fast").series(spectra, p)
-        ref = ms._BoxNormEngine(part, "reference").series(spectra, p)
+        fast = ms._BoxNormEngine(part, "fast").series(spectra, p, grid.n // 2)
+        ref = ms._BoxNormEngine(part, "reference").series(spectra, p, grid.n // 2)
         _assert_tables_close(fast, ref)
         live = {part.boxes[i] for i in np.flatnonzero(fast.any(axis=1))}
         assert {(K, -K), (-K, K)} <= live
@@ -362,17 +362,17 @@ class TestEngine:
         grid, part = _engine_grid(2)
         rng = np.random.default_rng(50)
         zero = np.zeros((3,) + grid.shape, dtype=complex)
-        fast = ms._BoxNormEngine(part, "fast").series(zero, p)
+        fast = ms._BoxNormEngine(part, "fast").series(zero, p, grid.n // 2)
         assert fast.shape == (len(part.boxes), 3) and not fast.any()
         stack = _random_stack(grid, 3, rng, grid.M)
         stack[1] = 0.0
         other = stack.copy()
         other[2] += _random_stack(grid, 1, rng, grid.M)[0]
         for stacks in (stack, (stack, other)):
-            fast = ms._BoxNormEngine(part, "fast").series(stacks, p)
-            ref = ms._BoxNormEngine(part, "reference").series(stacks, p)
+            fast = ms._BoxNormEngine(part, "fast").series(stacks, p, grid.n // 2)
+            ref = ms._BoxNormEngine(part, "reference").series(stacks, p, grid.n // 2)
             _assert_tables_close(fast, ref)
-        pair = ms._BoxNormEngine(part, "fast").series((stack, other), p)
+        pair = ms._BoxNormEngine(part, "fast").series((stack, other), p, grid.n // 2)
         assert not pair[:, :2].any() and pair[:, 2].any()
 
     def test_even_p_beyond_the_grid_takes_the_full_grid(self):
@@ -380,14 +380,14 @@ class TestEngine:
         rng = np.random.default_rng(60)
         stack = _random_stack(grid, 1, rng, grid.M)
         p = grid.n // grid.M  # p * M = n: the reduced grid would not be smaller
-        fast = ms._BoxNormEngine(part, "fast").series(stack, p)
-        ref = ms._BoxNormEngine(part, "reference").series(stack, p)
+        fast = ms._BoxNormEngine(part, "fast").series(stack, p, grid.n // 2)
+        ref = ms._BoxNormEngine(part, "reference").series(stack, p, grid.n // 2)
         _assert_tables_close(fast, ref)
 
     def test_plancherel_pass_equals_box_operator(self, grid2d, partition2d):
         rng = np.random.default_rng(70)
         f = band_limited_field(grid2d, partition2d.k_max, rng)
-        table = ms._BoxNormEngine(partition2d, "fast").series(f.spectrum[None], 2)
+        table = ms._BoxNormEngine(partition2d, "fast").series(f.spectrum[None], 2, grid2d.n // 2)
         per_box = [sp.lp_norm(ms.box(partition2d, k, f), 2) for k in partition2d.boxes]
         np.testing.assert_allclose(table[:, 0], per_box, rtol=1e-12, atol=0.0)
 

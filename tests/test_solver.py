@@ -122,8 +122,9 @@ class TestDuhamel:
         # the prefix integrals, which scattering reads, from the same kernel,
         # summed in place over the source stack
         out, prefix = source.copy(), source.copy()
-        dsp.duhamel_sum(COEFFS, cfg.grid, u.times, out, base=u0.spectrum, coef=1j)
-        dsp.duhamel_sum(COEFFS, cfg.grid, u.times, prefix, prefix=True)
+        whole = cfg.grid.n // 2
+        dsp.duhamel_sum(COEFFS, cfg.grid, u.times, out, whole, base=u0.spectrum, coef=1j)
+        dsp.duhamel_sum(COEFFS, cfg.grid, u.times, prefix, whole, prefix=True)
         assert_rel_close(out, ref, 1e-13)
         assert_rel_close(prefix, ref_prefix, 1e-13)
 

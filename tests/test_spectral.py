@@ -137,7 +137,7 @@ class TestStackedLp:
         stack = np.stack([band_limited_field(grid2d_small, 2, rng).spectrum
                           for _ in range(11)])
         stack[4] = 0.0
-        series = sp._lp_series(stack, grid2d_small, p)
+        series = sp._lp_series(stack, grid2d_small, p, sp._scan_support(grid2d_small, stack))
         expected = [sp.lp_norm(sp.SpectralField(grid2d_small, spectrum=s), p) for s in stack]
         np.testing.assert_allclose(series, expected, rtol=1e-13, atol=0.0)
         assert series[4] == 0.0
@@ -152,7 +152,7 @@ class TestStackedLp:
         stack = np.stack([band_limited_field(grid2d_small, 1, rng).spectrum for _ in range(3)])
         stack[1, 32, 30] = np.nan
         with pytest.raises(ValueError, match="NaN values in field"):
-            sp._lp_series(stack, grid2d_small, p)
+            sp._lp_series(stack, grid2d_small, p, sp._scan_support(grid2d_small, stack))
 
 
 def _reduced_size(bound):
@@ -195,7 +195,7 @@ class TestSupportSizedPass:
         n = 2 ** min(log_n, {1: 12, 2: 7, 3: 6}[d])
         w = min(w, n // 2 - 1)
         grid, stack = support_stack(d, n, w, seed)
-        series = sp._lp_series(stack, grid, p)
+        series = sp._lp_series(stack, grid, p, sp._scan_support(grid, stack))
         ref = np.array([sp.lp_norm(sp.SpectralField(grid, spectrum=s), p) for s in stack])
         assert np.max(np.abs(series - ref)) <= 1e-13 * np.max(ref)
         if _reduced_size(p * w) >= n:
@@ -224,8 +224,7 @@ class TestRollFreePass:
         # the first input stored as its box, as a Trajectory keeps it
         stacks[0] = sp._rebox(stacks[0], d, 2 * w + 1)
         got, reach = sp._pointwise_map(fn, grid, *stacks, degree=degree, support=w)
-        ref, ref_reach = reference_pointwise_map(fn, grid, *stacks, degree=degree,
-                                                 support=w)
+        ref, ref_reach = reference_pointwise_map(fn, grid, *stacks, degree=degree)
         assert reach == ref_reach and np.array_equal(got, ref)
         assert (reach < n // 2) == (reduced and degree is not None)
 
@@ -236,9 +235,10 @@ class TestRollFreePass:
         for owner, name in ((np, "roll"), (np.fft, "fftshift"), (np.fft, "ifftshift")):
             monkeypatch.setattr(owner, name, banned)
         grid, stack = support_stack(2, 64, 12, 0)
-        sp._pointwise_map(lambda v: nl.evaluate(QUARTIC, v), grid, stack, degree=4)
+        W = sp._scan_support(grid, stack)
+        sp._pointwise_map(lambda v: nl.evaluate(QUARTIC, v), grid, stack, degree=4, support=W)
         for p in (6, 3):  # the reduced and the full grid
-            sp._lp_series(stack, grid, p)
+            sp._lp_series(stack, grid, p, W)
 
     @pytest.mark.parametrize("d, n", [(1, 64), (2, 16), (3, 8)])
     def test_inf_gains_no_nan(self, d, n):
@@ -255,7 +255,7 @@ class TestRollFreePass:
             return g
 
         with np.errstate(invalid="ignore"):
-            got = sp._pointwise_map(with_inf, grid, stack)[0]
+            got = sp._pointwise_map(with_inf, grid, stack, support=grid.n // 2)[0]
             ref = reference_pointwise_map(with_inf, grid, stack)[0]
         got, ref = got.view(np.float64), ref.view(np.float64)  # (re, im) pairs
         assert 0 < np.isnan(got).sum() == np.isnan(ref).sum() < got.size

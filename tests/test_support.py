@@ -55,8 +55,8 @@ def assert_vanishes_beyond(traj, W=None):
 
 
 def bare(traj):
-    """The same stack with its support unknown."""
-    return sp.Trajectory(traj.grid, traj.times, traj.spectra)
+    """The same stack stored on the whole grid, with the support n/2."""
+    return sp.Trajectory(traj.grid, traj.times, traj.spectra, traj.grid.n // 2)
 
 
 class TestProducers:
@@ -105,6 +105,15 @@ class TestProducers:
         assert traj.support == band * grid.M
         assert_vanishes_beyond(traj)
 
+    @settings(max_examples=30, deadline=None)
+    @given(d=st.sampled_from([1, 2, 3]), band=st.integers(1, 3), index=st.integers(0, 50),
+           law=st.sampled_from(hn.FIELD_LAWS))
+    def test_sample_field_support_is_the_full_grid_scan(self, d, band, index, law):
+        """sample_field scans its band box only; that is the whole-grid value."""
+        grid = sp.make_grid(d, 4 * math.pi, {1: 256, 2: 64, 3: 32}[d])
+        f = hn.sample_field(grid, hn.EnsembleSpec(count=1, seed=5, band=band, law=law), index)
+        assert f.support == sp._scan_support(grid, f.spectrum[None])
+
     @settings(max_examples=40, deadline=None)
     @given(**_CASES)
     def test_prefix_is_zero_beyond_the_support(self, d, log_n, w, seed, degree):
@@ -116,6 +125,51 @@ class TestProducers:
         assert_vanishes_beyond(sp.Trajectory(grid, times, prefix), w)
 
 
+class TestOneOwner:
+    """The support is scanned once, where the data is made, and then read."""
+
+    def test_picard_solve_scans_only_its_datum(self, monkeypatch):
+        grid = sp.make_grid(2, 4 * math.pi, 64)
+        _, stack = support_stack(2, 64, 5, seed=1, count=1)
+        u0 = sp.SpectralField(grid, spectrum=stack[0] * 0.3)
+        cfg = sv.SolveConfig(coeffs=COEFFS, nonlin=_power(4), grid=grid, t_min=0.0,
+                             t_max=1.0, nt=5, delta=1.0, k_max=2)
+        scanned = []
+        scan = sp._scan_support
+        monkeypatch.setattr(sp, "_scan_support",
+                            lambda grid, stack: scanned.append(stack) or scan(grid, stack))
+        sv.picard_solve(cfg, u0)
+        assert len(scanned) == 1 and np.shares_memory(scanned[0], u0.spectrum)
+        sv.picard_solve(cfg, u0)
+        assert len(scanned) == 1
+
+    @settings(max_examples=40, deadline=None)
+    @given(**_CASES, grow=st.integers(0, 8))
+    def test_scanned_support_is_stored_as_its_box(self, d, log_n, w, seed, degree, grow):
+        grid, w, stack, times = _case(d, log_n, w, seed)
+        wider = _boxed(stack, grid, min(w + grow, grid.n // 2))
+        for given_stack in (stack, wider):
+            traj = sp.Trajectory(grid, times, given_stack)
+            assert traj.support == w
+            assert np.array_equal(traj.box, _boxed(stack, grid, w))
+
+    @pytest.mark.parametrize("n", [64, 128, 256])
+    @pytest.mark.parametrize("p", [2, 6])
+    def test_field_tables_bitwise_with_the_support(self, n, p):
+        grid = sp.make_grid(2, 4 * math.pi, n)
+        K = (grid.n // (2 * grid.M) - 2) // 2
+        engine = ms._BoxNormEngine(
+            ms.build_partition(ms.PartitionSpec("trigonometric-window", K), grid))
+        for law in hn.FIELD_LAWS:
+            for band in (1, 2):
+                for index in range(2):
+                    f = hn.sample_field(grid, hn.EnsembleSpec(count=1, seed=9, band=band,
+                                                              law=law), index)
+                    spectra = f.spectrum[None]
+                    assert np.array_equal(engine.series(spectra, p, f.support),
+                                          engine.series(spectra, p, grid.n // 2))
+
+
 class TestConsumers:
     @settings(max_examples=40, deadline=None)
     @given(**_CASES)
@@ -124,17 +178,18 @@ class TestConsumers:
         fn = _power(degree)
         got, reach = sp._pointwise_map(lambda v: nl.evaluate(fn, v), grid, stack,
                                        degree=degree, support=w)
+        scanned = sp._scan_support(grid, stack)
         ref, ref_reach = sp._pointwise_map(lambda v: nl.evaluate(fn, v), grid, stack,
-                                           degree=degree)
+                                           degree=degree, support=scanned)
         assert reach == ref_reach and np.array_equal(got, ref)
         for p in (4, 6, 3):
-            assert np.array_equal(sp._lp_series(stack, grid, p, w), sp._lp_series(stack, grid, p))
+            assert np.array_equal(sp._lp_series(stack, grid, p, w),
+                                  sp._lp_series(stack, grid, p, scanned))
 
         outs, prefixes = [], []
-        for support in (w, None):
+        for support in (w, grid.n // 2):
             out, prefix = stack.copy(), stack.copy()
-            dsp.duhamel_sum(COEFFS, grid, times, out, base=stack[1], coef=1j,
-                            support=support)
+            dsp.duhamel_sum(COEFFS, grid, times, out, support, base=stack[1], coef=1j)
             dsp.duhamel_sum(COEFFS, grid, times, prefix, prefix=True, support=support)
             outs.append(out)
             prefixes.append(prefix)
@@ -146,7 +201,8 @@ class TestConsumers:
         grid, w, stack, times = _case(d, log_n, w, seed)
         u = sp.Trajectory(grid, times, stack, support=w)
         v = sp.Trajectory(grid, times, stack[::-1] * 0.5, support=w)
-        assert_rel_close(sp._lp_series(stack, grid, 2, w), sp._lp_series(stack, grid, 2), 1e-13)
+        assert_rel_close(sp._lp_series(stack, grid, 2, w),
+                         sp._lp_series(stack, grid, 2, grid.n // 2), 1e-13)
         assert_rel_close(sv.mass_series(u), sv.mass_series(bare(u)), 1e-13)
         assert_rel_close(np.array(sv.oracle_deviation(u, v)),
                          np.array(sv.oracle_deviation(bare(u), bare(v))), 1e-13)
@@ -227,11 +283,13 @@ class TestBoxStorage:
         # the pass, and the L^p series that run it: bitwise
         got, reach = sp._pointwise_map(lambda v: nl.evaluate(fn, v), grid, box,
                                        degree=degree, support=w)
+        scanned = sp._scan_support(grid, stack)
         ref, ref_reach = sp._pointwise_map(lambda v: nl.evaluate(fn, v), grid, stack,
-                                           degree=degree)
+                                           degree=degree, support=scanned)
         assert reach == ref_reach and np.array_equal(got, ref)
         for p in (4, 6, 3):
-            assert np.array_equal(sp._lp_series(box, grid, p, w), sp._lp_series(stack, grid, p))
+            assert np.array_equal(sp._lp_series(box, grid, p, w),
+                                  sp._lp_series(stack, grid, p, scanned))
 
         # the prefix sum, over a box-sized and a full-grid stack: bitwise
         out, prefix = box.copy(), box.copy()
@@ -247,22 +305,26 @@ class TestBoxStorage:
         part = ms.build_partition(ms.PartitionSpec("trigonometric-window", min(K, 4)), grid)
         engine = ms._BoxNormEngine(part)
         for stacks, full, W in (((box), stack, w), ((box, box2), (stack, other), w)):
-            l2 = engine.series(full, 2)
+            l2 = engine.series(full, 2, grid.n // 2)
             # the Plancherel sums on the box: within roundoff
-            assert_rel_close(engine.series(stacks, 2, support=W), l2, 1e-13)
-            assert_rel_close(sp._plancherel(stacks, grid, support=W),
-                             sp._plancherel(full, grid), 1e-13)
+            assert_rel_close(engine.series(stacks, 2, W), l2, 1e-13)
+            assert_rel_close(sp._plancherel(stacks, grid, W),
+                             sp._plancherel(full, grid, grid.n // 2), 1e-13)
             # the pruned DFT fed the same table: bitwise
-            assert np.array_equal(engine.series(stacks, 6, l2), engine.series(full, 6, l2))
+            assert np.array_equal(engine.series(stacks, 6, W, l2),
+                                  engine.series(full, 6, grid.n // 2, l2))
 
         u = sp.Trajectory(grid, times, box, support=w)
         v = sp.Trajectory(grid, times, box2, support=w2)
-        full_u, full_v = sp.Trajectory(grid, times, stack), sp.Trajectory(grid, times, other)
+        full_u, full_v = bare(u), bare(v)
         assert_rel_close(sv.mass_series(u), sv.mass_series(full_u), 1e-13)
         assert_rel_close(np.array(sv.oracle_deviation(u, v)),
                          np.array(sv.oracle_deviation(full_u, full_v)), 1e-13)
+        # a full stack with its support scanned: the same box, and the same pass
+        scanned_u = sp.Trajectory(grid, times, stack)
+        assert scanned_u.support == w and np.array_equal(scanned_u.box, box)
         assert np.array_equal(nl.apply_to_trajectory(fn, u).spectra,
-                              nl.apply_to_trajectory(fn, full_u).spectra)
+                              nl.apply_to_trajectory(fn, scanned_u).spectra)
 
 
 class TestBlockedOracle:

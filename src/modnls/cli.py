@@ -29,6 +29,7 @@ import numpy as np
 
 from . import __version__, dispersion as disp, harness, modspace, nonlinear, solver
 from .errors import HypothesisError, NumericsError
+from .nonlinear import _number_entry as _num  # a config number, or exit 2 naming its key
 from .spectral import (
     GridSpec,
     SpectralField,
@@ -129,19 +130,18 @@ def _block(cfg: dict, key: str, default: dict | None = None) -> dict:
 # The readers of the config blocks that both the solve subcommands and
 # `verify` have; each subcommand passes in its own documented defaults.
 def _read_grid(block: dict) -> GridSpec:
-    return make_grid(int(block.get("d", 2)), math.pi * int(block.get("L_over_pi", 4)),
-                     int(block.get("n", 128)))
+    return make_grid(_num(block, "d", 2, int), math.pi * _num(block, "L_over_pi", 4, int),
+                     _num(block, "n", 128, int))
 
 
 def _read_coeffs(block: dict, gamma: float) -> disp.EquationCoeffs:
-    return disp.EquationCoeffs(alpha=float(block.get("alpha", 1.0)),
-                               beta=float(block.get("beta", 0.0)),
-                               gamma=float(block.get("gamma", gamma)))
+    return disp.EquationCoeffs(alpha=_num(block, "alpha", 1.0), beta=_num(block, "beta", 0.0),
+                               gamma=_num(block, "gamma", gamma))
 
 
 def _read_partition(block: dict, k_max: int) -> tuple[str, int]:
     """(partition kind, k_max)."""
-    return block.get("partition", "trigonometric-window"), int(block.get("k_max", k_max))
+    return block.get("partition", "trigonometric-window"), _num(block, "k_max", k_max, int)
 
 
 def _build_solve_config(cfg: dict) -> solver.SolveConfig:
@@ -157,22 +157,22 @@ def _build_solve_config(cfg: dict) -> solver.SolveConfig:
         coeffs=coeffs,
         nonlin=nonlin,
         grid=grid,
-        t_min=float(w.get("t_min", 0.0)),
-        t_max=float(w.get("t_max", 8.0)),
-        nt=int(w.get("nt", 129)),
-        delta=float(sol.get("delta", 0.2)),
-        s=float(norms.get("s", 0.0)),
+        t_min=_num(w, "t_min", 0.0),
+        t_max=_num(w, "t_max", 8.0),
+        nt=_num(w, "nt", 129, int),
+        delta=_num(sol, "delta", 0.2),
+        s=_num(norms, "s", 0.0),
         q=_config_exponent(norms.get("q", 1)),
         r=_config_exponent(norms.get("r", 4)),
         p=_config_exponent(norms.get("p", 6)),
         partition_kind=partition_kind,
         k_max=k_max,
-        max_iters=int(sol.get("max_iters", 25)),
-        eps_fix=float(sol.get("eps_fix", 1e-10)),
-        oracle_substeps=int(sol.get("oracle_substeps", 2)),
+        max_iters=_num(sol, "max_iters", 25, int),
+        eps_fix=_num(sol, "eps_fix", 1e-10),
+        oracle_substeps=_num(sol, "oracle_substeps", 2, int),
         override_hypotheses=bool(sol.get("override_hypotheses", False)),
         exp_s_rule=sol.get("exp_s_rule", "s>=0"),
-        tail_tol=None if sol.get("tail_tol") is None else float(sol["tail_tol"]),
+        tail_tol=None if sol.get("tail_tol") is None else _num(sol, "tail_tol", None),
     )
 
 
@@ -185,16 +185,16 @@ def _initial_datum(cfg: dict, scfg: solver.SolveConfig, seed: int,
         return read_field(spec["file"])
     ens = harness.EnsembleSpec(
         count=1,
-        seed=int(spec.get("seed", seed)),
+        seed=_num(spec, "seed", seed, int),
         law=spec.get("kind", "gaussian-spectrum"),
-        decay=float(spec.get("decay", 2.0)),
-        band=int(spec.get("band", 1)),
+        decay=_num(spec, "decay", 2.0),
+        band=_num(spec, "band", 1, int),
     )
     f = harness.sample_field(scfg.grid, ens, 0)
     norm = modspace.mod_norm(f, scfg.mod_spec(), partition).value
     if norm == 0.0:
         raise ValueError(f"initial_data: the draw lies outside every box |k| <= {scfg.k_max}")
-    target = float(spec.get("mod_norm", scfg.delta / 2.0))
+    target = _num(spec, "mod_norm", scfg.delta / 2.0)
     return SpectralField._adopt(scfg.grid, f.spectrum * (target / norm), f.support)
 
 
@@ -377,12 +377,12 @@ def _cmd_verify(args, run: _Run) -> int:
         grid=grid, coeffs=_read_coeffs(v, gamma=1.0), q=1, s=0.0,
         partition=modspace.build_partition(
             modspace.PartitionSpec(*_read_partition(v, 5)), grid),
-        times=np.linspace(0.0, float(v.get("t_max", 8.0)), int(v.get("nt", 33))),
-        ens=harness.EnsembleSpec(count=int(v.get("count", 25)), seed=args.seed,
+        times=np.linspace(0.0, _num(v, "t_max", 8.0), _num(v, "nt", 33, int)),
+        ens=harness.EnsembleSpec(count=_num(v, "count", 25, int), seed=args.seed,
                                  law=v.get("law", "gaussian-spectrum"),
-                                 decay=float(v.get("decay", 2.0)),
-                                 amplitude=float(v.get("amplitude", 1.0)),
-                                 band=int(v.get("band", 1))),
+                                 decay=_num(v, "decay", 2.0),
+                                 amplitude=_num(v, "amplitude", 1.0),
+                                 band=_num(v, "band", 1, int)),
         kw={"probe": args.probe, "threads": args.threads})
     wanted = list(_VERIFY_CHECKS) if args.check == "all" else [args.check]
     summary, flagged = {}, False

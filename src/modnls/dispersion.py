@@ -141,6 +141,24 @@ def propagate_trajectory(coeffs: EquationCoeffs, times, u0: SpectralField) -> Tr
     return Trajectory(grid, times, stack, support=W)
 
 
+def _prefix_steps(coeffs: EquationCoeffs, grid: GridSpec, times, width: int, sources):
+    """The steps of the Duhamel prefix sum over source samples F_j, boxes of
+    `width` points per axis (see _rebox): each reads F_j, then yields the
+    phasor E_j = phasor(t_j) and acc_j (duhamel_sum), updated in place."""
+    terms = [_rebox(term, 1, width) for term in _axis_terms(coeffs, grid)]
+    acc = np.zeros((width,) * grid.d, dtype=np.complex128)
+    g, g_prev, tmp = (np.empty_like(acc) for _ in range(3))
+    for j, (t, source) in enumerate(zip(times, sources)):
+        e = _outer_phasor(terms, t)
+        np.multiply(np.conjugate(e, out=tmp), source, out=g)
+        if j > 0:
+            g_prev += g
+            g_prev *= (times[j] - times[j - 1]) * 0.5
+            acc += g_prev
+        g, g_prev = g_prev, g
+        yield e, acc
+
+
 def duhamel_sum(coeffs: EquationCoeffs, grid: GridSpec, times, stack: np.ndarray,
                 support: int, base: np.ndarray | None = None, coef: complex = 1.0,
                 prefix: bool = False) -> None:
@@ -148,10 +166,9 @@ def duhamel_sum(coeffs: EquationCoeffs, grid: GridSpec, times, stack: np.ndarray
 
     On entry stack[j] holds the source spectrum F(t_j); on return it holds
     W(t_j) (base + coef acc_j), where acc_j is the trapezoid integral of
-    W(-s) F(s) over [t_0, t_j]: the integrand g_j = conj(E_j) F_j with
-    E_j = phasor(t_j) is formed before stack[j] is overwritten, so one
-    sample of work space is all it takes. With `prefix` it holds acc_j
-    itself instead (`base` and `coef` are not read).
+    W(-s) F(s) over [t_0, t_j] (_prefix_steps): stack[j] is read before it
+    is overwritten, so a few samples of work space are all it takes. With
+    `prefix` it holds acc_j itself instead (`base` and `coef` are not read).
 
     Every source sample and `base` must vanish outside the box |k|_inf <= W
     of the `support` W (n/2: the whole grid); the sum runs on that box only,
@@ -160,20 +177,11 @@ def duhamel_sum(coeffs: EquationCoeffs, grid: GridSpec, times, stack: np.ndarray
     `base` is a full-grid spectrum.
     """
     width = _box_width(grid, support)
-    terms = [_rebox(term, 1, width) for term in _axis_terms(coeffs, grid)]
     view = _rebox(stack, grid.d, width)
     if base is not None:
         base = _rebox(base, grid.d, width)
-    acc = np.zeros(view.shape[1:], dtype=np.complex128)
-    g, g_prev, tmp = (np.empty_like(acc) for _ in range(3))
-    for j, t in enumerate(times):
-        e = _outer_phasor(terms, t)
-        np.multiply(np.conjugate(e, out=tmp), view[j], out=g)
-        if j > 0:
-            g_prev += g
-            g_prev *= (times[j] - times[j - 1]) * 0.5
-            acc += g_prev
-        g, g_prev = g_prev, g
+    tmp = np.empty(view.shape[1:], dtype=np.complex128)
+    for j, (e, acc) in enumerate(_prefix_steps(coeffs, grid, times, width, view)):
         if prefix:
             view[j] = acc
             continue

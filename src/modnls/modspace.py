@@ -123,6 +123,7 @@ class Partition:
         self.spec = spec
         self.grid = grid
         self.k_max = K
+        self.footprint = (K + 1) * M  # |k|_inf <= footprint holds all that a box norm reads
         offsets = (np.arange(2 * M + 1) - M) / M  # (-1 .. 1) at lattice spacing
         self.window_1d = _WINDOWS[spec.kind](offsets)
         # window must vanish at the ends so supp sigma_k stays inside B_sqrt(d)(k)
@@ -330,7 +331,8 @@ class _BoxNormEngine:
         (2M+1, R) synthesis matrix serves every box (the box offset only
         adds a unimodular phase), so each axis of the box windows is one
         matrix product. Only the boxes inside the bounding box of the
-        nonzero L^2 series are synthesized; the others are exactly zero.
+        nonzero L^2 series, and the samples from the first to the last with a
+        nonzero one, are synthesized; the others are exactly zero.
         """
         part = self.partition
         grid = part.grid
@@ -339,6 +341,8 @@ class _BoxNormEngine:
         live = l2.reshape((nb,) * d + (T,)).any(axis=-1)
         if not live.any():
             return self._by_box(out)
+        samples = np.flatnonzero(l2.any(axis=0))
+        s0, s1 = int(samples[0]), int(samples[-1]) + 1
         R = p * (M - 1) + 1
         synth = part.synthesis_matrix(R)
         K, lows, counts = part.k_max, [], []
@@ -355,9 +359,9 @@ class _BoxNormEngine:
         # chunks of (samples, boxes along axis 1) of about _CHUNK_BYTES each
         row_bytes = 16 * R**d * math.prod(counts[1:])
         k_step = _CHUNK_BYTES // row_bytes
-        sums = np.empty((T,) + tuple(counts))
-        for t0, t1 in _chunks(T, k_step // counts[0]):
-            region = _stack_rows(stacks, slice(t0, t1), d, 2 * (reach + 1) * M + 1)
+        sums = np.empty((s1 - s0,) + tuple(counts))
+        for t0, t1 in _chunks(s1 - s0, k_step // counts[0]):
+            region = _stack_rows(stacks, slice(s0 + t0, s0 + t1), d, 2 * (reach + 1) * M + 1)
             for k0, k1 in _chunks(counts[0], k_step):
                 lo = start + (lows[0] + k0) * M
                 x = region[(slice(None), slice(lo, lo + (k1 - k0 + 1) * M + 1)) + rest]
@@ -369,7 +373,7 @@ class _BoxNormEngine:
                 sums[t0:t1, k0:k1] = np.einsum(*[a, [0, 1]] * (p // 2), [0]).reshape(
                     x.shape[:-d])
         live_boxes = tuple(slice(lo, lo + c) for lo, c in zip(lows, counts))
-        out[(slice(None),) + live_boxes] = sums ** (1.0 / p) * (2.0 * grid.L / R) ** (d / p)
+        out[(slice(s0, s1),) + live_boxes] = sums ** (1.0 / p) * (2.0 * grid.L / R) ** (d / p)
         return self._by_box(out)
 
     def _full_grid(self, stacks, p: float) -> np.ndarray:

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .modspace import Partition, PlanchonNormSpec, planchon_norm
-from .spectral import SpectralField, Trajectory, _box_width, _pointwise_map, _stack_rows
+from .spectral import (SpectralField, Trajectory, _box_width, _pass_grid, _pointwise_chunks,
+                       _pointwise_map, _stack_rows)
 
 __all__ = [
     "NonlinSpec",
@@ -113,8 +114,8 @@ class NonlinSpec:
             return cls(
                 kind="exponential",
                 lam=_complex_entry(obj, "lambda"),
-                rho=float(obj.get("rho", 1.0)),
-                series_cutoff=int(obj.get("cutoff", 8)),
+                rho=_number_entry(obj, "rho", 1.0),
+                series_cutoff=_number_entry(obj, "cutoff", 8, int),
             )
         raise ValueError(f"unknown nonlinearity kind {kind!r}")
 
@@ -136,6 +137,15 @@ def _complex_entry(obj: dict, key: str) -> complex:
     if not (isinstance(c, list) and len(c) == 2 and all(isinstance(x, (int, float)) for x in c)):
         raise ValueError(f"nonlinearity.{key} must be a pair [re, im], got {c!r}")
     return complex(*c)
+
+
+def _number_entry(obj: dict, key: str, default, kind=float):
+    """obj[key], or `default`, as `kind`; a list or null is rejected naming the key."""
+    val = obj.get(key, default)
+    try:
+        return kind(val)
+    except (TypeError, ValueError):
+        raise ValueError(f"config key {key!r} must be a number, got {val!r}") from None
 
 
 def _power_values(spec: NonlinSpec, u: np.ndarray) -> np.ndarray:
@@ -226,6 +236,14 @@ def apply_to_trajectory(spec: NonlinSpec, u: Trajectory) -> Trajectory:
     out, reach = _pointwise_map(lambda vals: evaluate(spec, vals), u.grid, u.box,
                                 degree=degree, support=u.support)
     return Trajectory(u.grid, u.times, out, support=reach)
+
+
+def _f_chunks(spec: NonlinSpec, u: Trajectory):
+    """(the support of f(u), apply_to_trajectory's pass as the chunks
+    (rows, f(u) at samples rows) of _pointwise_chunks)."""
+    degree = spec.degree if spec.kind == "power" else None
+    return _pass_grid(u.grid, u.support, degree)[1], _pointwise_chunks(
+        lambda vals: evaluate(spec, vals), u.grid, u.box, support=u.support, degree=degree)
 
 
 @dataclass(frozen=True)

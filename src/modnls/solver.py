@@ -362,9 +362,9 @@ def split_step_oracle(cfg: SolveConfig, u0: SpectralField) -> Trajectory:
     nonlinear step; second-order, verified by step halving in the tests.
 
     The state stays in FFT order (k = 0 first, the per-axis phasor terms
-    shifted to match), so a step is a transform pair with no shifts; a
-    stored sample is shifted to math order once. The pointwise substep runs
-    over blocks of rows of _BLOCK_BYTES, which it does not see."""
+    shifted to match), so a step is an in-place transform pair with no
+    shifts; a stored sample is shifted to math order once. The pointwise
+    substep runs over blocks of rows of _BLOCK_BYTES, which it does not see."""
     times = cfg.times()
     grid = cfg.grid
     stack = np.empty((times.size,) + grid.shape, dtype=np.complex128)  # before the tables
@@ -375,20 +375,20 @@ def split_step_oracle(cfg: SolveConfig, u0: SpectralField) -> Trajectory:
     rows = max(1, _BLOCK_BYTES // (16 * grid.size // grid.n))
 
     stack[0] = u0.spectrum
-    spec = np.fft.ifftshift(u0.spectrum)
+    state = np.fft.ifftshift(u0.spectrum)
     for j in range(1, times.size):
         dt = (times[j] - times[j - 1]) / sub
         half = disp._outer_phasor(terms, 0.5 * dt)
         for _ in range(sub):
-            spec *= half
-            vals = np.fft.ifftn(spec, axes=axes)
-            vals /= scale
+            state *= half
+            np.fft.ifftn(state, axes=axes, out=state)
+            state /= scale
             for r0 in range(0, grid.n, rows):
-                vals[r0:r0 + rows] = _nonlinear_substep(cfg.nonlin, vals[r0:r0 + rows], dt)
-            spec = np.fft.fftn(vals, axes=axes)
-            spec *= scale
-            spec *= half
-        stack[j] = np.fft.fftshift(spec)
+                state[r0:r0 + rows] = _nonlinear_substep(cfg.nonlin, state[r0:r0 + rows], dt)
+            np.fft.fftn(state, axes=axes, out=state)
+            state *= scale
+            state *= half
+        stack[j] = np.fft.fftshift(state)
     return Trajectory(grid, times, stack)
 
 
@@ -415,6 +415,27 @@ def _quad_tolerance(times, g_norms) -> float:
     return float(dt**2 / 12.0 * np.sum(d2) * dt)
 
 
+def _integrand_sweep(cfg: SolveConfig, u: Trajectory, footprint: int):
+    """(the integral of W(-s) f(u(s)) over the window, f(u) on the box
+    |k|_inf <= footprint) in one pass over u: the integral is summed as the
+    chunks of f(u) go by, so no full-grid f(u) stack is made."""
+    grid, d = cfg.grid, cfg.grid.d
+    reach, chunks = nonlinear._f_chunks(cfg.nonlin, u)
+    support = min(reach, footprint)
+    crops = np.empty((u.n_samples,) + (_box_width(grid, support),) * d, dtype=np.complex128)
+
+    def sources():
+        for rows, f in chunks:
+            crops[rows] = _rebox(f, d, crops.shape[-1])
+            yield from f
+
+    for _, acc in disp._prefix_steps(cfg.coeffs, grid, u.times, _box_width(grid, reach),
+                                     sources()):
+        pass
+    return (SpectralField._adopt(grid, _rebox(acc, d, grid.n), reach),
+            Trajectory(grid, u.times, crops, support=support))
+
+
 def scatter_minus(cfg: SolveConfig, u0_minus: SpectralField,
                   partition: modspace.Partition | None = None):
     """Fixed point of the Duhamel operator with lower limit -infinity,
@@ -422,16 +443,18 @@ def scatter_minus(cfg: SolveConfig, u0_minus: SpectralField,
     ||u(t) - W(t) u0minus|| near the left end (it must shrink to zero).
     Checks the hypotheses once, scattering's q <= m + 1 included.
 
-    Returns (u, report, prefix): `prefix` holds the integrals of
-    W(-s) f(u(s)) from T_min to every sample, for the returned u. One pass
-    of the nonlinearity over u gives the integrand norms; the prefix is
-    then summed in place over that f(u) stack, so no third stack is made."""
+    Returns (u, report, total, prefix): `total` is the integral of
+    W(-s) f(u(s)) over the window, and `prefix` the integrals from T_min to
+    every sample on the partition's footprint, all that a modulation norm
+    reads. One pass over u sums `total` and keeps f(u) on the footprint,
+    which gives the integrand norms and is then summed in place into the
+    prefix: after the Picard loop, u is the only full-grid stack."""
     ledger = verify_hypotheses(cfg, scattering=True)
     partition = partition or cfg.partition()
     u, report = _run_fixed_point(cfg, u0_minus, ledger, partition)
 
     mspec = cfg.mod_spec()
-    f = nonlinear.apply_to_trajectory(cfg.nonlin, u)
+    total, f = _integrand_sweep(cfg, u, partition.footprint)
     g_norms = modspace.mod_norm_series(f, mspec, partition)
     # integrand magnitude at the window edges: the recorded decay assumption
     report.tail_rate_start, report.tail_rate_end = float(g_norms[0]), float(g_norms[-1])
@@ -448,23 +471,21 @@ def scatter_minus(cfg: SolveConfig, u0_minus: SpectralField,
     report.quad_tol = _quad_tolerance(u.times, g_norms)
     disp.duhamel_sum(cfg.coeffs, cfg.grid, u.times, f.box, f.support, prefix=True)
     report.tail_minus = modspace.mod_norm_series(f, mspec, partition).tolist()
-    return u, report, f
+    return u, report, total, f
 
 
-def wave_operator_plus(cfg: SolveConfig, u0_minus: SpectralField, prefix: Trajectory,
-                       partition: modspace.Partition | None = None):
-    """u0plus = u0minus + i * integral over the whole window of W(-s) f(u(s)),
-    read from the Duhamel prefix integrals that `scatter_minus` returns.
+def wave_operator_plus(cfg: SolveConfig, u0_minus: SpectralField, total: SpectralField,
+                       prefix: Trajectory, partition: modspace.Partition | None = None):
+    """u0plus = u0minus + i * total, from the integral over the whole window
+    and the prefix integrals that `scatter_minus` returns.
 
     Also returns the outgoing tail sequence ||W(-t)u(t) - u0plus|| in the
     modulation norm, which must shrink toward the right end of the window.
     """
-    last = prefix.box[-1]
-    full = _rebox(last, cfg.grid.d, cfg.grid.n)
-    u0_plus = SpectralField._adopt(cfg.grid, u0_minus.spectrum + 1j * full,
-                                   max(u0_minus.support, prefix.support))
+    u0_plus = SpectralField._adopt(cfg.grid, u0_minus.spectrum + 1j * total.spectrum,
+                                   max(u0_minus.support, total.support))
     tail_plus = modspace.mod_norm_series(
-        (np.broadcast_to(last, prefix.box.shape), prefix.box), cfg.mod_spec(),
+        (np.broadcast_to(prefix.box[-1], prefix.box.shape), prefix.box), cfg.mod_spec(),
         partition or cfg.partition())
     return u0_plus, tail_plus.tolist()
 
@@ -474,8 +495,8 @@ def scattering_map(cfg: SolveConfig, u0_minus: SpectralField,
     """Compose scatter_minus and wave_operator_plus: u0minus -> u0plus.
     `partition` defaults to cfg.partition(); either way it is built once."""
     partition = partition or cfg.partition()
-    u, report, prefix = scatter_minus(cfg, u0_minus, partition)
-    u0_plus, tail_plus = wave_operator_plus(cfg, u0_minus, prefix, partition)
+    u, report, total, prefix = scatter_minus(cfg, u0_minus, partition)
+    u0_plus, tail_plus = wave_operator_plus(cfg, u0_minus, total, prefix, partition)
     report.tail_plus = tail_plus
     out_norm = modspace.mod_norm(u0_plus, cfg.mod_spec(), partition).value
     if not math.isfinite(out_norm):

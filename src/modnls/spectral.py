@@ -255,30 +255,47 @@ def _support_grid(grid: GridSpec, factor: int, W: int) -> GridSpec:
     return GridSpec(grid.d, grid.L, n, grid.M) if n < grid.n else grid
 
 
-def _pointwise_map(fn, grid: GridSpec, *stacks: np.ndarray, support: int,
-                   degree: int | None = None) -> tuple[np.ndarray, int]:
-    """(spectral stack of fn(*samples) at every sample, its support), for fn
-    pointwise in x and inputs of joint `support` W: the pass to physical
-    space and back. For fn a polynomial of `degree` in its inputs the pass
-    runs on the support-sized grid (_support_grid) and returns the box
-    |k| <= degree W, that reach being the support (every other coefficient
-    is exactly zero). Otherwise the support is the whole grid, n/2. The
-    stack returned is stored as its box (see Trajectory).
-    The sign of _flip_odd, on the inputs and on fn's output, stands in for
-    the half-period shifts of the centered pair, bit for bit; the forward
-    transform runs in place on fn's output."""
+def _pass_grid(grid: GridSpec, support: int, degree: int | None) -> tuple[GridSpec, int]:
+    """(the grid of the pass of _pointwise_chunks, the reach of its output)."""
     sub = _support_grid(grid, 2 * degree, support) if degree else grid
-    reach = degree * support if sub.n < grid.n else grid.n // 2
+    return sub, (degree * support if sub.n < grid.n else grid.n // 2)
+
+
+def _pointwise_chunks(fn, grid: GridSpec, *stacks: np.ndarray, support: int,
+                      degree: int | None = None, out: np.ndarray | None = None):
+    """The pass to physical space and back, a chunk of samples at a time,
+    for fn pointwise in x on inputs of joint `support` W: yields (rows, F),
+    F the spectra of fn(*samples) at `rows` on the box of the reach, in
+    out[rows] if `out` is given, else in fn's output. A polynomial fn of
+    `degree` runs on the support-sized grid (_support_grid), and its reach
+    |k| <= degree W is its support; otherwise the reach is the grid, n/2.
+    The sign of _flip_odd, on the inputs and on fn's output, stands in for
+    the half-period shifts of the centered pair, bit for bit."""
+    sub, reach = _pass_grid(grid, support, degree)
     width = _box_width(grid, reach)
     axes = tuple(range(-grid.d, 0))
-    out = np.empty((stacks[0].shape[0],) + (width,) * grid.d, dtype=np.complex128)
     for rows, vals in _physical_chunks(sub, *stacks):
         for v in vals:
             _flip_odd(v, grid.d)
         g = np.asarray(fn(*vals), dtype=np.complex128)
         _flip_odd(g, grid.d)
         np.fft.fftn(g, axes=axes, out=g)
-        np.multiply(_rebox(g, grid.d, width), sub.h**grid.d, out=out[rows])
+        g = _rebox(g, grid.d, width)
+        dest = np.multiply(g, sub.h**grid.d, out=g if out is None else out[rows])
+        # with `out`, free fn's output before fn makes the next chunk's, so that
+        # malloc reuses the block instead of trimming it and faulting in new pages
+        del g
+        yield rows, dest
+
+
+def _pointwise_map(fn, grid: GridSpec, *stacks: np.ndarray, support: int,
+                   degree: int | None = None) -> tuple[np.ndarray, int]:
+    """(the spectral stack of _pointwise_chunks at every sample, its reach)."""
+    reach = _pass_grid(grid, support, degree)[1]
+    out = np.empty((stacks[0].shape[0],) + (_box_width(grid, reach),) * grid.d,
+                   dtype=np.complex128)
+    for _ in _pointwise_chunks(fn, grid, *stacks, support=support, degree=degree, out=out):
+        pass
     return out, reach
 
 

@@ -112,6 +112,24 @@ def reference_apply_to_trajectory(spec, u):
     return out
 
 
+def reference_scatter(cfg, u, u0_minus):
+    """What scattering reports after the Picard loop, from two full-grid
+    stacks: f(u) (reference_apply_to_trajectory), its integrand norms, and
+    the Duhamel prefix summed in place over it. The prefix is the kernel's,
+    not reference_duhamel's, whose full-grid phase exp rounds differently
+    from the separable phasor. Returns u0_plus and the report's fields."""
+    spec, partition = cfg.mod_spec(), cfg.partition()
+    source = reference_apply_to_trajectory(cfg.nonlin, u)
+    g_norms = modspace.mod_norm_series(source, spec, partition)
+    dsp.duhamel_sum(cfg.coeffs, cfg.grid, u.times, source, cfg.grid.n // 2, prefix=True)
+    last = np.broadcast_to(source[-1], source.shape)
+    return {"u0_plus": u0_minus.spectrum + 1j * source[-1],
+            "tail_minus": modspace.mod_norm_series(source, spec, partition).tolist(),
+            "tail_plus": modspace.mod_norm_series((last, source), spec, partition).tolist(),
+            "quad_tol": solver._quad_tolerance(u.times, g_norms),
+            "tail_rate_start": float(g_norms[0]), "tail_rate_end": float(g_norms[-1])}
+
+
 def reference_pointwise_map(fn, grid, *stacks, degree=None):
     """spectral._pointwise_map as it was with the shifted pair: a roll of the
     spectra before the inverse transform and after the forward one, and

@@ -259,6 +259,11 @@ _MALFORMED = {
     "root_not_an_object": (None, "JSON object"),
     "block_not_an_object": ({"solver": [0.2]}, "solver"),
     "max_iters_zero": ({"solver": {"delta": 0.2, "max_iters": 0}}, "max_iters"),
+    # a list or null where a number belongs
+    "list_grid_n": ({"grid": {"d": 2, "L_over_pi": 4, "n": [64]}}, "'n'"),
+    "null_window_nt": ({"window": {"t_min": 0.0, "t_max": 1.0, "nt": None}}, "'nt'"),
+    "list_rho": ({"nonlinearity": {"kind": "exponential", "lambda": [-1.0, 0.0],
+                                   "rho": [0.5]}}, "'rho'"),
     # single-box draws at band 7 land in boxes |k| >= 3 for seed 0
     "draw_outside_every_box": ({"grid": {"d": 2, "L_over_pi": 4, "n": 128},
                                 "initial_data": {"kind": "single-box", "band": 7}},

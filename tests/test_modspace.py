@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from modnls import dispersion as dsp, modspace as ms, spectral as sp
 
@@ -383,6 +384,24 @@ class TestEngine:
         fast = ms._BoxNormEngine(part, "fast").series(stack, p, grid.n // 2)
         ref = ms._BoxNormEngine(part, "reference").series(stack, p, grid.n // 2)
         _assert_tables_close(fast, ref)
+
+    @settings(max_examples=25, deadline=None)
+    @given(d=st.sampled_from([1, 2]), k_max=st.sampled_from([2, 3]),
+           samples=st.integers(1, 3), p=st.sampled_from([2, 3, 6, math.inf]),
+           method=st.sampled_from(["fast", "reference"]), seed=st.integers(0, 2**16))
+    def test_footprint_crop_gives_the_same_tables(self, d, k_max, samples, p, method, seed):
+        """The tables read nothing beyond Partition.footprint: a random stack
+        filling the grid and its crop to the footprint, box-stored as
+        scattering keeps its prefix, give the same tables bit for bit."""
+        grid = sp.make_grid(d, 4 * math.pi, 64)
+        part = ms.build_partition(ms.PartitionSpec("trigonometric-window", k_max), grid)
+        rng = np.random.default_rng(seed)
+        shape = (samples,) + grid.shape
+        stack = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        crop = sp._rebox(stack, d, 2 * part.footprint + 1)
+        engine = ms._BoxNormEngine(part, method)
+        assert np.array_equal(engine.series(crop, p, part.footprint),
+                              engine.series(stack, p, grid.n // 2))
 
     def test_plancherel_pass_equals_box_operator(self, grid2d, partition2d):
         rng = np.random.default_rng(70)

@@ -10,7 +10,7 @@ from modnls import spectral as sp
 from modnls.errors import HypothesisError, NumericsError
 
 from conftest import (assert_rel_close, band_limited_field, reference_duhamel,
-                      reference_split_step)
+                      reference_scatter, reference_split_step)
 
 COEFFS = dsp.EquationCoeffs(alpha=1.0, beta=0.0, gamma=1.0)
 QUARTIC = nl.NonlinSpec(kind="power", pattern=("u", "conj", "u", "u"), coeff=-1.0)
@@ -375,7 +375,7 @@ class TestScattering:
     def test_linear_flow_tail_zero(self, grid2d_small):
         cfg = small_config(grid2d_small, nonlin=ZERO, t_min=-2.0, t_max=2.0, nt=33)
         u0 = small_datum(cfg, seed=8)
-        u, rep, prefix = sv.scatter_minus(cfg, u0)
+        u, rep, total, prefix = sv.scatter_minus(cfg, u0)
         free = dsp.propagate_trajectory(COEFFS, cfg.times(), u0)
         scale = np.max(np.abs(free.spectra))
         assert np.max(np.abs(u.spectra - free.spectra)) < 1e-14 * scale
@@ -384,36 +384,62 @@ class TestScattering:
     def test_wave_operator_identity_for_linear(self, grid2d_small):
         cfg = small_config(grid2d_small, nonlin=ZERO, t_min=-2.0, t_max=2.0, nt=33)
         u0 = small_datum(cfg, seed=9)
-        u, rep, prefix = sv.scatter_minus(cfg, u0)
-        u0p, tails = sv.wave_operator_plus(cfg, u0, prefix)
+        u, rep, total, prefix = sv.scatter_minus(cfg, u0)
+        u0p, tails = sv.wave_operator_plus(cfg, u0, total, prefix)
         assert np.max(np.abs(u0p.spectrum - u0.spectrum)) == 0.0
         assert max(tails) == 0.0
 
     def test_prefix_integrates_f_of_the_returned_u(self, grid2d_small):
         cfg = small_config(grid2d_small, t_min=-2.0, t_max=2.0, nt=33)
         u0 = small_datum(cfg, seed=14)
-        u, rep, prefix = sv.scatter_minus(cfg, u0)
+        u, rep, total, prefix = sv.scatter_minus(cfg, u0)
         source = nl.apply_to_trajectory(cfg.nonlin, u).spectra
         _, ref_prefix = reference_duhamel(COEFFS, cfg.grid, u.times, source)
-        assert_rel_close(prefix.spectra, ref_prefix, 1e-13)
-        _, tail_plus = sv.wave_operator_plus(cfg, u0, prefix)
+        # the prefix on the footprint, the whole-window integral on the grid
+        assert_rel_close(prefix.box, sp._rebox(ref_prefix, 2, prefix.box.shape[-1]), 1e-13)
+        assert_rel_close(total.spectrum, ref_prefix[-1], 1e-13)
+        _, tail_plus = sv.wave_operator_plus(cfg, u0, total, prefix)
         assert rep.tail_minus[0] == 0.0 and tail_plus[-1] == 0.0
 
-    def test_prefix_is_summed_in_place(self, grid2d):
-        """scatter_minus holds two full stacks, u and f(u), and sums the prefix
-        over f(u): its allocation peak stays below 2.5 stacks (a separate
-        prefix stack would make it 3)."""
+    def test_prefix_is_summed_in_place(self, grid2d, monkeypatch):
+        """After the Picard loop scatter_minus holds no full-grid stack but u:
+        it keeps f(u) on the partition's footprint only and sums the prefix in
+        place over that, so it allocates less than half a stack beyond what
+        the loop returns (a full-grid f(u) or prefix stack would be one). The
+        whole call, loop included, stays below 2.5 stacks."""
         cfg = small_config(grid2d, t_min=-2.0, t_max=2.0, nt=33)
         u0 = small_datum(cfg, seed=14)
         partition = cfg.partition()
+        run_fixed_point, after_loop = sv._run_fixed_point, []
+
+        def traced(*args):
+            out = run_fixed_point(*args)
+            after_loop.extend(tracemalloc.get_traced_memory())  # (current, peak)
+            tracemalloc.reset_peak()
+            return out
+
+        monkeypatch.setattr(sv, "_run_fixed_point", traced)
         tracemalloc.start()
         try:
-            u, _, prefix = sv.scatter_minus(cfg, u0, partition)
+            u, _, total, prefix = sv.scatter_minus(cfg, u0, partition)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert u.box.shape == prefix.box.shape == (cfg.nt,) + cfg.grid.shape
-        assert peak < 2.5 * u.box.nbytes
+        assert u.box.shape == (cfg.nt,) + cfg.grid.shape
+        assert prefix.box.shape == (cfg.nt,) + (2 * partition.footprint + 1,) * 2
+        assert peak - after_loop[0] < 0.5 * u.box.nbytes
+        assert max(peak, after_loop[1]) < 2.5 * u.box.nbytes
+
+    @pytest.mark.parametrize("k_max, zero", [(2, False), (3, False), (2, True)])
+    def test_matches_the_two_stack_reference(self, grid2d_small, k_max, zero):
+        """u0+, both tails, quad_tol and the edge integrand norms are those of
+        f(u) and its prefix as full-grid stacks, bit for bit."""
+        cfg = small_config(grid2d_small, t_min=-2.0, t_max=2.0, nt=33, k_max=k_max)
+        u0 = sp.SpectralField.zero(cfg.grid) if zero else small_datum(cfg, seed=15)
+        u0p, u, rep = sv.scattering_map(cfg, u0)
+        ref = reference_scatter(cfg, u, u0)
+        assert u0p.spectrum.tobytes() == ref.pop("u0_plus").tobytes()
+        assert {key: getattr(rep, key) for key in ref} == ref
 
     def test_scattering_zero_maps_to_zero(self, grid2d):
         cfg = self._scatter_config(grid2d)

@@ -29,7 +29,6 @@ import numpy as np
 
 from . import __version__, dispersion as disp, harness, modspace, nonlinear, solver
 from .errors import HypothesisError, NumericsError
-from .nonlinear import _number_entry as _num  # a config number, or exit 2 naming its key
 from .spectral import (
     GridSpec,
     SpectralField,
@@ -63,15 +62,12 @@ def _dump_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True, default=_json_default) + "\n")
 
 
-def _parse_exponent(text: str):
+def _parse_exponent(x):
+    """An exponent kept exact: 4, "16/3", "inf", or a decimal (4.5 is 9/2)."""
+    text = x if isinstance(x, str) else repr(_scalar(x, int, float))
     if text in ("inf", "Inf", "infinity"):
         return math.inf
     return Fraction(text)
-
-
-def _config_exponent(x):
-    """A config exponent kept exact: 4, "16/3", "inf", or a decimal (4.5 is 9/2)."""
-    return _parse_exponent(x if isinstance(x, str) else repr(x))
 
 
 class _Run:
@@ -127,28 +123,91 @@ def _block(cfg: dict, key: str, default: dict | None = None) -> dict:
     return block
 
 
+def _reader(kind: str, convert):
+    """A config reader: read(block, key, default) is convert(block[key]), or
+    convert(default) when the key is absent. A value of the wrong kind, which
+    convert refuses, is rejected naming the key and the kind it takes."""
+    def read(block: dict, key: str, default):
+        val = block.get(key, default)
+        try:
+            return convert(val)
+        except (TypeError, ValueError, ArithmeticError):
+            raise ValueError(f"config key {key!r} must be {kind}, got {val!r}") from None
+    return read
+
+
+def _scalar(val, *types):
+    """val, if of one of `types`; a bool only if bool is one (JSON true is not 1)."""
+    if not isinstance(val, types) or (isinstance(val, bool) and bool not in types):
+        raise TypeError
+    return val
+
+
+def _finite(val) -> float:
+    x = float(_scalar(val, int, float, str))
+    if not math.isfinite(x):
+        raise ValueError
+    return x
+
+
+def _exact_int(val) -> int:
+    """Never through a float, so that a seed near 2^64 survives."""
+    if isinstance(val, float) and val.is_integer():
+        return int(val)
+    return int(_scalar(val, int, str))
+
+
+def _complex_pair(val) -> complex:
+    if not (isinstance(val, list) and len(val) == 2):
+        raise TypeError
+    return complex(*map(_finite, val))
+
+
+_number = _reader("a finite number", _finite)
+_bound = _reader("a finite number or null", lambda v: None if v is None else _finite(v))
+_integer = _reader("an integer", _exact_int)
+_flag = _reader("true or false", lambda v: _scalar(v, bool))
+_string = _reader("a string", lambda v: _scalar(v, str))
+_pair = _reader("a pair [re, im] of finite numbers", _complex_pair)
+_exponent = _reader('an exponent: a number, a fraction string or "inf"', _parse_exponent)
+
+
 # The readers of the config blocks that both the solve subcommands and
 # `verify` have; each subcommand passes in its own documented defaults.
 def _read_grid(block: dict) -> GridSpec:
-    return make_grid(_num(block, "d", 2, int), math.pi * _num(block, "L_over_pi", 4, int),
-                     _num(block, "n", 128, int))
+    return make_grid(_integer(block, "d", 2), math.pi * _integer(block, "L_over_pi", 4),
+                     _integer(block, "n", 128))
 
 
 def _read_coeffs(block: dict, gamma: float) -> disp.EquationCoeffs:
-    return disp.EquationCoeffs(alpha=_num(block, "alpha", 1.0), beta=_num(block, "beta", 0.0),
-                               gamma=_num(block, "gamma", gamma))
+    return disp.EquationCoeffs(_number(block, "alpha", 1.0), _number(block, "beta", 0.0),
+                               _number(block, "gamma", gamma))
 
 
 def _read_partition(block: dict, k_max: int) -> tuple[str, int]:
     """(partition kind, k_max)."""
-    return block.get("partition", "trigonometric-window"), _num(block, "k_max", k_max, int)
+    return _string(block, "partition", "trigonometric-window"), _integer(block, "k_max", k_max)
+
+
+def _read_nonlinearity(block: dict) -> nonlinear.NonlinSpec:
+    """The `nonlinearity` block: {"kind": "zero"}, a power with its comma-
+    separated `pattern` and complex `coeff`, or the exponential with its
+    complex `lambda` and `rho`; coeff and lambda default to 1."""
+    kind = _string(block, "kind", None)
+    if kind == "power":
+        pattern = tuple(t.strip() for t in _string(block, "pattern", None).split(","))
+        return nonlinear.NonlinSpec(kind, pattern, coeff=_pair(block, "coeff", [1.0, 0.0]))
+    if kind == "exponential":
+        return nonlinear.NonlinSpec(kind, lam=_pair(block, "lambda", [1.0, 0.0]),
+                                    rho=_number(block, "rho", 1.0))
+    return nonlinear.NonlinSpec(kind)
 
 
 def _build_solve_config(cfg: dict) -> solver.SolveConfig:
     """The solve subcommands' config: gamma defaults to 0 and k_max to 4."""
     grid = _read_grid(_block(cfg, "grid"))
     coeffs = _read_coeffs(_block(cfg, "coeffs"), gamma=0.0)
-    nonlin = nonlinear.NonlinSpec.from_json(_block(cfg, "nonlinearity", {"kind": "zero"}))
+    nonlin = _read_nonlinearity(_block(cfg, "nonlinearity", {"kind": "zero"}))
     w = _block(cfg, "window")
     norms = _block(cfg, "norms")
     sol = _block(cfg, "solver")
@@ -157,22 +216,22 @@ def _build_solve_config(cfg: dict) -> solver.SolveConfig:
         coeffs=coeffs,
         nonlin=nonlin,
         grid=grid,
-        t_min=_num(w, "t_min", 0.0),
-        t_max=_num(w, "t_max", 8.0),
-        nt=_num(w, "nt", 129, int),
-        delta=_num(sol, "delta", 0.2),
-        s=_num(norms, "s", 0.0),
-        q=_config_exponent(norms.get("q", 1)),
-        r=_config_exponent(norms.get("r", 4)),
-        p=_config_exponent(norms.get("p", 6)),
+        t_min=_number(w, "t_min", 0.0),
+        t_max=_number(w, "t_max", 8.0),
+        nt=_integer(w, "nt", 129),
+        delta=_number(sol, "delta", 0.2),
+        s=_number(norms, "s", 0.0),
+        q=_exponent(norms, "q", 1),
+        r=_exponent(norms, "r", 4),
+        p=_exponent(norms, "p", 6),
         partition_kind=partition_kind,
         k_max=k_max,
-        max_iters=_num(sol, "max_iters", 25, int),
-        eps_fix=_num(sol, "eps_fix", 1e-10),
-        oracle_substeps=_num(sol, "oracle_substeps", 2, int),
-        override_hypotheses=bool(sol.get("override_hypotheses", False)),
-        exp_s_rule=sol.get("exp_s_rule", "s>=0"),
-        tail_tol=None if sol.get("tail_tol") is None else _num(sol, "tail_tol", None),
+        max_iters=_integer(sol, "max_iters", 25),
+        eps_fix=_number(sol, "eps_fix", 1e-10),
+        oracle_substeps=_integer(sol, "oracle_substeps", 2),
+        override_hypotheses=_flag(sol, "override_hypotheses", False),
+        exp_s_rule=_string(sol, "exp_s_rule", "s>=0"),
+        tail_tol=_bound(sol, "tail_tol", None),
     )
 
 
@@ -182,30 +241,30 @@ def _initial_datum(cfg: dict, scfg: solver.SolveConfig, seed: int,
     rescaled to the target modulation norm (delta / 2 by default)."""
     spec = _block(cfg, "initial_data")
     if "file" in spec:
-        return read_field(spec["file"])
+        return read_field(_string(spec, "file", None))
     ens = harness.EnsembleSpec(
         count=1,
-        seed=_num(spec, "seed", seed, int),
-        law=spec.get("kind", "gaussian-spectrum"),
-        decay=_num(spec, "decay", 2.0),
-        band=_num(spec, "band", 1, int),
+        seed=_integer(spec, "seed", seed),
+        law=_string(spec, "kind", "gaussian-spectrum"),
+        decay=_number(spec, "decay", 2.0),
+        band=_integer(spec, "band", 1),
     )
     f = harness.sample_field(scfg.grid, ens, 0)
     norm = modspace.mod_norm(f, scfg.mod_spec(), partition).value
     if norm == 0.0:
         raise ValueError(f"initial_data: the draw lies outside every box |k| <= {scfg.k_max}")
-    target = _num(spec, "mod_norm", scfg.delta / 2.0)
+    target = _number(spec, "mod_norm", scfg.delta / 2.0)
     return SpectralField._adopt(scfg.grid, f.spectrum * (target / norm), f.support)
 
 
 def _solve_setup(args, run: _Run):
-    """The preamble of the solve subcommands: the config (its text recorded
-    for the manifest), the SolveConfig, its partition and the initial datum."""
+    """The preamble of the solve subcommands: the SolveConfig, its partition
+    and the initial datum read from the config (its text kept for the manifest)."""
     cfg = _load_config(args)
     run.config_text = json.dumps(cfg, sort_keys=True)
     scfg = _build_solve_config(cfg)
     partition = scfg.partition()
-    return cfg, scfg, partition, _initial_datum(cfg, scfg, args.seed, partition)
+    return scfg, partition, _initial_datum(cfg, scfg, args.seed, partition)
 
 
 def _series_csv(run: _Run, name: str, cfg: solver.SolveConfig, traj,
@@ -276,7 +335,7 @@ def _cmd_norm(args, run: _Run) -> int:
 
 
 def _cmd_evolve(args, run: _Run) -> int:
-    _, scfg, partition, u0 = _solve_setup(args, run)
+    scfg, partition, u0 = _solve_setup(args, run)
     traj = solver.split_step_oracle(scfg, u0)
     write_trajectory(run.path("trajectory.bin"), traj)
     masses = _series_csv(run, "series.csv", scfg, traj, partition)
@@ -292,7 +351,7 @@ def _cmd_evolve(args, run: _Run) -> int:
 
 
 def _cmd_picard(args, run: _Run) -> int:
-    cfg, scfg, partition, u0 = _solve_setup(args, run)
+    scfg, partition, u0 = _solve_setup(args, run)
     if args.bisect_delta:
         result = solver.delta_bisection(scfg, u0, partition=partition)
         rep = result["report"]
@@ -306,9 +365,7 @@ def _cmd_picard(args, run: _Run) -> int:
                           "theta_hat": rep.theta_hat}, sort_keys=True))
         return EXIT_OK
     traj, rep = solver.picard_solve(scfg, u0, partition)
-    if cfg.get("solver", {}).get("compare_oracle", True):
-        oracle = solver.split_step_oracle(scfg, u0)
-        rep.oracle_deviation = solver.oracle_deviation(traj, oracle)
+    rep.oracle_deviation = solver.oracle_deviation(traj, solver.split_step_oracle(scfg, u0))
     write_trajectory(run.path("trajectory.bin"), traj)
     _series_csv(run, "series.csv", scfg, traj, partition)
     _dump_json(run.path("report.json"), rep.to_json())
@@ -319,7 +376,7 @@ def _cmd_picard(args, run: _Run) -> int:
 
 
 def _cmd_scatter(args, run: _Run) -> int:
-    _, scfg, partition, u0_minus = _solve_setup(args, run)
+    scfg, partition, u0_minus = _solve_setup(args, run)
     u0_plus, traj, rep = solver.scattering_map(scfg, u0_minus, partition)
     write_field(run.path("u0_plus.bin"), u0_plus)
     write_trajectory(run.path("trajectory.bin"), traj)
@@ -377,12 +434,12 @@ def _cmd_verify(args, run: _Run) -> int:
         grid=grid, coeffs=_read_coeffs(v, gamma=1.0), q=1, s=0.0,
         partition=modspace.build_partition(
             modspace.PartitionSpec(*_read_partition(v, 5)), grid),
-        times=np.linspace(0.0, _num(v, "t_max", 8.0), _num(v, "nt", 33, int)),
-        ens=harness.EnsembleSpec(count=_num(v, "count", 25, int), seed=args.seed,
-                                 law=v.get("law", "gaussian-spectrum"),
-                                 decay=_num(v, "decay", 2.0),
-                                 amplitude=_num(v, "amplitude", 1.0),
-                                 band=_num(v, "band", 1, int)),
+        times=np.linspace(0.0, _number(v, "t_max", 8.0), _integer(v, "nt", 33)),
+        ens=harness.EnsembleSpec(count=_integer(v, "count", 25), seed=args.seed,
+                                 law=_string(v, "law", "gaussian-spectrum"),
+                                 decay=_number(v, "decay", 2.0),
+                                 amplitude=_number(v, "amplitude", 1.0),
+                                 band=_integer(v, "band", 1)),
         kw={"probe": args.probe, "threads": args.threads})
     wanted = list(_VERIFY_CHECKS) if args.check == "all" else [args.check]
     summary, flagged = {}, False

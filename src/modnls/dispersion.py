@@ -258,19 +258,11 @@ def admissible_defect(d: int, c_gamma: int, p, r) -> Fraction:
     return 2 * inv_exponent(r) + w * inv_exponent(p) - w / 2
 
 
-def _ceil_fraction(x: Fraction) -> int:
-    return -((-x.numerator) // x.denominator)
-
-
-def _floor_fraction(x: Fraction) -> int:
-    return x.numerator // x.denominator
-
-
 def compute_m0(d: int, gamma: float) -> int:
     """Minimal nonlinearity degree m0 = ceil(4 / (d - 1/c_gamma)), d >= 2."""
     if d < 2:
         raise HypothesisError(f"theory requires d >= 2, got d = {d}")
-    return _ceil_fraction(4 / _weight(d, c_gamma_of(gamma)))
+    return math.ceil(4 / _weight(d, c_gamma_of(gamma)))
 
 
 def interval_I(m: int, d: int, gamma: float) -> tuple[Fraction, Fraction]:
@@ -291,7 +283,7 @@ def effective_l(r, m: int, m0: int) -> int:
     r = _as_exponent(r)
     if r == INF:
         raise ValueError("r must be finite here (1/r lies in a closed interval)")
-    l_floor = min(_floor_fraction(r) - 1, m)
+    l_floor = min(math.floor(r) - 1, m)
     inv_r = Fraction(1) / r
     candidates = [
         k for k in range(m0, m + 1)

@@ -43,8 +43,7 @@ class NonlinSpec:
 
     kind "power": `pattern` is a tuple over {"u", "conj"} of length m+1 and
     `coeff` an arbitrary complex coefficient.
-    kind "exponential": lambda (exp(rho |u|^2) - 1) u with rho > 0 and a
-    series cutoff used by the cross-check path.
+    kind "exponential": lambda (exp(rho |u|^2) - 1) u with rho > 0.
     """
 
     kind: str
@@ -52,7 +51,6 @@ class NonlinSpec:
     coeff: complex = 1.0
     lam: complex = 1.0
     rho: float = 1.0
-    series_cutoff: int = 8
 
     def __post_init__(self):
         if self.kind == "power":
@@ -64,8 +62,6 @@ class NonlinSpec:
         elif self.kind == "exponential":
             if self.rho <= 0:
                 raise ValueError(f"rho must be positive, got {self.rho}")
-            if self.series_cutoff < 1:
-                raise ValueError("series cutoff must be >= 1")
         elif self.kind != "zero":
             raise ValueError(f"unknown nonlinearity kind {self.kind!r}")
 
@@ -99,54 +95,6 @@ class NonlinSpec:
         pattern = (PLAIN, CONJ) * m_half + (PLAIN,)
         return cls(kind="power", pattern=pattern, coeff=coeff)
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "NonlinSpec":
-        kind = obj.get("kind")
-        if kind == "zero":
-            return cls(kind="zero")
-        if kind == "power":
-            pattern = obj.get("pattern")
-            if not isinstance(pattern, str):
-                raise ValueError(f"nonlinearity.pattern must be a string, got {pattern!r}")
-            return cls(kind="power", pattern=tuple(tok.strip() for tok in pattern.split(",")),
-                       coeff=_complex_entry(obj, "coeff"))
-        if kind == "exponential":
-            return cls(
-                kind="exponential",
-                lam=_complex_entry(obj, "lambda"),
-                rho=_number_entry(obj, "rho", 1.0),
-                series_cutoff=_number_entry(obj, "cutoff", 8, int),
-            )
-        raise ValueError(f"unknown nonlinearity kind {kind!r}")
-
-    def to_json(self) -> dict:
-        if self.kind == "zero":
-            return {"kind": "zero"}
-        if self.kind == "power":
-            c = complex(self.coeff)
-            return {"kind": "power", "pattern": ",".join(self.pattern),
-                    "coeff": [c.real, c.imag]}
-        lam = complex(self.lam)
-        return {"kind": "exponential", "lambda": [lam.real, lam.imag],
-                "rho": self.rho, "cutoff": self.series_cutoff}
-
-
-def _complex_entry(obj: dict, key: str) -> complex:
-    """The [re, im] pair under `key` of a nonlinearity block (default 1)."""
-    c = obj.get(key, [1.0, 0.0])
-    if not (isinstance(c, list) and len(c) == 2 and all(isinstance(x, (int, float)) for x in c)):
-        raise ValueError(f"nonlinearity.{key} must be a pair [re, im], got {c!r}")
-    return complex(*c)
-
-
-def _number_entry(obj: dict, key: str, default, kind=float):
-    """obj[key], or `default`, as `kind`; a list or null is rejected naming the key."""
-    val = obj.get(key, default)
-    try:
-        return kind(val)
-    except (TypeError, ValueError):
-        raise ValueError(f"config key {key!r} must be a number, got {val!r}") from None
-
 
 def _power_values(spec: NonlinSpec, u: np.ndarray) -> np.ndarray:
     uc = np.conj(u) if CONJ in spec.pattern else None
@@ -176,33 +124,30 @@ def evaluate(spec: NonlinSpec, u: np.ndarray) -> np.ndarray:
     return _exponential_values(spec, u)
 
 
-def exponential_series(spec: NonlinSpec, u: SpectralField,
-                       cutoff: int | None = None) -> SpectralField:
-    """Truncated series lambda sum_{m=1}^{M} rho^m/m! |u|^{2m} u."""
+def exponential_series(spec: NonlinSpec, u: SpectralField, cutoff: int) -> SpectralField:
+    """Truncated series lambda sum_{m=1}^{M} rho^m/m! |u|^{2m} u, M = cutoff."""
     if spec.kind != "exponential":
         raise ValueError(f"expected exponential kind, got {spec.kind!r}")
-    M = spec.series_cutoff if cutoff is None else cutoff
     asq = np.abs(u.values) ** 2
     acc = np.zeros_like(asq)
     term = np.ones_like(asq)
-    for m in range(1, M + 1):
+    for m in range(1, cutoff + 1):
         term = term * (spec.rho / m) * asq
         acc = acc + term
     return SpectralField(u.grid, values=complex(spec.lam) * acc * u.values)
 
 
-def exponential_tail_bound(spec: NonlinSpec, u: SpectralField,
-                           cutoff: int | None = None) -> float:
-    """Sup-norm bound on the series remainder after M terms.
+def exponential_tail_bound(spec: NonlinSpec, u: SpectralField, cutoff: int) -> float:
+    """Sup-norm bound on the series remainder after M = cutoff terms.
 
     With x = rho ||u||_inf^2 the remainder of exp at order M is at most
     x^(M+1)/(M+1)! * e^x, so the pointwise deviation is bounded by
     |lambda| ||u||_inf times that.
     """
-    M = spec.series_cutoff if cutoff is None else cutoff
     sup = float(np.abs(u.values).max())
     x = spec.rho * sup**2
-    return abs(complex(spec.lam)) * sup * x ** (M + 1) / math.factorial(M + 1) * math.exp(x)
+    return (abs(complex(spec.lam)) * sup * x ** (cutoff + 1) / math.factorial(cutoff + 1)
+            * math.exp(x))
 
 
 def aliasing_residual(spec: NonlinSpec, u: SpectralField) -> float:

@@ -80,12 +80,13 @@ class SolveConfig:
     tail_tol: float | None = None  # hard bound on the window-edge integrand, if set
 
     def __post_init__(self):
-        if not self.t_min < self.t_max:
-            raise ValueError("need t_min < t_max")
+        # chained comparisons, so that NaN and an infinite end fail them too
+        if not -math.inf < self.t_min < self.t_max < math.inf:
+            raise ValueError(f"need finite t_min < t_max, got {self.t_min}, {self.t_max}")
         if self.nt < 2:
             raise ValueError("need at least two time samples")
-        if self.delta <= 0:
-            raise ValueError("delta must be positive")
+        if not 0 < self.delta < math.inf:
+            raise ValueError(f"delta must be positive and finite, got {self.delta}")
         if self.max_iters < 1:
             raise ValueError(f"solver.max_iters must be >= 1, got {self.max_iters}")
         if self.exp_s_rule not in ("s>=0", "s>=p"):

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
+from functools import partial
 from itertools import product
 
 import numpy as np
@@ -146,21 +147,24 @@ def _abs2(x: np.ndarray) -> np.ndarray:
     return np.square(x.real) + np.square(x.imag)
 
 
-def _centered_ifft(spectrum: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Math-ordered spectra -> math-ordered samples (x ascending from -L),
-    over the trailing d axes."""
-    axes = tuple(range(-grid.d, 0))
-    vals = np.fft.fftshift(np.fft.ifftn(np.fft.ifftshift(spectrum, axes), axes=axes), axes)
-    vals /= grid.h**grid.d
-    return vals
+def _centered(transform, scale, x: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """A copy of x transformed by T (np.fft.ifftn or fftn) over its trailing
+    d axes and scaled by h^d (np.divide or np.multiply), with the half-period
+    shifts of the centered pair but no shift made: for the sign s of
+    _flip_odd, fftshift(T(ifftshift(x))) = (-1)^(d n/2) s T(s x) bit for bit,
+    and the factor (-1)^(d n/2) is -1 only for n = 2 points in odd d."""
+    out = np.array(x, dtype=np.complex128)
+    _flip_odd(out, grid.d)
+    transform(out, axes=tuple(range(-grid.d, 0)), out=out)
+    _flip_odd(out, grid.d)
+    if grid.n == 2 and grid.d % 2:
+        np.negative(out, out=out)
+    return scale(out, grid.h**grid.d, out=out)
 
 
-def _centered_fft(values: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Inverse of _centered_ifft."""
-    axes = tuple(range(-grid.d, 0))
-    spec = np.fft.fftshift(np.fft.fftn(np.fft.ifftshift(values, axes), axes=axes), axes)
-    spec *= grid.h**grid.d
-    return spec
+# math-ordered spectra -> math-ordered samples (x ascending from -L), and back
+_centered_ifft = partial(_centered, np.fft.ifftn, np.divide)
+_centered_fft = partial(_centered, np.fft.fftn, np.multiply)
 
 
 def _flip_odd(x: np.ndarray, d: int) -> None:

@@ -318,7 +318,7 @@ def test_criterion_8_exponential_nonlinearity():
     that matches the oracle to 1e-4."""
     t0 = time.perf_counter()
     grid = sp.make_grid(2, 4 * math.pi, 128)
-    espec = nl.NonlinSpec(kind="exponential", lam=-1.0, rho=0.5, series_cutoff=12)
+    espec = nl.NonlinSpec(kind="exponential", lam=-1.0, rho=0.5)
     ens = hn.EnsembleSpec(count=20, seed=8, law="gaussian-spectrum",
                           amplitude=0.5, band=1)
     eps = np.finfo(float).eps

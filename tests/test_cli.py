@@ -88,6 +88,26 @@ class TestConfigReaders:
         assert scfg.coeffs.gamma == 0.0 and scfg.k_max == 4
         assert scfg.partition_kind == "trigonometric-window"
 
+    def test_nonlinearity_block(self):
+        spec = cli._read_nonlinearity(
+            {"kind": "power", "pattern": "u, conj,u", "coeff": [-1.0, 0.0]})
+        assert spec.pattern == ("u", "conj", "u") and spec.coeff == -1.0
+        espec = cli._read_nonlinearity({"kind": "exponential", "lambda": [0.0, 1.0], "rho": 0.5})
+        assert espec.lam == 1j and espec.rho == 0.5
+        assert cli._read_nonlinearity({"kind": "zero"}).kind == "zero"
+
+    def test_typed_readers(self):
+        big = 2**64 - 1  # a seed this large must not pass through a float
+        assert cli._integer({"seed": big}, "seed", 0) == big
+        assert cli._integer({"seed": str(big)}, "seed", 0) == big
+        assert cli._integer({"n": 64.0}, "n", 128) == 64 and cli._integer({}, "n", 128) == 128
+        assert cli._number({"tail_tol": "1e3"}, "tail_tol", None) == 1000.0
+        assert cli._bound({"tail_tol": None}, "tail_tol", 1.0) is None
+        assert cli._exponent({"p": 4.5}, "p", 6) == Fraction(9, 2)
+        assert cli._exponent({"p": "16/3"}, "p", 6) == Fraction(16, 3)
+        assert cli._exponent({"q": "inf"}, "q", 1) == math.inf
+        assert cli._flag({}, "override_hypotheses", False) is False
+
     def test_empty_verify_block_defaults(self, tmp_path, monkeypatch):
         seen = {}
 
@@ -264,6 +284,21 @@ _MALFORMED = {
     "null_window_nt": ({"window": {"t_min": 0.0, "t_max": 1.0, "nt": None}}, "'nt'"),
     "list_rho": ({"nonlinearity": {"kind": "exponential", "lambda": [-1.0, 0.0],
                                    "rho": [0.5]}}, "'rho'"),
+    # a value of the wrong kind, which a bare bool(), int() or float() took
+    # (r = 3 is outside I, so the string "false" overrode a violation)
+    "string_override_hypotheses": (
+        {"norms": {"s": 0.0, "q": 1, "r": 3, "p": 6, "k_max": 2},
+         "solver": {"delta": 0.2, "override_hypotheses": "false"}}, "override_hypotheses"),
+    "fractional_grid_n": ({"grid": {"d": 2, "L_over_pi": 4, "n": 64.9}}, "'n'"),
+    "fractional_k_max": ({"norms": {"s": 0.0, "q": 1, "r": 4, "p": 6, "k_max": 2.7}},
+                         "'k_max'"),
+    "fractional_seed": ({"initial_data": {"kind": "gaussian-spectrum", "band": 1,
+                                          "mod_norm": 0.05, "seed": 3.7}}, "'seed'"),
+    "bool_delta": ({"solver": {"delta": True}}, "'delta'"),
+    "nan_delta": ({"solver": {"delta": math.nan}}, "'delta'"),
+    "infinite_t_max": ({"window": {"t_min": 0.0, "t_max": math.inf, "nt": 17}}, "'t_max'"),
+    "list_file": ({"initial_data": {"file": ["a"]}}, "'file'"),
+    "list_q": ({"norms": {"s": 0.0, "q": [1], "r": 4, "p": 6, "k_max": 2}}, "'q'"),
     # single-box draws at band 7 land in boxes |k| >= 3 for seed 0
     "draw_outside_every_box": ({"grid": {"d": 2, "L_over_pi": 4, "n": 128},
                                 "initial_data": {"kind": "single-box", "band": 7}},
@@ -271,17 +306,57 @@ _MALFORMED = {
 }
 
 
+def _assert_rejected(tmp_path, capsys, cfg, key, subcommand="picard", *args):
+    """The run exits 2, names `key` on stderr and writes a rejected manifest."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    code = run_cli([subcommand, "--config", str(cfg_path), *args,
+                    "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("rejected:") and key in err
+    assert read_json(tmp_path / "out" / "manifest.json")["status"] == "rejected"
+
+
 class TestMalformedConfig:
     @pytest.mark.parametrize("edit, key", list(_MALFORMED.values()), ids=list(_MALFORMED))
     def test_rejected_naming_the_key(self, tmp_path, capsys, edit, key):
         cfg = [PICARD_CONFIG] if edit is None else {**PICARD_CONFIG, **edit}
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(cfg))
-        code = run_cli(["picard", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("rejected:") and key in err
-        assert read_json(tmp_path / "out" / "manifest.json")["status"] == "rejected"
+        _assert_rejected(tmp_path, capsys, cfg, key)
+
+
+# every key the CLI reads, by subcommand and block; a nonlinearity key sits
+# in a block of the kind that reads it
+_READ_KEYS = [("picard", block, key) for block, keys in {
+    "grid": ("d", "L_over_pi", "n"),
+    "coeffs": ("alpha", "beta", "gamma"),
+    "nonlinearity": ("kind", "pattern", "coeff", "lambda", "rho"),
+    "window": ("t_min", "t_max", "nt"),
+    "norms": ("s", "q", "r", "p", "partition", "k_max"),
+    "solver": ("delta", "max_iters", "eps_fix", "oracle_substeps", "override_hypotheses",
+               "exp_s_rule", "tail_tol"),
+    "initial_data": ("file", "seed", "kind", "decay", "band", "mod_norm"),
+}.items() for key in keys] + [("verify", "verify", key) for key in (
+    "d", "L_over_pi", "n", "alpha", "beta", "gamma", "partition", "k_max", "t_max", "nt",
+    "count", "law", "decay", "amplitude", "band")]
+# a list, a null or a bool for each, but for the two that take one of them
+_WRONG_KIND = {f"{block}.{key}-{name}": (subcommand, block, key, value)
+               for subcommand, block, key in _READ_KEYS
+               for name, value in (("list", [1]), ("null", None), ("bool", True))
+               if (key, name) not in {("tail_tol", "null"), ("override_hypotheses", "bool")}}
+
+
+class TestEveryReadKey:
+    @pytest.mark.parametrize("subcommand, block, key, value", list(_WRONG_KIND.values()),
+                             ids=list(_WRONG_KIND))
+    def test_wrong_kind_rejected_naming_the_key(self, tmp_path, capsys, subcommand, block,
+                                                key, value):
+        cfg = json.loads(json.dumps(VERIFY_CONFIG if subcommand == "verify" else PICARD_CONFIG))
+        if key in ("lambda", "rho"):
+            cfg["nonlinearity"] = {"kind": "exponential", "lambda": [-1.0, 0.0], "rho": 0.5}
+        cfg[block][key] = value
+        args = ["--check", "strichartz-hom"] if subcommand == "verify" else []
+        _assert_rejected(tmp_path, capsys, cfg, repr(key), subcommand, *args)
 
 
 def _rejected_ledger(out_dir, capsys):

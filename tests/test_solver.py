@@ -35,6 +35,15 @@ def small_datum(cfg, seed=0, mod_norm=0.1, band=1):
     return sp.SpectralField(cfg.grid, spectrum=f.spectrum * (mod_norm / n))
 
 
+class TestSolveConfig:
+    @pytest.mark.parametrize("key, value", [
+        ("delta", math.nan), ("delta", math.inf), ("t_min", math.nan), ("t_min", -math.inf),
+        ("t_max", math.nan), ("t_max", math.inf)])
+    def test_non_finite_window_and_delta_rejected(self, grid2d_small, key, value):
+        with pytest.raises(ValueError, match=key):
+            small_config(grid2d_small, **{key: value})
+
+
 class TestHypothesisGate:
     def test_m_below_m0_rejected(self, grid2d_small):
         cubic = nl.NonlinSpec.cubic(-1.0)  # m = 2 < m0 = 3 at d = 2

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from modnls import nonlinear as nl, spectral as sp
 from modnls.errors import GridMismatchError
 
-from conftest import (assert_support_sized, band_limited_field, field_metadata,
+from conftest import (assert_support_sized, band_limited_field, centered_fft, centered_ifft,
+                      field_metadata,
                       reference_apply_to_trajectory, reference_pointwise_map,
                       reference_write_trajectory, support_stack, write_abs_csv)
 
@@ -80,6 +81,19 @@ class TestTransforms:
                 (grid2d_small.dxi / (2 * math.pi)) ** 2 * np.sum(np.abs(f.spectrum) ** 2)
             )
             assert abs(space - freq) / space < 1e-12
+
+    @pytest.mark.parametrize("d, n", [(1, 2), (2, 2), (3, 2), (1, 4), (1, 256), (2, 4),
+                                      (2, 64), (3, 8), (3, 16)])
+    def test_centered_pair_is_the_shifted_pair(self, d, n):
+        """The shift-free centered pair equals fftshift(T(ifftshift(x))) bit
+        for bit on a stack of samples, n = 2 in odd d and an inf included."""
+        g = sp.make_grid(d, 4 * math.pi, n)
+        rng = np.random.default_rng(n + d)
+        x = rng.standard_normal((3,) + g.shape) + 1j * rng.standard_normal((3,) + g.shape)
+        x[(1,) + (n // 2,) * d] = math.inf
+        with np.errstate(invalid="ignore"):
+            for fast, ref in ((sp._centered_ifft, centered_ifft), (sp._centered_fft, centered_fft)):
+                assert fast(x, g).tobytes() == ref(x, g).tobytes()
 
     def test_single_mode_spectrum_is_one_spike(self, grid1d):
         f = sp.SpectralField.single_mode(grid1d, (5,))

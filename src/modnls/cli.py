@@ -62,14 +62,6 @@ def _dump_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True, default=_json_default) + "\n")
 
 
-def _parse_exponent(x):
-    """An exponent kept exact: 4, "16/3", "inf", or a decimal (4.5 is 9/2)."""
-    text = x if isinstance(x, str) else repr(_scalar(x, int, float))
-    if text in ("inf", "Inf", "infinity"):
-        return math.inf
-    return Fraction(text)
-
-
 class _Run:
     """Collects outputs and writes the manifest when the run ends."""
 
@@ -112,7 +104,33 @@ def _load_config(args) -> dict:
         ) from None
     if not isinstance(cfg, dict):
         raise ValueError(f"config {path} must hold a JSON object, got {type(cfg).__name__}")
+    for block in _known(cfg, _KNOWN_KEYS):  # also the blocks this subcommand does not read
+        _block(cfg, block)
     return cfg
+
+
+# The keys of each config block that a reader reads. A file may hold the
+# blocks of every subcommand; any other block or key is rejected.
+_KNOWN_KEYS = {
+    "grid": ("d", "L_over_pi", "n"),
+    "coeffs": ("alpha", "beta", "gamma"),
+    "nonlinearity": ("kind", "pattern", "coeff", "lambda", "rho"),
+    "window": ("t_min", "t_max", "nt"),
+    "norms": ("s", "q", "r", "p", "partition", "k_max"),
+    "solver": ("delta", "max_iters", "eps_fix", "oracle_substeps", "override_hypotheses",
+               "exp_s_rule", "tail_tol"),
+    "initial_data": ("file", "seed", "kind", "decay", "band", "mod_norm"),
+    "verify": ("d", "L_over_pi", "n", "alpha", "beta", "gamma", "partition", "k_max",
+               "t_max", "nt", "count", "law", "decay", "amplitude", "band"),
+}
+
+
+def _known(obj: dict, known, where: str = "") -> dict:
+    """obj, if every key of it is `known`; the others are named as `where`key."""
+    unknown = [where + key for key in obj if key not in known]
+    if unknown:
+        raise ValueError(f"unknown config key {', '.join(unknown)}: no reader reads it")
+    return obj
 
 
 def _block(cfg: dict, key: str, default: dict | None = None) -> dict:
@@ -120,7 +138,7 @@ def _block(cfg: dict, key: str, default: dict | None = None) -> dict:
     block = cfg.get(key, {} if default is None else default)
     if not isinstance(block, dict):
         raise ValueError(f"config key {key!r} must be a JSON object, got {block!r}")
-    return block
+    return _known(block, _KNOWN_KEYS[key], f"{key}.")
 
 
 def _reader(kind: str, convert):
@@ -169,7 +187,7 @@ _integer = _reader("an integer", _exact_int)
 _flag = _reader("true or false", lambda v: _scalar(v, bool))
 _string = _reader("a string", lambda v: _scalar(v, str))
 _pair = _reader("a pair [re, im] of finite numbers", _complex_pair)
-_exponent = _reader('an exponent: a number, a fraction string or "inf"', _parse_exponent)
+_exponent = _reader('an exponent: a number, a fraction string or "inf"', disp.as_exponent)
 
 
 # The readers of the config blocks that both the solve subcommands and
@@ -306,8 +324,8 @@ def _ledger_json(led: disp.ParamLedger) -> dict:
 
 
 def _cmd_params(args, run: _Run) -> int:
-    r = _parse_exponent(args.r) if args.r else None
-    p = _parse_exponent(args.p) if args.p else None
+    r = disp.as_exponent(args.r) if args.r else None
+    p = disp.as_exponent(args.p) if args.p else None
     led = disp.build_param_ledger(args.d, args.m, args.gamma_nonzero, r=r, p=p)
     out = _ledger_json(led)
     _dump_json(run.path("ledger.json"), out)
@@ -319,7 +337,7 @@ def _cmd_norm(args, run: _Run) -> int:
     f = read_field(args.field)
     part_spec = modspace.PartitionSpec(kind=args.partition, k_max=args.k_max)
     partition = modspace.build_partition(part_spec, f.grid)
-    spec = modspace.ModNormSpec(p=_parse_exponent(args.p), q=_parse_exponent(args.q),
+    spec = modspace.ModNormSpec(p=disp.as_exponent(args.p), q=disp.as_exponent(args.q),
                                 s=args.s)
     res = modspace.mod_norm(f, spec, partition)
     out = {

@@ -37,6 +37,7 @@ __all__ = [
     "propagate",
     "propagate_trajectory",
     "duhamel_sum",
+    "as_exponent",
     "inv_exponent",
     "exponent_from_inv",
     "conjugate_exponent",
@@ -198,27 +199,21 @@ def duhamel_sum(coeffs: EquationCoeffs, grid: GridSpec, times, stack: np.ndarray
 Exponent = object  # int | Fraction | math.inf
 
 
-def _as_exponent(x):
-    if x == INF:
-        return INF
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
+def as_exponent(x):
+    """An exponent kept exact, as a Fraction or INF: an int, a Fraction, a
+    float read as the decimal it prints (4.5 is 9/2), a fraction string
+    ("16/3") or "inf". A bool is none: JSON true is no exponent."""
+    if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
         return Fraction(x)
-    if isinstance(x, float):
-        if x.is_integer():
-            return Fraction(int(x))
-        raise ValueError(
-            f"non-integral float exponent {x!r}: pass a Fraction to stay exact"
-        )
-    if isinstance(x, str):
-        return Fraction(x)
+    if isinstance(x, (float, str)):
+        text = str(x)
+        return INF if text in ("inf", "Inf", "infinity") else Fraction(text)
     raise TypeError(f"cannot interpret {x!r} as an exponent")
 
 
 def inv_exponent(x) -> Fraction:
     """1/x as an exact Fraction, with 1/inf = 0."""
-    x = _as_exponent(x)
+    x = as_exponent(x)
     if x == INF:
         return Fraction(0)
     if x <= 0:
@@ -280,7 +275,7 @@ def effective_l(r, m: int, m0: int) -> int:
     k in {m0, ..., m} whose window [1/(2(k+1)), 1/(k+1)] contains 1/r;
     a mismatch signals a hypothesis violation or a bug, so it raises.
     """
-    r = _as_exponent(r)
+    r = as_exponent(r)
     if r == INF:
         raise ValueError("r must be finite here (1/r lies in a closed interval)")
     l_floor = min(math.floor(r) - 1, m)
@@ -332,7 +327,7 @@ def dual_pair(r, l: int, d: int, gamma: float) -> DualPair:
     lie in [2, inf] (equivalently p~ >= 1) is reported via range_valid: for small
     d - 1/c_gamma the left edge of the 1/r interval produces p~ < 1.
     """
-    r = _as_exponent(r)
+    r = as_exponent(r)
     r_tilde = r / (l + 1)
     if not (1 <= r_tilde <= 2):
         raise HypothesisError(f"r/(l+1) = {r_tilde} outside [1, 2]")
@@ -389,7 +384,7 @@ def build_param_ledger(d: int, m: int, gamma_nonzero: bool,
         I = led.I = interval_I(m, d, gamma)
         if r is None:
             return led
-        r = _as_exponent(r)
+        r = as_exponent(r)
         inv_r = inv_exponent(r)
         if not (I[0] <= inv_r <= I[1]):
             raise HypothesisError(f"1/r = {inv_r} outside I = [{I[0]}, {I[1]}]")
@@ -406,7 +401,7 @@ def build_param_ledger(d: int, m: int, gamma_nonzero: bool,
         led.checks["dual_defect_zero"] = True  # dual_pair raises otherwise
         led.checks["dual_range_valid"] = dp.range_valid
         if p is not None:
-            p = _as_exponent(p)
+            p = as_exponent(p)
             inv_p = inv_exponent(p)
             if not (led.J[0] <= inv_p <= led.J[1]):
                 raise HypothesisError(

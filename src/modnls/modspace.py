@@ -26,7 +26,7 @@ from functools import reduce
 from itertools import product
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .spectral import (
     _CHUNK_BYTES,
@@ -249,14 +249,13 @@ def _lq_aggregate(values: np.ndarray, q, axis=None):
 
 
 def _box_windows(x: np.ndarray, M: int, axis: int) -> np.ndarray:
-    """Strided view of the (2M+1)-wide box windows along `axis`, one per box.
-
-    Boxes start M lattice points apart, so stepping the sliding-window view
-    by M is a basic slice: nothing is copied. The window becomes the last
-    axis; `axis` enumerates the boxes.
-    """
-    view = sliding_window_view(x, 2 * M + 1, axis=axis)
-    return view[(slice(None),) * axis + (slice(None, None, M),)]
+    """The (2M+1)-wide box windows along `axis` of x, one per box, as one
+    strided view: `axis` steps from box to box, M points apart, and a new
+    last axis runs through the points of a window. Nothing is copied."""
+    step = x.strides[axis]
+    shape = x.shape[:axis] + ((x.shape[axis] - 1) // M - 1,) + x.shape[axis + 1:]
+    strides = x.strides[:axis] + (M * step,) + x.strides[axis + 1:]
+    return as_strided(x, shape + (2 * M + 1,), strides + (step,), writeable=False)
 
 
 class _BoxNormEngine:
@@ -286,6 +285,17 @@ class _BoxNormEngine:
         """(T, nb, .., nb) -> (n_boxes, T), boxes in partition order."""
         return np.ascontiguousarray(table.reshape(table.shape[0], -1).T)
 
+    def _region(self, lo, hi) -> tuple[int, tuple, tuple]:
+        """The boxes lo_i <= k_i <= hi_i: the width 2(reach+1)M + 1 of the
+        centered stack rows that hold them (reach their largest |k_i|), their
+        points in those rows, (hi_i - lo_i + 2)M + 1 along axis i, and their
+        place in a (T, nb, .., nb) table."""
+        K, M = self.partition.k_max, self.partition.grid.M
+        reach = int(max(max(-a, b) for a, b in zip(lo, hi)))
+        points = tuple(slice((a + reach) * M, (b + reach + 2) * M + 1) for a, b in zip(lo, hi))
+        rows = tuple(slice(K + a, K + b + 1) for a, b in zip(lo, hi))
+        return 2 * (reach + 1) * M + 1, (slice(None),) + points, (slice(None),) + rows
+
     def series(self, stacks, p, support: int, l2: np.ndarray | None = None) -> np.ndarray:
         """(n_boxes, T) table of per-box L^p norms of stacks of `support` W
         (see Trajectory.support), to which the Plancherel pass keeps; `l2`
@@ -310,13 +320,12 @@ class _BoxNormEngine:
         part = self.partition
         d, M, K = part.grid.d, part.grid.M, part.k_max
         live = min(K, -(-support // M))
-        inner = 2 * (live + 1) * M + 1  # points per axis of the boxes |k| <= live
-        boxes = (slice(None),) + (slice(K - live, K + live + 1),) * d
+        width, points, boxes = self._region((-live,) * d, (live,) * d)
         w2 = part.window_1d**2
         T = _n_samples(stacks)
         out = np.zeros((T,) + (2 * K + 1,) * d)
-        for t0, t1 in _chunks(T, _CHUNK_BYTES // (16 * inner**d)):
-            sq = _abs2(_stack_rows(stacks, slice(t0, t1), d, inner))
+        for t0, t1 in _chunks(T, _CHUNK_BYTES // (16 * width**d)):
+            sq = _abs2(_stack_rows(stacks, slice(t0, t1), d, width)[points])
             for axis in range(1, d + 1):
                 sq = _box_windows(sq, M, axis) @ w2
             out[t0:t1][boxes] = sq
@@ -328,52 +337,46 @@ class _BoxNormEngine:
         Both window ends vanish (Partition enforces it), so along each axis a
         box piece has 2M-1 nonzero coefficients and |g|^p = (g conj(g))^(p/2)
         has index bandwidth p*(M-1): R points integrate it exactly. One
-        (2M+1, R) synthesis matrix serves every box (the box offset only
-        adds a unimodular phase), so each axis of the box windows is one
-        matrix product. Only the boxes inside the bounding box of the
-        nonzero L^2 series, and the samples from the first to the last with a
-        nonzero one, are synthesized; the others are exactly zero.
-        """
-        part = self.partition
-        grid = part.grid
-        d, M, nb, T = grid.d, grid.M, 2 * part.k_max + 1, l2.shape[1]
-        out = np.zeros((T,) + (nb,) * d)
-        live = l2.reshape((nb,) * d + (T,)).any(axis=-1)
-        if not live.any():
-            return self._by_box(out)
+        (2M+1, R) synthesis matrix serves every box (the box offset only adds
+        a unimodular phase): each axis is one matrix product on the strided
+        box windows. Read are the bounding box of the boxes with a nonzero
+        L^2 series (the region rule of the Plancherel pass, see _region) and
+        the samples from the first to the last nonzero L^2 row; the rest is
+        exactly zero. The boxes come from the table, not the support: a gemm
+        rounds by its shape, and a box-stored stack must match its full-grid
+        copy, of wider support, bit for bit."""
+        part, grid = self.partition, self.partition.grid
+        d, M, K = grid.d, grid.M, part.k_max
         samples = np.flatnonzero(l2.any(axis=0))
+        if samples.size == 0:
+            return np.zeros_like(l2)
         s0, s1 = int(samples[0]), int(samples[-1]) + 1
+        ks = np.argwhere(l2.any(axis=1).reshape((2 * K + 1,) * d)) - K  # the live boxes
+        width, points, boxes = self._region(ks.min(axis=0), ks.max(axis=0))
+        counts = [b.stop - b.start for b in boxes[1:]]
         R = p * (M - 1) + 1
         synth = part.synthesis_matrix(R)
-        K, lows, counts = part.k_max, [], []
-        for axis in range(d):
-            alive = np.flatnonzero(live.any(axis=tuple(set(range(d)) - {axis})))
-            lows.append(int(alive[0]))
-            counts.append(int(alive[-1]) + 1 - lows[-1])
-        # the region read: the boxes |k|_inf <= reach that hold every live box,
-        # box index b (k = b - K) starting at `start + b M`
-        reach = max(max(K - lo, lo + c - 1 - K) for lo, c in zip(lows, counts))
-        start = (reach - K) * M
-        rest = tuple(slice(start + lo * M, start + (lo + c + 1) * M + 1)
-                     for lo, c in zip(lows[1:], counts[1:]))
-        # chunks of (samples, boxes along axis 1) of about _CHUNK_BYTES each
-        row_bytes = 16 * R**d * math.prod(counts[1:])
-        k_step = _CHUNK_BYTES // row_bytes
+        # chunks of (samples, box rows along axis 1) of about _CHUNK_BYTES each
+        k_step = _CHUNK_BYTES // (16 * R**d * math.prod(counts[1:]))
         sums = np.empty((s1 - s0,) + tuple(counts))
         for t0, t1 in _chunks(s1 - s0, k_step // counts[0]):
-            region = _stack_rows(stacks, slice(s0 + t0, s0 + t1), d, 2 * (reach + 1) * M + 1)
+            region = _stack_rows(stacks, slice(s0 + t0, s0 + t1), d, width)[points]
             for k0, k1 in _chunks(counts[0], k_step):
-                lo = start + (lows[0] + k0) * M
-                x = region[(slice(None), slice(lo, lo + (k1 - k0 + 1) * M + 1)) + rest]
-                for axis in range(1, d + 1):  # one gemm on a compact copy of the windows
-                    win = np.ascontiguousarray(_box_windows(x, M, axis))
-                    x = (win.reshape(-1, 2 * M + 1) @ synth).reshape(win.shape[:-1] + (R,))
+                x = region[:, k0 * M:(k1 + 1) * M + 1]
+                for axis in range(1, d + 1):
+                    if axis > 1:  # a product: its points past `axis` are the rows of one matrix
+                        x = x.reshape(x.shape[:axis] + (region.shape[axis], -1))
+                    win = _box_windows(x, M, axis)
+                    # along the last axis (d = 1) the windows overlap, which no
+                    # gemm takes as they stand: one gemm on a (boxes, 2M+1) copy
+                    flat = win.reshape(-1, 2 * M + 1) if axis == x.ndim - 1 else win
+                    x = (flat @ synth).reshape(win.shape[:-1] + (R,))
                 # sum over the reduced grid of |v|^p = (re^2 + im^2)^(p/2)
                 a = _abs2(x.reshape(-1, R**d))
                 sums[t0:t1, k0:k1] = np.einsum(*[a, [0, 1]] * (p // 2), [0]).reshape(
-                    x.shape[:-d])
-        live_boxes = tuple(slice(lo, lo + c) for lo, c in zip(lows, counts))
-        out[(slice(s0, s1),) + live_boxes] = sums ** (1.0 / p) * (2.0 * grid.L / R) ** (d / p)
+                    x.shape[:d + 1])
+        out = np.zeros((l2.shape[1],) + (2 * K + 1,) * d)
+        out[s0:s1][boxes] = sums ** (1.0 / p) * (2.0 * grid.L / R) ** (d / p)
         return self._by_box(out)
 
     def _full_grid(self, stacks, p: float) -> np.ndarray:

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -30,6 +31,11 @@ PICARD_CONFIG = {
     "norms": {"s": 0.0, "q": 1, "r": 4, "p": 6, "k_max": 2},
     "solver": {"delta": 0.2, "eps_fix": 1e-10, "oracle_substeps": 2},
     "initial_data": {"kind": "gaussian-spectrum", "band": 1, "mod_norm": 0.05},
+}
+
+VERIFY_CONFIG = {
+    "verify": {"d": 2, "L_over_pi": 4, "n": 64, "gamma": 1.0, "k_max": 2,
+               "count": 3, "nt": 9, "t_max": 2.0, "band": 1},
 }
 
 
@@ -358,6 +364,65 @@ class TestEveryReadKey:
         args = ["--check", "strichartz-hom"] if subcommand == "verify" else []
         _assert_rejected(tmp_path, capsys, cfg, repr(key), subcommand, *args)
 
+    def test_known_keys_are_the_read_keys(self):
+        """The table that rejects unknown keys holds exactly the keys read."""
+        known = {(block, key) for block, keys in cli._KNOWN_KEYS.items() for key in keys}
+        assert known == {(block, key) for _, block, key in _READ_KEYS}
+
+
+# keys that no reader reads: two knobs that were deleted (an old config's
+# `compare_oracle`, next to a misspelt `max_iters`, and the exponential
+# block's `cutoff`), a misspelt block, and a verify `seed`, which only
+# --seed sets
+_UNKNOWN = {
+    "solver_compare_oracle": (
+        "picard", {"solver": {"delta": 0.2, "max_iter": 1, "compare_oracle": "no"}},
+        "solver.max_iter, solver.compare_oracle"),
+    "nonlinearity_cutoff": (
+        "picard", {"nonlinearity": {"kind": "exponential", "lambda": [-1.0, 0.0],
+                                    "rho": 0.5, "cutoff": 10}}, "nonlinearity.cutoff"),
+    "misspelt_block": ("picard", {"initial-data": {"band": 1}}, "initial-data"),
+    "verify_seed": ("verify", {"verify": {**VERIFY_CONFIG["verify"], "seed": 3}},
+                    "verify.seed"),
+    # a block that the running subcommand does not read is checked too
+    "unread_verify_block": ("picard", {"verify": {"count": 3, "sed": 3}}, "verify.sed"),
+    "unread_solver_block": ("verify", {"solver": {"max_iter": 1}}, "solver.max_iter"),
+}
+
+
+class TestUnknownKeys:
+    @pytest.mark.parametrize("subcommand, edit, named", list(_UNKNOWN.values()),
+                             ids=list(_UNKNOWN))
+    def test_rejected_naming_block_and_key(self, tmp_path, capsys, subcommand, edit, named):
+        base = VERIFY_CONFIG if subcommand == "verify" else PICARD_CONFIG
+        args = ["--check", "strichartz-hom"] if subcommand == "verify" else []
+        _assert_rejected(tmp_path, capsys, {**base, **edit}, f"unknown config key {named}:",
+                         subcommand, *args)
+
+    def test_shipped_configs_are_known(self):
+        """The README's solve config and verify block hold no unknown key."""
+        text = (Path(__file__).parents[1] / "README.md").read_text()
+        solve = json.loads(re.search(r"```json\n(.*?)```", text, re.S).group(1))
+        verify = json.loads(re.search(r'`(\{"verify": .*?\}\})`', text, re.S).group(1))
+        for cfg in (solve, verify, PICARD_CONFIG, VERIFY_CONFIG):
+            assert cli._known(cfg, cli._KNOWN_KEYS) is cfg
+            assert all(cli._block(cfg, block) is cfg[block] for block in cfg)
+
+
+@pytest.mark.parametrize("value, inv", [(4, Fraction(1, 4)), ("16/3", Fraction(3, 16)),
+                                        ("inf", 0), (4.5, Fraction(2, 9)), (True, None)])
+def test_one_exponent_parser(value, inv):
+    """A config's exponent and a library caller's are read by the same rule."""
+    if inv is None:
+        with pytest.raises(ValueError, match="config key 'p' must be an exponent"):
+            cli._exponent({"p": value}, "p", 6)
+        with pytest.raises(TypeError):
+            dsp.inv_exponent(value)
+        return
+    assert dsp.inv_exponent(cli._exponent({"p": value}, "p", 6)) == inv
+    assert dsp.inv_exponent(value) == inv
+    assert dsp.as_exponent(value) == cli._exponent({"p": value}, "p", 6)
+
 
 def _rejected_ledger(out_dir, capsys):
     """The ledger a rejected run wrote, after checking that stderr carries
@@ -462,12 +527,6 @@ class TestRejectedRegion:
             led = read_json(Path(tmp) / "ledger.json")
             assert read_json(Path(tmp) / "manifest.json")["status"] == "rejected"
         assert len(led["problems"]) == 1 and _OUTSIDE[side] in led["problems"][0]
-
-
-VERIFY_CONFIG = {
-    "verify": {"d": 2, "L_over_pi": 4, "n": 64, "gamma": 1.0, "k_max": 2,
-               "count": 3, "nt": 9, "t_max": 2.0, "band": 1},
-}
 
 
 class TestVerify:

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 from hypothesis import given, settings, strategies as st
 
 from modnls import dispersion as dsp, modspace as ms, spectral as sp
@@ -409,6 +410,35 @@ class TestEngine:
         table = ms._BoxNormEngine(partition2d, "fast").series(f.spectrum[None], 2, grid2d.n // 2)
         per_box = [sp.lp_norm(ms.box(partition2d, k, f), 2) for k in partition2d.boxes]
         np.testing.assert_allclose(table[:, 0], per_box, rtol=1e-12, atol=0.0)
+
+
+class TestBoxWindows:
+    """The strided view of the box windows reads what the sliding-window view
+    stepped by M reads, bit for bit, wherever the input's strides point."""
+
+    @pytest.mark.parametrize("layout", ["contiguous", "cropped", "stepped", "reversed"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_stepped_sliding_window_view(self, d, layout):
+        M = 3
+        rng = np.random.default_rng(d)
+        # 5M + 1 points hold 4 boxes; 5M + 2 and 5M leave a point over or short
+        points = (5 * M + 1, 5 * M + 2, 5 * M)[:d]
+        big = rng.standard_normal((2,) + tuple(2 * P + 3 for P in points)) \
+            + 1j * rng.standard_normal((2,) + tuple(2 * P + 3 for P in points))
+        x = {
+            "contiguous": np.ascontiguousarray(big[(slice(None),) + tuple(
+                slice(0, P) for P in points)]),
+            "cropped": big[(slice(None),) + tuple(slice(2, 2 + P) for P in points)],
+            "stepped": big[(slice(None),) + tuple(slice(1, 1 + 2 * P, 2) for P in points)],
+            "reversed": big[(slice(None),) + tuple(slice(P - 1, None, -1) for P in points)],
+        }[layout]
+        assert x.shape == (2,) + points
+        for axis in range(1, d + 1):
+            got = ms._box_windows(x, M, axis)
+            want = sliding_window_view(x, 2 * M + 1, axis=axis)[
+                (slice(None),) * axis + (slice(None, None, M),)]
+            assert got.shape == want.shape and np.array_equal(got, want)
+            assert np.shares_memory(got, x) and not got.flags.writeable
 
 
 class TestModNormSeries:

@@ -327,6 +327,34 @@ class TestBoxStorage:
                               nl.apply_to_trajectory(fn, scanned_u).spectra)
 
 
+    @pytest.mark.parametrize("d, n", [(1, 128), (2, 128), (3, 64)])
+    def test_one_sided_live_boxes(self, d, n):
+        """Data strictly inside the box k = (2, 0, ..): the live boxes all
+        have k_1 > 0, so the bounding box of live boxes that the pruned DFT
+        reads, 1 <= k_1 <= 3, is off center and must be read at the right
+        points; the boxes at k_1 <= 0 come out exactly 0."""
+        grid = sp.make_grid(d, 4 * math.pi, n)
+        M, c, W = grid.M, n // 2, 3 * grid.M - 1
+        part = ms.build_partition(ms.PartitionSpec("trigonometric-window", 4 if d < 3 else 3),
+                                  grid)
+        rng = np.random.default_rng(d)
+        stack = np.zeros((2,) + grid.shape, dtype=np.complex128)
+        inside = (slice(None), slice(c + M + 1, c + 3 * M)) + (slice(c - M + 1, c + M),) * (d - 1)
+        stack[inside] = rng.standard_normal(stack[inside].shape) \
+            + 1j * rng.standard_normal(stack[inside].shape)
+        box = _boxed(stack, grid, W)
+        engine = ms._BoxNormEngine(part)
+        l2 = engine.series(box, 2, W)
+        k1 = np.array([k[0] for k in part.boxes])
+        assert l2[k1 > 0].any() and not l2[k1 <= 0].any()
+        for p in (4, 6):
+            table = engine.series(box, p, W, l2)
+            assert not table[k1 <= 0].any()
+            assert np.array_equal(table, engine.series(stack, p, n // 2, l2))
+            ref = ms._BoxNormEngine(part, "reference").series(stack, p, n // 2)
+            assert_rel_close(table, ref, 1e-13)
+
+
 class TestBlockedOracle:
     @pytest.mark.parametrize("d, n", [(1, 65536), (2, 256), (3, 64)])
     @pytest.mark.parametrize("nonlin", [

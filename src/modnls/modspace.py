@@ -337,14 +337,15 @@ class _BoxNormEngine:
         Both window ends vanish (Partition enforces it), so along each axis a
         box piece has 2M-1 nonzero coefficients and |g|^p = (g conj(g))^(p/2)
         has index bandwidth p*(M-1): R points integrate it exactly. One
-        (2M+1, R) synthesis matrix serves every box (the box offset only adds
-        a unimodular phase): each axis is one matrix product on the strided
-        box windows. Read are the bounding box of the boxes with a nonzero
-        L^2 series (the region rule of the Plancherel pass, see _region) and
-        the samples from the first to the last nonzero L^2 row; the rest is
-        exactly zero. The boxes come from the table, not the support: a gemm
-        rounds by its shape, and a box-stored stack must match its full-grid
-        copy, of wider support, bit for bit."""
+        synthesis matrix serves every box (the box offset only adds a
+        unimodular phase): each axis is one matrix product on the strided
+        box windows, less the two ends where the window vanishes. Read are
+        the bounding box of the boxes with a nonzero L^2 series (the region
+        rule of the Plancherel pass, see _region) and the samples from the
+        first to the last nonzero L^2 row; the rest is exactly zero. The
+        boxes come from the table, not the support: a gemm rounds by its
+        shape, and a box-stored stack must match its full-grid copy, of
+        wider support, bit for bit."""
         part, grid = self.partition, self.partition.grid
         d, M, K = grid.d, grid.M, part.k_max
         samples = np.flatnonzero(l2.any(axis=0))
@@ -355,7 +356,7 @@ class _BoxNormEngine:
         width, points, boxes = self._region(ks.min(axis=0), ks.max(axis=0))
         counts = [b.stop - b.start for b in boxes[1:]]
         R = p * (M - 1) + 1
-        synth = part.synthesis_matrix(R)
+        synth = part.synthesis_matrix(R)[1:-1]
         # chunks of (samples, box rows along axis 1) of about _CHUNK_BYTES each
         k_step = _CHUNK_BYTES // (16 * R**d * math.prod(counts[1:]))
         sums = np.empty((s1 - s0,) + tuple(counts))
@@ -366,10 +367,10 @@ class _BoxNormEngine:
                 for axis in range(1, d + 1):
                     if axis > 1:  # a product: its points past `axis` are the rows of one matrix
                         x = x.reshape(x.shape[:axis] + (region.shape[axis], -1))
-                    win = _box_windows(x, M, axis)
+                    win = _box_windows(x, M, axis)[..., 1:-1]
                     # along the last axis (d = 1) the windows overlap, which no
-                    # gemm takes as they stand: one gemm on a (boxes, 2M+1) copy
-                    flat = win.reshape(-1, 2 * M + 1) if axis == x.ndim - 1 else win
+                    # gemm takes as they stand: one gemm on a (boxes, 2M-1) copy
+                    flat = win.reshape(-1, 2 * M - 1) if axis == x.ndim - 1 else win
                     x = (flat @ synth).reshape(win.shape[:-1] + (R,))
                 # sum over the reduced grid of |v|^p = (re^2 + im^2)^(p/2)
                 a = _abs2(x.reshape(-1, R**d))

@@ -172,14 +172,16 @@ def aliasing_residual(spec: NonlinSpec, u: SpectralField) -> float:
     return math.sqrt(float(np.sum(square)) / total)
 
 
-def apply_to_trajectory(spec: NonlinSpec, u: Trajectory) -> Trajectory:
+def apply_to_trajectory(spec: NonlinSpec, u: Trajectory,
+                        out: np.ndarray | None = None) -> Trajectory:
     """f(u) at every sample, as a spectral stack: one `evaluate` per chunk
     of the shared pass to physical space and back, which a power product
     runs on the smallest grid its degree and the support of u allow; the
-    result carries its support."""
+    result carries its support. It is written into `out`, a stack nothing
+    else reads, when that has its shape."""
     degree = spec.degree if spec.kind == "power" else None
     out, reach = _pointwise_map(lambda vals: evaluate(spec, vals), u.grid, u.box,
-                                degree=degree, support=u.support)
+                                degree=degree, support=u.support, out=out)
     return Trajectory(u.grid, u.times, out, support=reach)
 
 

@@ -17,7 +17,8 @@ a transform pair per chunk of samples) followed by the prefix sum
 `dispersion.duhamel_sum`, which works in place on that stack with
 separable phasors: O(N_t) transforms instead of O(N_t^2), and no second
 stack. `delta_bisection` stops a trial as soon as an observed contraction
-ratio reaches its theta_max.
+ratio reaches its theta_max, and for a power its trials share their first
+iterate.
 """
 
 from __future__ import annotations
@@ -193,21 +194,23 @@ def verify_hypotheses(cfg: SolveConfig, scattering: bool = False) -> dict:
     return ledger
 
 
-def duhamel_apply(cfg: SolveConfig, u: Trajectory, u0: SpectralField) -> Trajectory:
+def duhamel_apply(cfg: SolveConfig, u: Trajectory, u0: SpectralField,
+                  out: np.ndarray | None = None) -> Trajectory:
     """One application of the Duhamel operator to the trajectory u.
 
     The integral runs from the window start times[0]: t = 0 for
     `picard_solve`, and T_min for `scatter_minus`, the discrete stand-in
     for the integral from -infinity (the neglected part is a recorded
     small-data assumption). The result carries the joint support of f(u)
-    and u0.
+    and u0. `out`, a stack nothing else reads (the Picard loop's spent
+    iterate), takes the result when it has the shape of f(u).
     """
     if u.grid != u0.grid:
         raise ValueError("initial datum grid does not match trajectory grid")
     if u.n_samples != cfg.nt or abs(u.times[0] - cfg.t_min) > 1e-12:
         raise ValueError("trajectory is not on the configured time grid")
 
-    f = nonlinear.apply_to_trajectory(cfg.nonlin, u)
+    f = nonlinear.apply_to_trajectory(cfg.nonlin, u, out=out)
     W = max(f.support, u0.support)
     stack = _rebox(f.box, cfg.grid.d, _box_width(cfg.grid, W))
     disp.duhamel_sum(cfg.coeffs, cfg.grid, u.times, stack, W, base=u0.spectrum, coef=1j)
@@ -223,18 +226,26 @@ _FLOOR_REL = 1e-13  # below this (relative to the first difference) ratios are n
 
 def _run_fixed_point(cfg: SolveConfig, u0: SpectralField, ledger: dict,
                      partition: modspace.Partition,
-                     theta_max: float | None = None) -> tuple[Trajectory, SolveReport]:
+                     theta_max: float | None = None,
+                     first: tuple[Trajectory, float] | None = None
+                     ) -> tuple[Trajectory, SolveReport]:
     """Picard iteration from the free flow. With `theta_max`, a ratio of
     successive differences reaching it (denominator above the noise floor)
     raises NumericsError at once: theta_hat, the maximum of those ratios,
-    can then only end at or above theta_max.
+    can then only end at or above theta_max. With `first` = (D, ||D||_X),
+    the Duhamel term D = u1 - W(t) u0 of the first iterate and its X norm,
+    u1 is W(t) u0 + D, summed into D's stack, and the first difference is
+    that norm: the Duhamel applications start at iteration 2.
 
-    `spent`, the iterate the last one replaced, is kept until the solve
-    returns. The checks after the loop then cannot leave blocks in the
-    memory it frees, which comes back whole for the caller's next stack
-    of that size (the split-step oracle's, say) instead of making that
-    stack map fresh pages beside it: peak RSS no longer depends on where
-    malloc put those blocks."""
+    An iteration no longer reads `spent`, the iterate before last, so its
+    pass writes into spent's stack when that has the pass's shape (see
+    duhamel_apply), and frees it otherwise. The last `spent` is kept until
+    the solve returns. The checks after the loop then cannot leave blocks
+    in the memory it frees, which comes back whole for the caller's next
+    stack of that size (the split-step oracle's, say) instead of making
+    that stack map fresh pages beside it: peak RSS no longer depends on
+    where malloc put those blocks."""
+    grid = cfg.grid
     times = cfg.times()
     u = disp.propagate_trajectory(cfg.coeffs, times, u0)
     report = SolveReport(hypothesis_ledger=ledger)
@@ -248,11 +259,23 @@ def _run_fixed_point(cfg: SolveConfig, u0: SpectralField, ledger: dict,
 
     converged = False
     ratios = []  # successive-difference ratios whose denominator is above the floor
+    spent = None
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(1, cfg.max_iters + 1):
-            spent = None  # free the iterate before last before making the next one
-            u_new = duhamel_apply(cfg, u, u0)
-            diff = _x_diff(cfg, partition, u_new, u)
+            if it == 1 and first is not None:
+                term, diff = first
+                W = max(term.support, u.support)
+                stack = _rebox(term.box, grid.d, _box_width(grid, W))
+                flow = _rebox(stack, grid.d, u.box.shape[-1])  # a view of the middle
+                flow += u.box
+                u_new = Trajectory(grid, times, stack, support=W)
+            else:
+                # supports only grow, and stop growing once two iterates share
+                # one: spent's stack then has the shape of the next pass's output
+                out = spent.box if spent is not None and spent.box.shape == u.box.shape else None
+                spent = None  # free the iterate before last unless its stack is reused
+                u_new = duhamel_apply(cfg, u, u0, out=out)
+                diff = _x_diff(cfg, partition, u_new, u)
             report.diff_norms.append(diff)
             report.iterations = it
             spent, u = u, u_new
@@ -301,15 +324,21 @@ def _run_fixed_point(cfg: SolveConfig, u0: SpectralField, ledger: dict,
 
 def picard_solve(cfg: SolveConfig, u0: SpectralField,
                  partition: modspace.Partition | None = None, *,
-                 theta_max: float | None = None) -> tuple[Trajectory, SolveReport]:
+                 theta_max: float | None = None,
+                 first: tuple[Trajectory, float] | None = None
+                 ) -> tuple[Trajectory, SolveReport]:
     """Iterate the Duhamel operator from the free flow until the X-norm of
     successive differences drops below eps_fix; fails loudly otherwise.
     `partition` defaults to cfg.partition(). With `theta_max` the solve
-    also fails as soon as an observed contraction ratio reaches it."""
+    also fails as soon as an observed contraction ratio reaches it.
+    `first` = (D, ||D||_X) hands in the Duhamel term of the first iterate
+    and its X norm when the caller has them (see _run_fixed_point); the
+    solve takes over D's stack."""
     if cfg.t_min != 0.0:
         raise ValueError("picard_solve integrates from t = 0: the window must start there")
     ledger = verify_hypotheses(cfg)
-    return _run_fixed_point(cfg, u0, ledger, partition or cfg.partition(), theta_max)
+    return _run_fixed_point(cfg, u0, ledger, partition or cfg.partition(), theta_max,
+                            first)
 
 
 def mass(f: SpectralField) -> float:
@@ -521,18 +550,37 @@ def delta_bisection(cfg: SolveConfig, profile: SpectralField,
     describes the truncated run. Returns a dict with the accepted
     delta, its report, and the full trial history. If the first trial
     already fails, the NumericsError carries its report.
+
+    A power of degree D has f(c v) = c^D f(v) for real c > 0, so the trials
+    share their first iterate: D1, the Duhamel term of the free flow of the
+    profile scaled to norm 1, and its X norm are taken once, and a trial
+    at delta starts from W(t) u0 + (delta/2)^D D1 (picard_solve's `first`).
+    The other kinds run every iteration.
     """
+    grid = cfg.grid
     partition = partition or cfg.partition()
     base = modspace.mod_norm(profile, cfg.mod_spec(), partition).value
     if base <= 0:
         raise ValueError("profile must be nonzero")
+    shared = None
+    if cfg.nonlin.kind == "power":
+        unit = SpectralField._adopt(grid, profile.spectrum / base, profile.support)
+        zero = SpectralField._adopt(grid, np.zeros(grid.shape, dtype=np.complex128), 0)
+        D1 = duhamel_apply(cfg, disp.propagate_trajectory(cfg.coeffs, cfg.times(), unit), zero)
+        shared = D1, modspace.x_norm(D1, cfg.s, cfg.q, cfg.r, cfg.p, partition).value
 
     def trial(delta: float):
-        scaled = SpectralField._adopt(cfg.grid, profile.spectrum * (delta / 2.0 / base),
+        scaled = SpectralField._adopt(grid, profile.spectrum * (delta / 2.0 / base),
                                       profile.support)
         trial_cfg = replace(cfg, delta=delta)
+        first = None
+        if shared is not None:
+            D1, n1 = shared
+            k = (delta / 2.0) ** cfg.nonlin.degree
+            first = Trajectory(grid, D1.times, D1.box * k, support=D1.support), k * n1
         try:
-            _, rep = picard_solve(trial_cfg, scaled, partition, theta_max=theta_max)
+            _, rep = picard_solve(trial_cfg, scaled, partition, theta_max=theta_max,
+                                  first=first)
         except NumericsError as exc:
             return False, exc.report
         ok = rep.converged and rep.theta_hat is not None and rep.theta_hat < theta_max

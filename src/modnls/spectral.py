@@ -144,7 +144,9 @@ def _stack_rows(stacks, rows: slice, d: int, width: int) -> np.ndarray:
 
 
 def _abs2(x: np.ndarray) -> np.ndarray:
-    return np.square(x.real) + np.square(x.imag)
+    out = np.square(x.real)
+    out += np.square(x.imag)  # in place: one temporary fewer
+    return out
 
 
 def _centered(transform, scale, x: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -270,19 +272,25 @@ def _pointwise_chunks(fn, grid: GridSpec, *stacks: np.ndarray, support: int,
     """The pass to physical space and back, a chunk of samples at a time,
     for fn pointwise in x on inputs of joint `support` W: yields (rows, F),
     F the spectra of fn(*samples) at `rows` on the box of the reach, in
-    out[rows] if `out` is given, else in fn's output. A polynomial fn of
-    `degree` runs on the support-sized grid (_support_grid), and its reach
-    |k| <= degree W is its support; otherwise the reach is the grid, n/2.
-    The sign of _flip_odd, on the inputs and on fn's output, stands in for
-    the half-period shifts of the centered pair, bit for bit."""
+    out[rows] if `out` is given, else in fn's output. A fn of `degree` D is
+    a sum of products of D factors, each an input or its conjugate, times
+    constants: it runs on the support-sized grid (_support_grid), and its
+    reach |k| <= D W is its support; otherwise the reach is the grid, n/2.
+    The sign s of _flip_odd on the inputs and on fn's output stands in for
+    the half-period shifts of the centered pair, bit for bit. Negation
+    commutes exactly with IEEE products and conj, so fn(s v) = s^D fn(v):
+    a fn of degree D takes its inputs as they come, and its output is
+    negated only for even D."""
     sub, reach = _pass_grid(grid, support, degree)
     width = _box_width(grid, reach)
     axes = tuple(range(-grid.d, 0))
     for rows, vals in _physical_chunks(sub, *stacks):
-        for v in vals:
-            _flip_odd(v, grid.d)
+        if degree is None:
+            for v in vals:
+                _flip_odd(v, grid.d)
         g = np.asarray(fn(*vals), dtype=np.complex128)
-        _flip_odd(g, grid.d)
+        if degree is None or degree % 2 == 0:
+            _flip_odd(g, grid.d)
         np.fft.fftn(g, axes=axes, out=g)
         g = _rebox(g, grid.d, width)
         dest = np.multiply(g, sub.h**grid.d, out=g if out is None else out[rows])
@@ -293,11 +301,14 @@ def _pointwise_chunks(fn, grid: GridSpec, *stacks: np.ndarray, support: int,
 
 
 def _pointwise_map(fn, grid: GridSpec, *stacks: np.ndarray, support: int,
-                   degree: int | None = None) -> tuple[np.ndarray, int]:
-    """(the spectral stack of _pointwise_chunks at every sample, its reach)."""
+                   degree: int | None = None,
+                   out: np.ndarray | None = None) -> tuple[np.ndarray, int]:
+    """(the spectral stack of _pointwise_chunks at every sample, its reach),
+    written into `out`, a stack nothing else reads, when it has the shape."""
     reach = _pass_grid(grid, support, degree)[1]
-    out = np.empty((stacks[0].shape[0],) + (_box_width(grid, reach),) * grid.d,
-                   dtype=np.complex128)
+    shape = (stacks[0].shape[0],) + (_box_width(grid, reach),) * grid.d
+    if out is None or out.shape != shape:
+        out = np.empty(shape, dtype=np.complex128)
     for _ in _pointwise_chunks(fn, grid, *stacks, support=support, degree=degree, out=out):
         pass
     return out, reach

@@ -256,6 +256,44 @@ class TestPicard:
         assert np.all(jumps <= 1.5 * bound)
 
 
+    @pytest.mark.parametrize("nonlin, grid_name", [(QUARTIC, "grid2d_small"),
+                                                   (EXPONENTIAL, "grid2d_small"),
+                                                   (nl.NonlinSpec.cubic(-1.0), "grid2d")])
+    def test_iterates_equal_a_replayed_loop(self, request, monkeypatch, nonlin, grid_name):
+        """The loop writes each pass into the spent iterate's stack: its
+        iterates and differences are bit for bit those of a loop of public
+        duhamel_apply and x_norm_diff calls, and the stack it writes into
+        is never u's or u0's. On the 128 grid the cubic's support grows
+        for two iterations, so the shapes differ before they match."""
+        cfg = small_config(request.getfixturevalue(grid_name), nonlin=nonlin, nt=9,
+                           t_max=4.0, delta=8.0, override_hypotheses=True)
+        u0 = small_datum(cfg, seed=3, mod_norm=4.0)
+        apply, calls = sv.duhamel_apply, []
+
+        def spy(cfg_, u, u0_, out=None):
+            if out is not None:
+                assert not np.shares_memory(out, u.box)
+                assert not np.shares_memory(out, u0_.spectrum)
+            v = apply(cfg_, u, u0_, out=out)
+            calls.append((v.box.copy(), v.support,
+                          out is not None and np.shares_memory(v.box, out)))
+            return v
+
+        monkeypatch.setattr(sv, "duhamel_apply", spy)
+        u, rep = sv.picard_solve(cfg, u0)
+        monkeypatch.undo()
+        assert rep.converged and len(calls) == rep.iterations >= 3
+        assert [reused for *_, reused in calls][-2:] == [True, True]
+        part = cfg.partition()
+        w = dsp.propagate_trajectory(COEFFS, cfg.times(), u0)
+        for (box, support, _), diff in zip(calls, rep.diff_norms):
+            nxt = sv.duhamel_apply(cfg, w, u0)
+            assert support == nxt.support and np.array_equal(box, nxt.box)
+            assert diff == ms.x_norm_diff(nxt, w, cfg.s, cfg.q, cfg.r, cfg.p, part).value
+            w = nxt
+        assert np.array_equal(u.box, w.box)
+
+
 class TestOracle:
     def test_zero_nonlinearity_exact(self, grid2d_small):
         cfg = small_config(grid2d_small, nonlin=ZERO, nt=17)
@@ -533,3 +571,84 @@ class TestDeltaBisection:
             except NumericsError:
                 ok = False
             assert ok == h["accepted"]
+
+    @pytest.mark.parametrize("nonlin", [nl.NonlinSpec.cubic(-1.0), QUARTIC],
+                             ids=["cubic", "quartic"])
+    def test_trials_share_their_first_iterate(self, grid2d_small, monkeypatch, nonlin):
+        """Each trial starts from W(t) u0 + (delta/2)^D D1: its first iterate
+        and first difference match one Duhamel application to the free
+        flow within 1e-13, and only the later iterations run one. That
+        application rounds u1 to the last bits of u0, so the difference it
+        gives is exact only to roundoff of the free flow's X norm."""
+        cfg = small_config(grid2d_small, nonlin=nonlin, nt=9, t_max=4.0, max_iters=30,
+                           override_hypotheses=True)
+        profile = small_datum(cfg, seed=13, mod_norm=1.0)
+        part = cfg.partition()
+        solve, apply = sv.picard_solve, sv.duhamel_apply
+        trials = []  # per picard_solve: its config, datum, u1 and report
+
+        def spy_solve(trial_cfg, u0, *args, **kwargs):
+            trials.append({"cfg": trial_cfg, "u0": u0, "u1": None, "applied": 0})
+            try:
+                out = solve(trial_cfg, u0, *args, **kwargs)
+            except NumericsError as exc:
+                trials[-1]["report"] = exc.report
+                raise
+            trials[-1]["report"] = out[1]
+            return out
+
+        def spy_apply(cfg_, u, u0, out=None):
+            if trials:  # iteration 2 of the current trial reads u1
+                if trials[-1]["u1"] is None:
+                    trials[-1]["u1"] = (u.box.copy(), u.support)
+                trials[-1]["applied"] += 1
+            return apply(cfg_, u, u0, out=out)
+
+        monkeypatch.setattr(sv, "picard_solve", spy_solve)
+        monkeypatch.setattr(sv, "duhamel_apply", spy_apply)
+        result = sv.delta_bisection(cfg, profile, delta_init=0.5, bisect_steps=2,
+                                    delta_cap=64.0, partition=part)
+        monkeypatch.undo()
+        assert len(trials) == len(result["history"]) >= 4
+        for t in trials:
+            rep = t["report"]
+            assert t["applied"] == rep.iterations - 1
+            free = dsp.propagate_trajectory(COEFFS, t["cfg"].times(), t["u0"])
+            u1 = sv.duhamel_apply(t["cfg"], free, t["u0"])
+            d0 = ms.x_norm_diff(u1, free, cfg.s, cfg.q, cfg.r, cfg.p, part).value
+            scale = ms.x_norm(free, cfg.s, cfg.q, cfg.r, cfg.p, part).value
+            box, support = t["u1"]
+            assert support == u1.support
+            assert_rel_close(box, u1.box, 1e-13)
+            assert abs(rep.diff_norms[0] - d0) <= 1e-13 * max(d0, scale)
+
+    def test_exponential_runs_every_iteration(self, grid2d_small, monkeypatch):
+        """The exponential has no degree: no shared first iterate, and every
+        trial is bit for bit a picard_solve of its rescaled profile."""
+        cfg = small_config(grid2d_small, nonlin=EXPONENTIAL, nt=9, t_max=4.0,
+                           max_iters=30, override_hypotheses=True)
+        profile = small_datum(cfg, seed=13, mod_norm=1.0)
+        part = cfg.partition()
+        solve, firsts = sv.picard_solve, []
+
+        def spy(*args, first=None, **kwargs):
+            firsts.append(first)
+            return solve(*args, first=first, **kwargs)
+
+        monkeypatch.setattr(sv, "picard_solve", spy)
+        result = sv.delta_bisection(cfg, profile, delta_init=0.5, bisect_steps=2,
+                                    delta_cap=64.0, partition=part)
+        monkeypatch.undo()
+        assert firsts == [None] * len(result["history"])
+        base = ms.mod_norm(profile, cfg.mod_spec(), part).value
+        for h in result["history"]:
+            scaled = sp.SpectralField(cfg.grid,
+                                      spectrum=profile.spectrum * (h["delta"] / 2.0 / base))
+            try:
+                _, rep = sv.picard_solve(replace(cfg, delta=h["delta"]), scaled, part,
+                                         theta_max=0.9)
+            except NumericsError as exc:
+                rep = exc.report
+            assert rep.theta_hat == h["theta_hat"]
+            if h["delta"] == result["delta"]:
+                assert rep.diff_norms == result["report"].diff_norms

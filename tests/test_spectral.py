@@ -276,6 +276,61 @@ class TestRollFreePass:
         assert np.array_equal(got, ref, equal_nan=True)
 
 
+def flip_both_pass(fn, grid, *stacks, support, degree):
+    """The pass as it was before it read the parity of fn: the sign of
+    _flip_odd on every input and on fn's output, whatever the degree."""
+    sub, reach = sp._pass_grid(grid, support, degree)
+    width = sp._box_width(grid, reach)
+    axes = tuple(range(-grid.d, 0))
+    out = np.empty((stacks[0].shape[0],) + (width,) * grid.d, dtype=np.complex128)
+    for rows, vals in sp._physical_chunks(sub, *stacks):
+        for v in vals:
+            sp._flip_odd(v, grid.d)
+        g = np.asarray(fn(*vals), dtype=np.complex128)
+        sp._flip_odd(g, grid.d)
+        np.fft.fftn(g, axes=axes, out=g)
+        out[rows] = sp._rebox(g, grid.d, width) * sub.h**grid.d
+    return out, reach
+
+
+CUBIC = nl.NonlinSpec.cubic(-1.0 + 0.5j)
+PARITY_MAPS = dict(PASS_MAPS, witness_cubic=(
+    lambda a, b: nl.evaluate(CUBIC, a) - nl.evaluate(CUBIC, b), 3, 2))
+
+
+class TestParityPass:
+    """A map of degree D has fn(s v) = s^D fn(v) exactly, as negation
+    commutes with IEEE products and conj: the pass flips no input and
+    flips the output only for even D, bit for bit the pass that flips both."""
+
+    @pytest.mark.parametrize("reduced", [True, False], ids=["reduced", "full"])
+    @pytest.mark.parametrize("d, n", [(1, 256), (2, 64), (3, 32)])
+    @pytest.mark.parametrize("kind", sorted(PARITY_MAPS))
+    def test_bitwise_equal_to_the_flip_both_pass(self, kind, d, n, reduced):
+        fn, degree, count = PARITY_MAPS[kind]
+        w = 1 if reduced else n // 4
+        grid = sp.make_grid(d, 4 * math.pi, n)
+        stacks = [support_stack(d, n, w, seed, count=5)[1] for seed in range(count)]
+        got, reach = sp._pointwise_map(fn, grid, *stacks, degree=degree, support=w)
+        ref, ref_reach = flip_both_pass(fn, grid, *stacks, support=w, degree=degree)
+        assert reach == ref_reach
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+    @pytest.mark.parametrize("kind, flips", [("cubic", 0), ("quintic", 0), ("hoelder3", 0),
+                                             ("witness_cubic", 0), ("quartic", 1),
+                                             ("hoelder2", 1), ("witness", 1),
+                                             ("exponential", 2)])
+    def test_flips_only_what_the_parity_needs(self, monkeypatch, kind, flips):
+        """Per chunk: no flip for odd D, the output's for even D, and every
+        input's and the output's without a degree."""
+        fn, degree, count = PARITY_MAPS[kind]
+        grid, stack = support_stack(2, 64, 1, 0, count=3)
+        flipped, flip = [], sp._flip_odd
+        monkeypatch.setattr(sp, "_flip_odd", lambda x, d: (flipped.append(d), flip(x, d)))
+        sp._pointwise_map(fn, grid, *([stack] * count), degree=degree, support=1)
+        assert len(flipped) == flips  # one chunk
+
+
 class TestArithmetic:
     def test_grid_mismatch(self, grid1d):
         other = sp.make_grid(1, 16 * math.pi, 256)

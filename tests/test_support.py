@@ -74,7 +74,7 @@ class TestProducers:
         assert_vanishes_beyond(fu)
 
         v = sp.Trajectory(grid, times, stack, support=w)
-        diff, reach = sp._pointwise_map(lambda a, b: a * b - b, grid, flow.spectra, v.spectra,
+        diff, reach = sp._pointwise_map(lambda a, b: a * b - b * b, grid, flow.spectra, v.spectra,
                                         degree=2, support=w)
         assert reach in (2 * w, grid.n // 2)
         assert_vanishes_beyond(sp.Trajectory(grid, times, diff, support=reach))

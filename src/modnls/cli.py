@@ -2,9 +2,10 @@
 
 Every run writes a manifest (config hash, seed, versions, wall time, output
 list) into the output directory, even when it fails. Exit codes: 0 success,
-2 hypothesis-violation or config rejection (the check ledger, as far as it
-got, goes to stderr and to ledger.json), 1 numerical failure
-(non-contraction, tail overflow).
+2 hypothesis-violation or config rejection (a hypothesis violation writes
+the ledger, as far as it got and with the failed rules in `problems`, to
+stderr and to ledger.json), 1 numerical failure (non-contraction, tail
+overflow).
 
 Data outputs (JSON / CSV / binary fields) are byte-identical across reruns
 with the same config and seed; the manifest is the only file carrying
@@ -53,8 +54,6 @@ def _json_default(obj):
         return int(obj)
     if isinstance(obj, np.ndarray):
         return obj.tolist()
-    if isinstance(obj, disp.ParamLedger):
-        return _ledger_json(obj)
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
@@ -307,27 +306,10 @@ def _series_csv(run: _Run, name: str, cfg: solver.SolveConfig, traj,
 # ---------------------------------------------------------------------------
 
 
-def _ledger_json(led: disp.ParamLedger) -> dict:
-    """A parameter ledger, complete or as far as it got, with exact
-    exponents as strings."""
-    out = {"d": led.d, "m": led.m, "gamma_nonzero": led.gamma_nonzero,
-           "c_gamma": led.c_gamma, "m0": led.m0}
-    for key in ("I", "J"):
-        if getattr(led, key) is not None:
-            out[key] = [str(x) for x in getattr(led, key)]
-    for key in ("r", "p_a", "p_tilde", "r_tilde", "p"):
-        if getattr(led, key) is not None:
-            out[key] = str(getattr(led, key))
-    if led.r is not None:
-        out.update(l=led.l, checks=led.checks)
-    return out
-
-
 def _cmd_params(args, run: _Run) -> int:
     r = disp.as_exponent(args.r) if args.r else None
     p = disp.as_exponent(args.p) if args.p else None
-    led = disp.build_param_ledger(args.d, args.m, args.gamma_nonzero, r=r, p=p)
-    out = _ledger_json(led)
+    out = disp.build_param_ledger(args.d, args.m, args.gamma_nonzero, r=r, p=p).to_json()
     _dump_json(run.path("ledger.json"), out)
     print(json.dumps(out, sort_keys=True, default=_json_default))
     return EXIT_OK
@@ -548,10 +530,9 @@ def main(argv=None) -> int:
         code = args.func(args, run)
     except HypothesisError as exc:
         print(f"rejected: hypothesis violation: {exc}", file=sys.stderr)
-        if exc.ledger is not None:
-            _dump_json(run.path("ledger.json"), exc.ledger)
-            print(json.dumps(exc.ledger, sort_keys=True, default=_json_default),
-                  file=sys.stderr)
+        ledger = {"problems": [str(exc)], **(exc.ledger or {})}
+        _dump_json(run.path("ledger.json"), ledger)
+        print(json.dumps(ledger, sort_keys=True, default=_json_default), file=sys.stderr)
         run.finish("rejected")
         return EXIT_REJECTED
     except NumericsError as exc:

@@ -354,7 +354,7 @@ class ParamLedger:
     m: int
     gamma_nonzero: bool
     c_gamma: int
-    m0: int
+    m0: int | None = None
     I: tuple[Fraction, Fraction] | None = None
     r: Fraction | None = None
     inv_r: Fraction | None = None
@@ -367,20 +367,35 @@ class ParamLedger:
     p: Fraction | None = None
     checks: dict = field(default_factory=dict)
 
+    def to_json(self) -> dict:
+        """The ledger as far as it got, JSON-ready: exact exponents and
+        interval ends as strings, and the checks once r is in I."""
+        out = {}
+        for key in ("d", "m", "gamma_nonzero", "c_gamma", "m0", "I", "r", "l", "J",
+                    "p_a", "p_tilde", "r_tilde", "p"):
+            val = getattr(self, key)
+            if isinstance(val, tuple):
+                out[key] = [str(x) for x in val]
+            elif val is not None:
+                out[key] = val if isinstance(val, int) else str(val)
+        if self.r is not None:
+            out["checks"] = dict(self.checks)
+        return out
+
 
 def build_param_ledger(d: int, m: int, gamma_nonzero: bool,
                        r=None, p=None) -> ParamLedger:
     """Assemble the full exponent ledger, verifying hypotheses on the way.
 
     A violation raises HypothesisError carrying the ledger as far as it
-    got: m0 when m < m0, m0 and I when 1/r is outside I, and m0, I, l and
-    J when 1/p is outside J.
+    got (ParamLedger.to_json): d, m and gamma always, then m0 when m < m0,
+    m0 and I when 1/r is outside I, and m0, I, l and J when 1/p is outside J.
     """
     gamma = 1.0 if gamma_nonzero else 0.0
     c = c_gamma_of(gamma)
-    m0 = compute_m0(d, gamma)
-    led = ParamLedger(d=d, m=m, gamma_nonzero=gamma_nonzero, c_gamma=c, m0=m0)
+    led = ParamLedger(d=d, m=m, gamma_nonzero=gamma_nonzero, c_gamma=c)
     try:
+        m0 = led.m0 = compute_m0(d, gamma)
         I = led.I = interval_I(m, d, gamma)
         if r is None:
             return led
@@ -411,7 +426,7 @@ def build_param_ledger(d: int, m: int, gamma_nonzero: bool,
             led.checks["p_ge_p_a"] = inv_p <= inv_exponent(led.p_a)
             led.checks["holder_chain"] = (led.l + 1) * dp.p_tilde >= p
     except HypothesisError as exc:
-        exc.ledger = led
+        exc.ledger = led.to_json()
         raise
     return led
 

@@ -9,8 +9,8 @@ discovered during a run (exit 1). Everything else is a plain ValueError.
 class HypothesisError(ValueError):
     """A requested computation violates a hypothesis it depends on.
 
-    Carries the partial parameter ledger, if one was built before the
-    violation, so callers can record what was derived.
+    Carries the ledger as far as it got, a JSON-ready dict (see
+    dispersion.ParamLedger.to_json), or None when the raiser builds none.
     """
 
     def __init__(self, message, ledger=None):

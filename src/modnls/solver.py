@@ -46,6 +46,7 @@ __all__ = [
     "duhamel_apply",
     "picard_solve",
     "split_step_oracle",
+    "oracle_deviation",
     "mass",
     "mass_series",
     "scatter_minus",
@@ -150,29 +151,22 @@ class SolveReport:
 def verify_hypotheses(cfg: SolveConfig, scattering: bool = False) -> dict:
     """Check the theorem hypotheses; raise HypothesisError unless overridden.
 
-    The exponent chain m0 -> I -> l -> J is `dispersion.build_param_ledger`
-    and the (q, s) condition is `dispersion.weight_rule`. Returns the
-    ledger of checks (the report records it); a HypothesisError carries it.
+    The ledger is the one `modnls params` prints (ParamLedger.to_json, as
+    far as the chain got) plus what a solve adds: the (q, s) condition of
+    `dispersion.weight_rule`, q <= m + 1 for scattering, and `problems`,
+    the violated rules. Returns it (the report records it); a
+    HypothesisError carries it.
     """
     if cfg.nonlin.kind == "zero":
-        return {"linear_problem": True}
-    ledger: dict = {}
+        return {"linear_problem": True, "problems": []}
     problems: list[str] = []
     m = cfg.degree_m
     try:
-        led = disp.build_param_ledger(cfg.grid.d, m, cfg.coeffs.gamma != 0.0,
-                                      r=cfg.r, p=cfg.p)
+        ledger = disp.build_param_ledger(cfg.grid.d, m, cfg.coeffs.gamma != 0.0,
+                                        r=cfg.r, p=cfg.p).to_json()
     except HypothesisError as exc:
-        led = exc.ledger  # None when d < 2: not even m0 exists
+        ledger = exc.ledger
         problems.append(str(exc))
-    if led is not None:
-        ledger["m0"] = led.m0
-        if led.I is not None:
-            ledger["I"] = [str(led.I[0]), str(led.I[1])]
-        if led.l is not None:
-            ledger["l"] = led.l
-        if led.J is not None:
-            ledger["J"] = [str(led.J[0]), str(led.J[1])]
 
     ok, rule = disp.weight_rule(cfg.grid.d, cfg.q, cfg.s)
     if (float(cfg.q) == 1.0 and cfg.nonlin.kind == "exponential"
@@ -217,10 +211,6 @@ def duhamel_apply(cfg: SolveConfig, u: Trajectory, u0: SpectralField,
     return Trajectory(cfg.grid, u.times, stack, support=W)
 
 
-def _x_diff(cfg: SolveConfig, partition, a: Trajectory, b: Trajectory) -> float:
-    return modspace.x_norm_diff(a, b, cfg.s, cfg.q, cfg.r, cfg.p, partition).value
-
-
 _FLOOR_REL = 1e-13  # below this (relative to the first difference) ratios are noise
 
 
@@ -252,7 +242,8 @@ def _run_fixed_point(cfg: SolveConfig, u0: SpectralField, ledger: dict,
 
     norm0 = modspace.mod_norm(u0, cfg.mod_spec(), partition).value
     if norm0 > cfg.delta / 2.0 * (1.0 + 1e-12):
-        msg = (f"||u0|| = {norm0:.3e} exceeds delta/2 = {cfg.delta / 2:.3e}")
+        msg = f"||u0|| = {norm0:.3e} exceeds delta/2 = {cfg.delta / 2:.3e}"
+        ledger["problems"].append(msg)
         if not cfg.override_hypotheses:
             raise HypothesisError(msg, ledger)
         report.warnings.append(msg)
@@ -275,7 +266,8 @@ def _run_fixed_point(cfg: SolveConfig, u0: SpectralField, ledger: dict,
                 out = spent.box if spent is not None and spent.box.shape == u.box.shape else None
                 spent = None  # free the iterate before last unless its stack is reused
                 u_new = duhamel_apply(cfg, u, u0, out=out)
-                diff = _x_diff(cfg, partition, u_new, u)
+                diff = modspace.x_norm_diff(u_new, u, cfg.s, cfg.q, cfg.r, cfg.p,
+                                            partition).value
             report.diff_norms.append(diff)
             report.iterations = it
             spent, u = u, u_new

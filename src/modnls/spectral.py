@@ -94,13 +94,13 @@ class GridSpec:
         return np.meshgrid(*([ax] * self.d), indexing="ij")
 
 
-def make_grid(d: int, L: float, n: int, k_max: int | None = None) -> GridSpec:
+def make_grid(d: int, L: float, n: int) -> GridSpec:
     """Validate and build a GridSpec.
 
     L must be an integer multiple of pi (M >= 4) so unit boxes align with
-    the lattice; n must be a power of two. If k_max is given, additionally
-    require n >= 2M(2 k_max + 2) so that all boxes up to |k| <= k_max fit
-    below the Nyquist frequency with room for the multiplier supports.
+    the lattice; n must be a power of two. Whether the boxes up to a k_max
+    fit below the Nyquist frequency is the partition's check
+    (modspace.Partition).
     """
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
@@ -112,12 +112,6 @@ def make_grid(d: int, L: float, n: int, k_max: int | None = None) -> GridSpec:
         raise ValueError(
             f"L must be pi*M for integer M >= 4, got L = {L} (L/pi = {M})"
         )
-    if k_max is not None:
-        need = 2 * M_int * (2 * k_max + 2)
-        if n < need:
-            raise ValueError(
-                f"n = {n} too small for k_max = {k_max}: need n >= {need}"
-            )
     return GridSpec(d=d, L=math.pi * M_int, n=n, M=M_int)
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from modnls import cli, dispersion as dsp, harness, spectral as sp
 from modnls.cli import main
@@ -189,11 +189,12 @@ class TestSolveCommands:
         assert code == 2
 
 
-def _picard_with_norms(tmp_path, r, p, extra_args=(), solver=None):
+def _picard_with_norms(tmp_path, r, p, extra_args=(), solver=None, initial_data=None):
     cfg = json.loads(json.dumps(PICARD_CONFIG))
     cfg["window"]["nt"] = 9
     cfg["norms"].update(r=r, p=p)
     cfg["solver"].update(solver or {})
+    cfg["initial_data"].update(initial_data or {})
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     out_dir = tmp_path / "out"
@@ -446,6 +447,19 @@ class TestRejectionLedger:
         assert code == 2
         led = _rejected_ledger(tmp_path, capsys)
         assert led["m0"] == 3 and "I" not in led
+        assert led["problems"] == ["m = 2 below minimal degree m0 = 3"]
+
+    @pytest.mark.parametrize("d, m, m0, rule", [
+        (1, 3, None, "theory requires d >= 2, got d = 1"),
+        (2, 2, 3, "m = 2 below minimal degree m0 = 3"),
+    ])
+    def test_params_without_gamma(self, tmp_path, capsys, d, m, m0, rule):
+        # d and m are recorded before the chain refuses them, d = 1 included
+        code = run_cli(["params", "-d", str(d), "-m", str(m), "--out", str(tmp_path)])
+        assert code == 2
+        led = _rejected_ledger(tmp_path, capsys)
+        assert (led["d"], led["m"], led.get("m0")) == (d, m, m0)
+        assert led["problems"] == [rule] and "I" not in led
 
     def test_r_outside_I(self, tmp_path, capsys):
         code = run_cli(["params", "-d", "2", "-m", "3", "--gamma-nonzero", "-r", "2",
@@ -477,6 +491,23 @@ class TestRejectionLedger:
         assert code == 2
         led = _rejected_ledger(tmp_path / "out", capsys)
         assert led["q_le_m_plus_1"] is False and led["J"] == ["1/8", "1/6"]
+
+    def test_small_data(self, tmp_path, capsys):
+        code, _ = _picard_with_norms(tmp_path, 4, 6, solver={"delta": 0.2},
+                                     initial_data={"mod_norm": 0.5})
+        assert code == 2
+        led = _rejected_ledger(tmp_path / "out", capsys)
+        assert led["problems"] == ["||u0|| = 5.000e-01 exceeds delta/2 = 1.000e-01"]
+        assert led["p"] == "6" and led["s_rule"] == "s >= 0: True"
+
+    def test_small_data_overridden(self, tmp_path):
+        code, out_dir = _picard_with_norms(
+            tmp_path, 4, 6, solver={"delta": 0.2, "override_hypotheses": True},
+            initial_data={"mod_norm": 0.15})
+        assert code == 0
+        rep = read_json(out_dir / "report.json")
+        msg = "||u0|| = 1.500e-01 exceeds delta/2 = 1.000e-01"
+        assert rep["hypothesis_ledger"]["problems"] == [msg] and rep["warnings"] == [msg]
 
 
 _OUTSIDE = {  # which coordinate leaves the admitted region -> the problem it raises
@@ -527,6 +558,59 @@ class TestRejectedRegion:
             led = read_json(Path(tmp) / "ledger.json")
             assert read_json(Path(tmp) / "manifest.json")["status"] == "rejected"
         assert len(led["problems"]) == 1 and _OUTSIDE[side] in led["problems"][0]
+        assert led["d"] == d and led["m"] == m
+
+
+_EVEN_P = range(4, 16, 2)  # p M < n at M = 4, n = 64: the pruned-DFT box path
+
+
+class TestAdmittedRegion:
+    """Points inside the admitted region run: m in {m0, m0 + 1}, 1/r in I and
+    1/p in J (rational), q in {1, 2, inf} with s = 0 for q = 1 and s just
+    above d/q' otherwise. Each exits 0, or 1 with its report, and the report's
+    ledger holds the `modnls params` ledger of the same (d, m, r, p) key for
+    key. At d = 3 only even p are drawn: any other p takes the full-grid box
+    path, 17-24 s a solve at 64^3."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(d=st.sampled_from([2, 3]), gamma=st.sampled_from([0.0, 1.0]),
+           extra=st.integers(0, 1), u=st.fractions(0, 1, max_denominator=8),
+           v=st.fractions(0, 1, max_denominator=4), q=st.sampled_from([1, 2, math.inf]),
+           data=st.data())
+    def test_picard_runs_with_the_params_ledger(self, d, gamma, extra, u, v, q, data):
+        m = dsp.compute_m0(d, gamma) + extra
+        I = dsp.interval_I(m, d, gamma)
+        r = 1 / (I[0] + u * (I[1] - I[0]))
+        J = dsp.build_param_ledger(d, m, gamma != 0.0, r=r).J
+        if d == 3:
+            evens = [p for p in _EVEN_P if J[0] <= Fraction(1, p) <= J[1]]
+            assume(evens)
+            p = Fraction(data.draw(st.sampled_from(evens)))
+        else:
+            p = 1 / (J[0] + v * (J[1] - J[0]))
+        s = 0.0 if q == 1 else d * (1 - 1 / q) + 0.125
+        cfg = {
+            "grid": {"d": d, "L_over_pi": 4, "n": 64},
+            "coeffs": {"alpha": 1.0, "beta": 1.0 - gamma, "gamma": gamma},
+            "nonlinearity": {"kind": "power", "pattern": ",".join(["u"] * (m + 1)),
+                             "coeff": [-1.0, 0.0]},
+            "window": {"t_min": 0.0, "t_max": 1.0, "nt": 5},
+            "norms": {"s": s, "q": "inf" if q == math.inf else q, "r": str(r),
+                      "p": str(p), "k_max": 2},
+            "initial_data": {"band": 1, "mod_norm": 0.05},
+        }
+        gamma_flag = ["--gamma-nonzero"] if gamma else []
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg_path = Path(tmp) / "cfg.json"
+            cfg_path.write_text(json.dumps(cfg))
+            code = run_cli(["picard", "--config", str(cfg_path), "--out", f"{tmp}/solve"])
+            assert code in (0, 1)
+            led = read_json(Path(tmp) / "solve" / "report.json")["hypothesis_ledger"]
+            assert run_cli(["params", "-d", str(d), "-m", str(m), *gamma_flag, "-r", str(r),
+                            "-p", str(p), "--out", f"{tmp}/params"]) == 0
+            params = read_json(Path(tmp) / "params" / "ledger.json")
+        assert led["problems"] == []
+        assert {key: led[key] for key in params} == params
 
 
 class TestVerify:

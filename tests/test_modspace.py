@@ -48,9 +48,14 @@ class TestPartition:
         outside = dist > math.sqrt(grid2d.d)
         assert np.all(table[outside] == 0.0)
 
-    def test_nyquist_overflow_rejected(self, grid2d_small):
+    def test_nyquist_overflow_rejected(self, grid1d, grid2d_small):
         with pytest.raises(ValueError):
             ms.build_partition(ms.PartitionSpec("trigonometric-window", 4), grid2d_small)
+        # the boundary n >= 2M(2 k_max + 2): M = 16, n = 512 holds k_max = 7, not 8
+        assert (grid1d.d, grid1d.M, grid1d.n) == (1, 16, 512)
+        ms.build_partition(ms.PartitionSpec("trigonometric-window", 7), grid1d)
+        with pytest.raises(ValueError, match="Nyquist overflow"):
+            ms.build_partition(ms.PartitionSpec("trigonometric-window", 8), grid1d)
 
 
 class TestBoxOperator:

@@ -107,8 +107,10 @@ class TestHypothesisGate:
     def test_smallness_gate(self, grid2d_small):
         cfg = small_config(grid2d_small)
         big = small_datum(cfg, mod_norm=10 * cfg.delta)
-        with pytest.raises(HypothesisError):
+        with pytest.raises(HypothesisError) as exc:
             sv.picard_solve(cfg, big)
+        assert exc.value.ledger["problems"] == [str(exc.value)]
+        assert str(exc.value).startswith("||u0|| = ")
 
 
 class TestDuhamel:

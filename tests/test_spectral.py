@@ -53,11 +53,6 @@ class TestMakeGrid:
         with pytest.raises(ValueError):
             sp.make_grid(1, 2 * math.pi, 64)
 
-    def test_k_max_headroom(self):
-        sp.make_grid(1, 16 * math.pi, 512, k_max=7)
-        with pytest.raises(ValueError):
-            sp.make_grid(1, 16 * math.pi, 512, k_max=8)
-
 
 class TestTransforms:
     def test_round_trip(self, grid1d):

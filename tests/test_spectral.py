@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from modnls import nonlinear as nl, spectral as sp
+from modnls import modspace as ms, nonlinear as nl, spectral as sp
 from modnls.errors import GridMismatchError
 
 from conftest import (assert_support_sized, band_limited_field, centered_fft, centered_ifft,
@@ -52,6 +52,16 @@ class TestMakeGrid:
     def test_rejects_small_M(self):
         with pytest.raises(ValueError):
             sp.make_grid(1, 2 * math.pi, 64)
+
+    def test_k_max_headroom(self):
+        # the headroom n >= 2M(2 k_max + 2) is the partition's rule, not the
+        # grid's: make_grid takes no k_max, and M = 16, n = 512 holds k_max = 7
+        with pytest.raises(TypeError):
+            sp.make_grid(1, 16 * math.pi, 512, k_max=8)
+        g = sp.make_grid(1, 16 * math.pi, 512)
+        ms.build_partition(ms.PartitionSpec("trigonometric-window", 7), g)
+        with pytest.raises(ValueError, match="Nyquist overflow"):
+            ms.build_partition(ms.PartitionSpec("trigonometric-window", 8), g)
 
 
 class TestTransforms:

@@ -6,16 +6,16 @@ w >= 1/2 on [-1/2, 1/2] and sum_j w(xi - j) = 1. Two window families are
 shipped (a normalized polynomial bump and a cos^2 window) so that the
 equivalence of the resulting norms can be measured instead of assumed.
 
-Norm evaluation is exact but avoids full-grid inverse transforms where
-possible, and handles all boxes and samples of a stack in one call: a box
-piece is band-limited to a (2M+1)-wide frequency window, so the L^2 norms
-of all boxes are one Plancherel pass (|F|^2 contracted with the squared
-window along each axis), and for even p the L^p quadrature is evaluated on
-a reduced grid of R = p*(M-1) + 1 points per axis, where the Riemann sum of
-the trigonometric polynomial |g|^p is already the exact integral (hence
-equal to the full-grid sum). Odd, fractional and infinite p fall back to the
-full grid. The `reference` method forces the full-grid path everywhere;
-it exists to validate and benchmark the fast path.
+Norm evaluation is exact but makes no full-grid inverse transform, and
+handles all boxes and samples of a stack in one call: a box piece is
+band-limited to a (2M+1)-wide frequency window, so the L^2 norms of all
+boxes are one Plancherel pass (|F|^2 contracted with the squared window
+along each axis), and any other p synthesizes each box piece on R points
+per axis: R = p*(M-1) + 1 for even p with p*M < n, where the Riemann sum
+of the trigonometric polynomial |g|^p is already the exact integral (hence
+equal to the full-grid sum), and otherwise R = n, the defining n-point sum
+(p = inf takes its maximum). The `reference` method takes the full grid,
+box by box, for every p; it exists to validate and benchmark the fast path.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from .spectral import (
     Trajectory,
     _abs2,
     _chunks,
+    _exponent,
     _lp,
     _n_samples,
     _physical_chunks,
@@ -239,12 +240,13 @@ class XNormResult:
 
 def _lq_aggregate(values: np.ndarray, q, axis=None):
     """l^q over boxes: of a (n_boxes,) vector, or along `axis` of a table."""
+    q = _exponent("q", q)
     if q == math.inf:
         out = values.max(axis=axis, initial=0.0)
-    elif float(q) == 1.0:
+    elif q == 1.0:
         out = values.sum(axis=axis)
     else:
-        out = np.sum(values ** float(q), axis=axis) ** (1.0 / float(q))
+        out = np.sum(values ** q, axis=axis) ** (1.0 / q)
     return out if axis is not None else float(out)
 
 
@@ -262,9 +264,9 @@ class _BoxNormEngine:
     """Per-box L^p norms of (stacks of) spectra for one partition.
 
     `series` returns the (n_boxes, T) table of norms for every box and
-    sample in one call. method "fast" takes the Plancherel pass for p = 2,
-    the pruned DFT for even p and the full grid otherwise; "reference"
-    takes the full grid for every p. Both agree to roundoff.
+    sample in one call. method "fast" takes the Plancherel pass for p = 2
+    and the pruned DFT for every other p; "reference" takes the full grid,
+    box by box, for every p. Both agree to roundoff.
 
     `stacks` is a spectra array, full-grid (T, n, ..) or box-stored (T,
     2W + 1, ..) as a Trajectory keeps it, or a pair (A, B) of them whose
@@ -299,18 +301,13 @@ class _BoxNormEngine:
     def series(self, stacks, p, support: int, l2: np.ndarray | None = None) -> np.ndarray:
         """(n_boxes, T) table of per-box L^p norms of stacks of `support` W
         (see Trajectory.support), to which the Plancherel pass keeps; `l2`
-        may pass the p = 2 table when the caller already has it."""
-        p = math.inf if p == math.inf else float(p)  # exact exponents end here
-        grid = self.partition.grid
-        # while p*M < n the reduced grid (R < n points, see _pruned_dft) gives
-        # the n-point sum exactly; beyond that the n-point sum is the
-        # defining quadrature, so keep it
-        reduced = p != math.inf and p % 2 == 0 and p * grid.M < grid.n
-        if self.method == "reference" or not (p == 2.0 or reduced):
+        may pass the fast method the p = 2 table when the caller has it."""
+        p = _exponent("p", p)  # exact exponents end here
+        if self.method == "reference":
             return self._full_grid(stacks, p)
         if l2 is None:
             l2 = self._plancherel(stacks, support)
-        return l2 if p == 2.0 else self._pruned_dft(stacks, int(p), l2)
+        return l2 if p == 2.0 else self._pruned_dft(stacks, p, l2)
 
     def _plancherel(self, stacks, support: int) -> np.ndarray:
         """All box L^2 norms at once: |F|^2 on the region covering every box
@@ -331,21 +328,21 @@ class _BoxNormEngine:
             out[t0:t1][boxes] = sq
         return np.sqrt(self._l2_factor * self._by_box(out))
 
-    def _pruned_dft(self, stacks, p: int, l2: np.ndarray) -> np.ndarray:
-        """Even p: synthesize each box piece on R = p*(M-1) + 1 points per axis.
-
-        Both window ends vanish (Partition enforces it), so along each axis a
-        box piece has 2M-1 nonzero coefficients and |g|^p = (g conj(g))^(p/2)
-        has index bandwidth p*(M-1): R points integrate it exactly. One
-        synthesis matrix serves every box (the box offset only adds a
-        unimodular phase): each axis is one matrix product on the strided
-        box windows, less the two ends where the window vanishes. Read are
-        the bounding box of the boxes with a nonzero L^2 series (the region
-        rule of the Plancherel pass, see _region) and the samples from the
+    def _pruned_dft(self, stacks, p: float, l2: np.ndarray) -> np.ndarray:
+        """Sum |v|^p (max for p = inf) of each box piece synthesized on R
+        points per axis. Both window ends vanish (Partition enforces it), so
+        along each axis a box piece has 2M-1 nonzero coefficients; for even
+        p, |g|^p = (g conj(g))^(p/2) has index bandwidth p*(M-1), and while
+        p*M < n, R = p*(M-1) + 1 points integrate it exactly: the n-point sum.
+        Every other p takes R = n, the n-point sum itself. One synthesis
+        matrix serves every box (the box offset only adds a unimodular
+        phase): each axis is one matrix product on the strided box windows,
+        less the two vanishing ends. Read are the bounding box of the boxes
+        with a nonzero L^2 series (see _region) and the samples from the
         first to the last nonzero L^2 row; the rest is exactly zero. The
         boxes come from the table, not the support: a gemm rounds by its
-        shape, and a box-stored stack must match its full-grid copy, of
-        wider support, bit for bit."""
+        shape, and a box-stored stack must match its full-grid copy bit for
+        bit."""
         part, grid = self.partition, self.partition.grid
         d, M, K = grid.d, grid.M, part.k_max
         samples = np.flatnonzero(l2.any(axis=0))
@@ -354,30 +351,37 @@ class _BoxNormEngine:
         s0, s1 = int(samples[0]), int(samples[-1]) + 1
         ks = np.argwhere(l2.any(axis=1).reshape((2 * K + 1,) * d)) - K  # the live boxes
         width, points, boxes = self._region(ks.min(axis=0), ks.max(axis=0))
-        counts = [b.stop - b.start for b in boxes[1:]]
-        R = p * (M - 1) + 1
+        counts = [s1 - s0] + [b.stop - b.start for b in boxes[1:]]
+        even = p < math.inf and p % 2 == 0
+        R = int(p) * (M - 1) + 1 if even and p * M < grid.n else grid.n
         synth = part.synthesis_matrix(R)[1:-1]
-        # chunks of (samples, box rows along axis 1) of about _CHUNK_BYTES each
-        k_step = _CHUNK_BYTES // (16 * R**d * math.prod(counts[1:]))
-        sums = np.empty((s1 - s0,) + tuple(counts))
-        for t0, t1 in _chunks(s1 - s0, k_step // counts[0]):
+        # chunks of (samples, boxes along each axis) of about _CHUNK_BYTES of
+        # synthesized points, and of one box of one sample at least
+        per_chunk = _CHUNK_BYTES // (16 * R**d)
+        ranges = [_chunks(c, per_chunk // math.prod(counts[i + 1:])) for i, c in enumerate(counts)]
+        sums = np.empty(counts)
+        for t0, t1 in ranges[0]:
             region = _stack_rows(stacks, slice(s0 + t0, s0 + t1), d, width)[points]
-            for k0, k1 in _chunks(counts[0], k_step):
-                x = region[:, k0 * M:(k1 + 1) * M + 1]
-                for axis in range(1, d + 1):
+            for chunk in product(*ranges[1:]):
+                x = region[(slice(None),) + tuple(slice(k0 * M, (k1 + 1) * M + 1)
+                                                  for k0, k1 in chunk)]
+                for axis, size in enumerate(x.shape[1:], 1):
                     if axis > 1:  # a product: its points past `axis` are the rows of one matrix
-                        x = x.reshape(x.shape[:axis] + (region.shape[axis], -1))
+                        x = x.reshape(x.shape[:axis] + (size, -1))
                     win = _box_windows(x, M, axis)[..., 1:-1]
                     # along the last axis (d = 1) the windows overlap, which no
                     # gemm takes as they stand: one gemm on a (boxes, 2M-1) copy
                     flat = win.reshape(-1, 2 * M - 1) if axis == x.ndim - 1 else win
                     x = (flat @ synth).reshape(win.shape[:-1] + (R,))
-                # sum over the reduced grid of |v|^p = (re^2 + im^2)^(p/2)
+                # |v|^2 = re^2 + im^2 on the R^d points of each box
                 a = _abs2(x.reshape(-1, R**d))
-                sums[t0:t1, k0:k1] = np.einsum(*[a, [0, 1]] * (p // 2), [0]).reshape(
+                a = (np.einsum(*[a, [0, 1]] * int(p // 2), [0]) if even else
+                     a.max(axis=1) if p == math.inf else np.power(a, p / 2, out=a).sum(axis=1))
+                sums[(slice(t0, t1),) + tuple(slice(*k) for k in chunk)] = a.reshape(
                     x.shape[:d + 1])
         out = np.zeros((l2.shape[1],) + (2 * K + 1,) * d)
-        out[s0:s1][boxes] = sums ** (1.0 / p) * (2.0 * grid.L / R) ** (d / p)
+        out[s0:s1][boxes] = (np.sqrt(sums) if p == math.inf
+                             else sums ** (1.0 / p) * (2.0 * grid.L / R) ** (d / p))
         return self._by_box(out)
 
     def _full_grid(self, stacks, p: float) -> np.ndarray:
@@ -451,11 +455,7 @@ def _x_norm_impl(stacks, support, times, s, q, r, p, partition, method) -> XNorm
     engine = _BoxNormEngine(partition, method)
     series2 = engine.series(stacks, 2, support)
     per_box_l2 = series2.max(axis=1)
-    if p == 2 and r == math.inf:
-        per_box_lp = per_box_l2
-    else:
-        series_p = series2 if p == 2 else engine.series(stacks, p, support, series2)
-        per_box_lp = time_lp_norm(series_p, times, r)
+    per_box_lp = time_lp_norm(engine.series(stacks, p, support, series2), times, r)
     weights = partition.weights(s)
     part_l2 = _lq_aggregate(weights * per_box_l2, q)
     part_lp = _lq_aggregate(weights * per_box_lp, q)

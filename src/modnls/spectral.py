@@ -85,14 +85,6 @@ class GridSpec:
         """Frequencies in math order: (-n/2 .. n/2-1) * dxi."""
         return (np.arange(self.n) - self.n // 2) * self.dxi
 
-    def frequency_mesh(self) -> tuple[np.ndarray, ...]:
-        ax = self.axis_frequencies()
-        return np.meshgrid(*([ax] * self.d), indexing="ij")
-
-    def point_mesh(self) -> tuple[np.ndarray, ...]:
-        ax = self.axis_points()
-        return np.meshgrid(*([ax] * self.d), indexing="ij")
-
 
 def make_grid(d: int, L: float, n: int) -> GridSpec:
     """Validate and build a GridSpec.
@@ -391,17 +383,6 @@ class SpectralField:
     def zero(cls, grid: GridSpec) -> "SpectralField":
         return cls(grid, values=np.zeros(grid.shape, dtype=np.complex128))
 
-    @classmethod
-    def single_mode(cls, grid: GridSpec, k_index) -> "SpectralField":
-        """exp(i x . xi0) with xi0 = k_index * dxi (k_index integer lattice)."""
-        k = np.asarray(k_index, dtype=np.int64).reshape(grid.d)
-        if np.any(np.abs(k) > grid.n // 2 - 1):
-            raise ValueError(f"mode index {k.tolist()} outside the lattice")
-        xi0 = k * grid.dxi
-        mesh = grid.point_mesh()
-        phase = sum(x * x0 for x, x0 in zip(mesh, xi0))
-        return cls(grid, values=np.exp(1j * phase))
-
     @property
     def values(self) -> np.ndarray:
         if self._values is None:
@@ -425,15 +406,22 @@ class SpectralField:
         return self._support
 
 
+def _exponent(name: str, x) -> float:
+    """A norm exponent as a float in [1, inf]; anything else, NaN included,
+    raises."""
+    x = float(x)
+    if not 1.0 <= x <= math.inf:
+        raise ValueError(f"{name} must be in [1, inf], got {x}")
+    return x
+
+
 def _lp(values: np.ndarray, grid: GridSpec, p):
     """(sum |f|^p h^d)^(1/p) over the trailing d axes; p = inf -> max |f|."""
+    p = _exponent("p", p)
     a = np.abs(values)
     axes = tuple(range(-grid.d, 0))
     if p == math.inf:
         return a.max(axis=axes)
-    p = float(p)
-    if p < 1.0:
-        raise ValueError(f"p must be in [1, inf], got {p}")
     h = grid.h
     if p == 2.0:
         return np.sqrt(np.sum(a * a, axis=axes)) * h ** (grid.d / 2.0)
@@ -474,11 +462,9 @@ def time_lp_norm(values, times, r) -> float:
         raise ValueError("empty trajectory")
     if v.shape[-1] != t.size:
         raise ValueError("values not aligned with times")
+    r = _exponent("r", r)
     if r == math.inf:
         return float(np.max(v, axis=-1)) if v.ndim == 1 else np.max(v, axis=-1)
-    r = float(r)
-    if r < 1.0:
-        raise ValueError(f"r must be in [1, inf], got {r}")
     w = trapezoid_weights(t)
     acc = np.sum(w * v**r, axis=-1) ** (1.0 / r)
     return float(acc) if np.ndim(acc) == 0 else acc

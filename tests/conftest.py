@@ -7,6 +7,28 @@ import pytest
 from modnls import dispersion as dsp, modspace, nonlinear, solver, spectral
 
 
+def frequency_mesh(grid):
+    """The d frequency coordinate arrays of the grid, math order."""
+    ax = grid.axis_frequencies()
+    return np.meshgrid(*([ax] * grid.d), indexing="ij")
+
+
+def point_mesh(grid):
+    """The d point coordinate arrays of the grid, x ascending from -L."""
+    ax = grid.axis_points()
+    return np.meshgrid(*([ax] * grid.d), indexing="ij")
+
+
+def single_mode(grid, k_index):
+    """exp(i x . xi0) with xi0 = k_index * dxi (k_index integer lattice)."""
+    k = np.asarray(k_index, dtype=np.int64).reshape(grid.d)
+    if np.any(np.abs(k) > grid.n // 2 - 1):
+        raise ValueError(f"mode index {k.tolist()} outside the lattice")
+    xi0 = k * grid.dxi
+    phase = sum(x * x0 for x, x0 in zip(point_mesh(grid), xi0))
+    return spectral.SpectralField(grid, values=np.exp(1j * phase))
+
+
 def sigma_table(partition, k):
     """sigma_k sampled on the full frequency lattice (math order)."""
     partition._check_k(k)
@@ -28,7 +50,7 @@ def field_metadata(f):
 
 def write_abs_csv(path, f):
     """Dump |f| samples with their grid coordinates as CSV."""
-    mesh = f.grid.point_mesh()
+    mesh = point_mesh(f.grid)
     a = np.abs(f.values)
     with open(path, "w") as fh:
         cols = ",".join(f"x{i + 1}" for i in range(f.grid.d))

@@ -79,6 +79,19 @@ class TestNorm:
         rep = read_json(out_dir / "norm.json")
         assert rep["value"] > 0 and rep["truncation_residual"] < 1e-10
 
+    @pytest.mark.parametrize("flag, value", [("-p", "0"), ("-p", "-2"), ("-q", "0"),
+                                             ("-q", "1/2")])
+    def test_exponent_outside_one_to_inf_rejected(self, tmp_path, grid2d_small, capsys,
+                                                  flag, value):
+        field_path = tmp_path / "f.bin"
+        sp.write_field(field_path, band_limited_field(grid2d_small, 1, np.random.default_rng(0)))
+        code = run_cli(["norm", "--field", str(field_path), flag, value, "--k-max", "2",
+                        "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"rejected: {flag[1]} must be in [1, inf], got ")
+        assert not (tmp_path / "out" / "norm.json").exists()
+
 
 class TestDumpJson:
     def test_floats_and_exact_exponents(self, tmp_path):

@@ -9,7 +9,7 @@ from modnls import dispersion as dsp, harness as hn, modspace, nonlinear as nl
 from modnls import solver as sv, spectral as sp
 from modnls.errors import HypothesisError
 
-from conftest import band_limited_field
+from conftest import band_limited_field, frequency_mesh, single_mode
 
 F = Fraction
 INF = math.inf
@@ -54,7 +54,7 @@ class TestPropagate:
         assert np.max(np.abs(g.values - f.values)) < 1e-14 * np.max(np.abs(f.values))
 
     def test_single_mode_phase(self, grid1d):
-        f = sp.SpectralField.single_mode(grid1d, (8,))  # xi0 = 1/2
+        f = single_mode(grid1d, (8,))  # xi0 = 1/2
         c = dsp.EquationCoeffs(2.0, 1.0, -1.0)
         t = 0.7
         xi0 = 8 * grid1d.dxi
@@ -94,7 +94,7 @@ class TestPropagate:
 
 def _phase_scale(c, grid):
     """|alpha| |xi|^2 + |beta| |xi_1|^3 + |gamma| xi_1^4 on the lattice."""
-    mesh = grid.frequency_mesh()
+    mesh = frequency_mesh(grid)
     sq = sum(x * x for x in mesh)
     xi1 = np.abs(mesh[0])
     return abs(c.alpha) * sq + abs(c.beta) * xi1**3 + abs(c.gamma) * xi1**4
@@ -121,7 +121,7 @@ class TestPhasor:
     def test_phase_table_is_the_symbol(self):
         grid = PHASOR_GRIDS[3]
         c = dsp.EquationCoeffs(1.0, 0.5, 2.0)
-        expected = dsp.symbol(c, np.stack(grid.frequency_mesh()))
+        expected = dsp.symbol(c, np.stack(frequency_mesh(grid)))
         np.testing.assert_allclose(dsp.phase_table(c, grid), expected,
                                    rtol=4 * EPS, atol=4 * EPS)
 

@@ -7,7 +7,7 @@ from modnls import dispersion as dsp, harness as hn, modspace as ms, nonlinear a
 from modnls import spectral as sp
 from modnls.errors import HypothesisError
 
-from conftest import assert_rel_close, reference_duhamel
+from conftest import assert_rel_close, reference_duhamel, single_mode
 
 COEFFS = dsp.EquationCoeffs(alpha=1.0, beta=0.0, gamma=1.0)
 TIMES = np.linspace(0.0, 2.0, 9)
@@ -79,7 +79,7 @@ class TestStrichartz:
     def test_homogeneous_single_mode_closed_form(self, grid2d, partition2d):
         # unimodular mode: |W(t)u0| = 1, so the L^p_x norm is constant in
         # time and the whole ratio is computable in closed form
-        f = sp.SpectralField.single_mode(grid2d, (2, -1))
+        f = single_mode(grid2d, (2, -1))
         traj = dsp.propagate_trajectory(COEFFS, TIMES, f)
         p, r = 6, 4
         lhs = hn._lebesgue_space_time(traj, p, r)
@@ -121,7 +121,7 @@ class TestStrichartz:
     def test_inhomogeneous_separable_closed_form(self, grid2d):
         # forcing g(t) e^{i x xi0}: the Duhamel integral collapses to the
         # scalar prefix integral of g(t) exp(-i phi t), cross-checked here
-        f = sp.SpectralField.single_mode(grid2d, (1, 2))
+        f = single_mode(grid2d, (1, 2))
         g_t = 1.0 + 0.5 * np.sin(TIMES)
         stack = np.array([gv * f.spectrum for gv in g_t])
         forcing = sp.Trajectory(grid2d, TIMES, stack)

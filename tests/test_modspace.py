@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from modnls import dispersion as dsp, modspace as ms, spectral as sp
 
-from conftest import band_limited_field, sigma_table
+from conftest import band_limited_field, frequency_mesh, sigma_table, single_mode
 
 
 class TestPartition:
@@ -43,7 +44,7 @@ class TestPartition:
     def test_support_inside_ball(self, grid2d, kind):
         part = ms.build_partition(ms.PartitionSpec(kind, 5), grid2d)
         table = sigma_table(part, (0, 0))
-        mesh = grid2d.frequency_mesh()
+        mesh = frequency_mesh(grid2d)
         dist = np.sqrt(sum(x * x for x in mesh))
         outside = dist > math.sqrt(grid2d.d)
         assert np.all(table[outside] == 0.0)
@@ -60,7 +61,7 @@ class TestPartition:
 
 class TestBoxOperator:
     def test_disjoint_support_annihilates(self, grid1d, partition1d):
-        f = sp.SpectralField.single_mode(grid1d, (5 * grid1d.M,))  # xi0 = 5
+        f = single_mode(grid1d, (5 * grid1d.M,))  # xi0 = 5
         out = ms.box(partition1d, (0,), f)
         assert sp.lp_norm(out, math.inf) <= 1e-12
 
@@ -74,7 +75,7 @@ class TestBoxOperator:
     def test_single_mode_multiplier_weight(self, grid1d, partition1d):
         # mode strictly inside Q_1 at xi0 = 1 + 3/16
         idx = grid1d.M + 3
-        f = sp.SpectralField.single_mode(grid1d, (idx,))
+        f = single_mode(grid1d, (idx,))
         w = partition1d.window_1d[grid1d.M + 3]  # offset 3/16 from the center
         out = ms.box(partition1d, (1,), f)
         assert np.max(np.abs(out.values - w * f.values)) < 1e-13
@@ -103,14 +104,14 @@ class TestModNorm:
 
     def test_single_mode_partition_sum(self, grid2d, partition2d):
         # (p,q,s) = (2,1,0): sum_k sigma_k(xi0) ||e^{i x xi0}||_2 = ||f||_2
-        f = sp.SpectralField.single_mode(grid2d, (grid2d.M + 2, -3))
+        f = single_mode(grid2d, (grid2d.M + 2, -3))
         res = ms.mod_norm(f, ms.ModNormSpec(2, 1, 0.0), partition2d)
         assert res.value == pytest.approx(sp.lp_norm(f, 2), rel=1e-12)
 
     def test_single_mode_box_weight(self, grid2d, partition2d):
         # a mode at the center of Q_k lies in no other box: the norm is <k>^s ||f||_2
         k = (2, -1)
-        f = sp.SpectralField.single_mode(grid2d, (k[0] * grid2d.M, k[1] * grid2d.M))
+        f = single_mode(grid2d, (k[0] * grid2d.M, k[1] * grid2d.M))
         res = ms.mod_norm(f, ms.ModNormSpec(2, 1, 1.5), partition2d)
         assert res.value == pytest.approx(6.0**0.75 * sp.lp_norm(f, 2), rel=1e-12)
 
@@ -123,7 +124,7 @@ class TestModNorm:
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_truncation_residual_reported(self, grid2d, partition2d):
-        f = sp.SpectralField.single_mode(grid2d, ((partition2d.k_max + 2) * grid2d.M, 0))
+        f = single_mode(grid2d, ((partition2d.k_max + 2) * grid2d.M, 0))
         assert ms.truncation_residual(f, partition2d) == pytest.approx(sp.lp_norm(f, 2),
                                                                      rel=1e-12)
 
@@ -383,6 +384,9 @@ class TestEngine:
         assert not pair[:, :2].any() and pair[:, 2].any()
 
     def test_even_p_beyond_the_grid_takes_the_full_grid(self):
+        """p * M = n: R = p*(M-1) + 1 points would not be fewer than n, so
+        the pruned DFT synthesizes on R = n points, the defining n-point
+        sum, and matches the reference."""
         grid, part = _engine_grid(2)
         rng = np.random.default_rng(60)
         stack = _random_stack(grid, 1, rng, grid.M)
@@ -390,6 +394,50 @@ class TestEngine:
         fast = ms._BoxNormEngine(part, "fast").series(stack, p, grid.n // 2)
         ref = ms._BoxNormEngine(part, "reference").series(stack, p, grid.n // 2)
         _assert_tables_close(fast, ref)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_fast_method_makes_no_full_grid_pass(self, d, monkeypatch):
+        """method="fast" synthesizes every p but 2 in the pruned DFT: neither
+        the box-by-box full grid nor the full-grid transform is reached."""
+        grid, part = _engine_grid(d)
+        stack = _random_stack(grid, 1, np.random.default_rng(90 + d), grid.M // 2)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the fast method reached a full-grid pass")
+
+        monkeypatch.setattr(ms._BoxNormEngine, "_full_grid", refuse)
+        monkeypatch.setattr(sp, "_physical_chunks", refuse)
+        monkeypatch.setattr(ms, "_physical_chunks", refuse)
+        for p in (3, Fraction(9, 2), math.inf, grid.n // grid.M):
+            table = ms._BoxNormEngine(part, "fast").series(stack, p, grid.n // 2)
+            assert table.shape == (len(part.boxes), 1) and table.any()
+
+    def test_n_point_synthesis_keeps_its_working_set_bounded(self):
+        """d = 3, R = n = 64: one box of one sample is 4 MiB of synthesized
+        points and a row of 25 boxes 100 MiB. Chunked box by box, one call on
+        a sample that fills every box peaks below 16 MiB."""
+        grid, part = _engine_grid(3)
+        stack = _random_stack(grid, 1, np.random.default_rng(100), part.footprint)
+        engine = ms._BoxNormEngine(part, "fast")
+        tracemalloc.start()
+        try:
+            table = engine.series(stack, 3, grid.n // 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.all()
+        assert peak <= 16 * 2**20
+
+    @pytest.mark.parametrize("method", ["fast", "reference"])
+    @pytest.mark.parametrize("x", [0, -2, Fraction(1, 2), math.nan])
+    def test_exponents_outside_one_to_inf_rejected(self, x, method):
+        grid, part = _engine_grid(1)
+        stack = _random_stack(grid, 1, np.random.default_rng(110), grid.M)
+        with pytest.raises(ValueError, match=r"^p must be in \[1, inf\], got "):
+            ms._BoxNormEngine(part, method).series(stack, x, grid.n // 2)
+        f = sp.SpectralField(grid, spectrum=stack[0])
+        with pytest.raises(ValueError, match=r"^q must be in \[1, inf\], got "):
+            ms.mod_norm(f, ms.ModNormSpec(2, x, 0.0), part, method)
 
     @settings(max_examples=25, deadline=None)
     @given(d=st.sampled_from([1, 2]), k_max=st.sampled_from([2, 3]),

@@ -6,7 +6,7 @@ import pytest
 from modnls import dispersion as dsp, modspace as ms, nonlinear as nl, spectral as sp
 
 from conftest import (assert_support_sized, band_limited_field, centered_ifft,
-                      reference_apply_to_trajectory)
+                      reference_apply_to_trajectory, single_mode)
 
 
 def _const_field(grid, value):
@@ -49,10 +49,10 @@ class TestApplyPower:
 
     def test_frequency_tripling(self, grid1d):
         # (u, u, u) on a single mode triples the frequency
-        f = sp.SpectralField.single_mode(grid1d, (8,))
+        f = single_mode(grid1d, (8,))
         spec = nl.NonlinSpec(kind="power", pattern=("u",) * 3, coeff=1.0)
         out = sp.SpectralField(f.grid, values=nl.evaluate(spec, f.values))
-        expected = sp.SpectralField.single_mode(grid1d, (24,))
+        expected = single_mode(grid1d, (24,))
         assert np.max(np.abs(out.values - expected.values)) < 1e-12
 
     def test_degree_homogeneity(self, grid2d_small):

@@ -11,7 +11,7 @@ from modnls.errors import GridMismatchError
 from conftest import (assert_support_sized, band_limited_field, centered_fft, centered_ifft,
                       field_metadata,
                       reference_apply_to_trajectory, reference_pointwise_map,
-                      reference_write_trajectory, support_stack, write_abs_csv)
+                      reference_write_trajectory, single_mode, support_stack, write_abs_csv)
 
 QUARTIC = nl.NonlinSpec(kind="power", pattern=("u", "conj", "u", "u"), coeff=-1.0 + 0.5j)
 
@@ -101,7 +101,7 @@ class TestTransforms:
                 assert fast(x, g).tobytes() == ref(x, g).tobytes()
 
     def test_single_mode_spectrum_is_one_spike(self, grid1d):
-        f = sp.SpectralField.single_mode(grid1d, (5,))
+        f = single_mode(grid1d, (5,))
         spec = np.abs(f.spectrum)
         peak = np.argmax(spec)
         assert peak == grid1d.n // 2 + 5
@@ -121,7 +121,7 @@ class TestLpNorm:
         assert sp.lp_norm(one, 2) == pytest.approx(math.sqrt(8 * math.pi), rel=1e-13)
 
     def test_single_mode_sup_norm(self, grid1d):
-        f = sp.SpectralField.single_mode(grid1d, (3,))
+        f = single_mode(grid1d, (3,))
         assert sp.lp_norm(f, math.inf) == pytest.approx(1.0, rel=1e-13)
 
     def test_nan_rejected(self, grid1d):
@@ -368,6 +368,12 @@ class TestTimeNorm:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             sp.time_lp_norm(np.array([]), np.array([]), 2)
+
+    @pytest.mark.parametrize("r", [0, 0.5, -1, math.nan])
+    def test_exponent_outside_one_to_inf_rejected(self, r):
+        times = np.linspace(0.0, 3.0, 7)
+        with pytest.raises(ValueError, match=r"^r must be in \[1, inf\], got "):
+            sp.time_lp_norm(np.full(7, 2.0), times, r)
 
 
 class TestSerialization:

@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from .modspace import Partition, PlanchonNormSpec, planchon_norm
-from .spectral import (SpectralField, Trajectory, _box_width, _pass_grid, _pointwise_chunks,
-                       _pointwise_map, _stack_rows)
+from .spectral import (SpectralField, Trajectory, _box_width, _pass_grid, _plancherel,
+                       _pointwise_chunks, _pointwise_map, _stack_rows)
 
 __all__ = [
     "NonlinSpec",
@@ -156,20 +157,18 @@ def aliasing_residual(spec: NonlinSpec, u: SpectralField) -> float:
     Pointwise products spread frequency support; inputs are expected to be
     band-limited enough that the spread stays below Nyquist. This measures
     the L^2 fraction of f(u) beyond the classical 2/3 dealiasing boundary,
-    the documented residual for that precondition (zero when the product
-    support fits, order one when the evaluation is aliased).
+    |k|_inf > n // 3 (order one when the evaluation is aliased, exactly zero
+    when the pass is alias-free with reach D W <= n // 3): two Plancherel
+    sums on apply_to_trajectory's pass over the one-sample stack of u.
     """
-    fu = evaluate(spec, u.values)
-    spectrum = SpectralField(u.grid, values=fu).spectrum
-    square = np.abs(spectrum) ** 2
-    total = float(np.sum(square))
+    grid = u.grid
+    fu = apply_to_trajectory(spec, Trajectory(grid, [0.0], u.spectrum[None], support=u.support))
+    total = float(_plancherel(fu.box, grid, fu.support)[0])
     if total == 0.0:
         return 0.0
-    n = u.grid.n
-    third = n // 3
-    inner = (slice(n // 2 - third, n // 2 + third + 1),) * u.grid.d
-    square[inner] = 0.0  # sum the complement directly (no cancellation)
-    return math.sqrt(float(np.sum(square)) / total)
+    inner = np.abs(np.arange(grid.n) - grid.n // 2) <= grid.n // 3  # per axis
+    outer = 1.0 - reduce(np.multiply.outer, [inner] * grid.d)
+    return math.sqrt(float(_plancherel(fu.box, grid, fu.support, outer)[0]) / total)
 
 
 def apply_to_trajectory(spec: NonlinSpec, u: Trajectory,

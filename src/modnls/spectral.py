@@ -78,9 +78,6 @@ class GridSpec:
     def size(self) -> int:
         return self.n**self.d
 
-    def axis_points(self) -> np.ndarray:
-        return -self.L + self.h * np.arange(self.n)
-
     def axis_frequencies(self) -> np.ndarray:
         """Frequencies in math order: (-n/2 .. n/2-1) * dxi."""
         return (np.arange(self.n) - self.n // 2) * self.dxi
@@ -248,9 +245,10 @@ def _support_grid(grid: GridSpec, factor: int, W: int) -> GridSpec:
 
 
 def _pass_grid(grid: GridSpec, support: int, degree: int | None) -> tuple[GridSpec, int]:
-    """(the grid of the pass of _pointwise_chunks, the reach of its output)."""
+    """(the grid n' of the pass of _pointwise_chunks, the reach of its output:
+    D W wherever the pass is alias-free, 2 D W < n', else n/2)."""
     sub = _support_grid(grid, 2 * degree, support) if degree else grid
-    return sub, (degree * support if sub.n < grid.n else grid.n // 2)
+    return sub, (degree * support if degree and 2 * degree * support < sub.n else grid.n // 2)
 
 
 def _pointwise_chunks(fn, grid: GridSpec, *stacks: np.ndarray, support: int,
@@ -260,8 +258,9 @@ def _pointwise_chunks(fn, grid: GridSpec, *stacks: np.ndarray, support: int,
     F the spectra of fn(*samples) at `rows` on the box of the reach, in
     out[rows] if `out` is given, else in fn's output. A fn of `degree` D is
     a sum of products of D factors, each an input or its conjugate, times
-    constants: it runs on the support-sized grid (_support_grid), and its
-    reach |k| <= D W is its support; otherwise the reach is the grid, n/2.
+    constants: it runs on the support-sized grid n' (_support_grid), and
+    where 2 D W < n' it is alias-free with reach |k| <= D W as its support;
+    an aliased pass, or a fn without a degree, reaches the grid, n/2.
     The sign s of _flip_odd on the inputs and on fn's output stands in for
     the half-period shifts of the centered pair, bit for bit. Negation
     commutes exactly with IEEE products and conj, so fn(s v) = s^D fn(v):
@@ -486,8 +485,6 @@ class Trajectory:
     the full-grid stack, is materialized read-only on access. `spectra`
     passed in may be the full stack or a box: it is re-centred (see _rebox).
     """
-
-    quadrature = "trapezoid"
 
     def __init__(self, grid: GridSpec, times, spectra: np.ndarray,
                  support: int | None = None):

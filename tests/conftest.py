@@ -15,7 +15,7 @@ def frequency_mesh(grid):
 
 def point_mesh(grid):
     """The d point coordinate arrays of the grid, x ascending from -L."""
-    ax = grid.axis_points()
+    ax = -grid.L + grid.h * np.arange(grid.n)
     return np.meshgrid(*([ax] * grid.d), indexing="ij")
 
 
@@ -134,6 +134,20 @@ def reference_apply_to_trajectory(spec, u):
     return out
 
 
+def reference_aliasing_residual(spec, u):
+    """nonlinear.aliasing_residual as it was before it read the pass: f of
+    the full-grid samples of u, its centered forward transform, and the L^2
+    fraction beyond |k|_inf > n // 3 summed over the whole grid."""
+    fu = nonlinear.evaluate(spec, u.values)
+    square = np.abs(spectral.SpectralField(u.grid, values=fu).spectrum) ** 2
+    total = float(np.sum(square))
+    if total == 0.0:
+        return 0.0
+    n, third = u.grid.n, u.grid.n // 3
+    square[(slice(n // 2 - third, n // 2 + third + 1),) * u.grid.d] = 0.0
+    return math.sqrt(float(np.sum(square)) / total)
+
+
 def reference_scatter(cfg, u, u0_minus):
     """What scattering reports after the Picard loop, from two full-grid
     stacks: f(u) (reference_apply_to_trajectory), its integrand norms, and
@@ -159,7 +173,7 @@ def reference_pointwise_map(fn, grid, *stacks, degree=None):
     (stack, reach) like the pass."""
     W = max(spectral._scan_support(grid, s) for s in stacks)
     sub = spectral._support_grid(grid, 2 * degree, W) if degree else grid
-    reach = degree * W if sub.n < grid.n else grid.n // 2
+    reach = degree * W if degree and 2 * degree * W < sub.n else grid.n // 2
     width = spectral._box_width(grid, reach)
     axes = tuple(range(-grid.d, 0))
     out = np.empty((stacks[0].shape[0],) + (width,) * grid.d, dtype=np.complex128)

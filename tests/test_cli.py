@@ -280,11 +280,18 @@ class TestConfigValues:
         assert (code, status) == (2, "rejected")
         assert "exp_s_rule" in capsys.readouterr().err
 
-    def test_bad_thread_count_exit_2(self, tmp_path, monkeypatch):
+    def test_bad_thread_count_exit_2(self, tmp_path, capsys):
+        for threads in ("0", "-3"):
+            code = run_cli(["params", "-d", "2", "-m", "3", "--threads", threads,
+                            "--out", str(tmp_path)])
+            assert code == 2
+            assert read_json(tmp_path / "manifest.json")["status"] == "rejected"
+            assert "--threads" in capsys.readouterr().err
+
+    def test_thread_count_is_read_from_the_option_only(self, tmp_path, monkeypatch):
         monkeypatch.setenv("MODNLS_THREADS", "two")
-        code = run_cli(["params", "-d", "2", "-m", "3", "--out", str(tmp_path)])
-        assert code == 2
-        assert read_json(tmp_path / "manifest.json")["status"] == "rejected"
+        assert run_cli(["params", "-d", "2", "-m", "3", "--out", str(tmp_path)]) == 0
+        assert cli.build_parser().parse_args(["params", "-d", "2", "-m", "3"]).threads == 1
 
 
 # (edit of PICARD_CONFIG, the key the rejection names); None stands for a
@@ -667,6 +674,21 @@ class TestVerify:
         for name in ("strichartz_hom_lifted", "strichartz_inhom_lifted",
                      "hoelder_planchon", "lipschitz", "minkowski", "bernstein"):
             assert name in summary, name
+
+    def test_one_sample_window_exit_2(self, tmp_path, capsys):
+        """One sample has trapezoid weight 0, so every time-integrated side
+        would read 0 and every check would pass vacuously."""
+        cfg = json.loads(json.dumps(VERIFY_CONFIG))
+        cfg["verify"]["nt"] = 1
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out_dir = tmp_path / "out"
+        code = run_cli(["verify", "--config", str(cfg_path), "--check", "all",
+                        "--out", str(out_dir)])
+        assert code == 2
+        assert read_json(out_dir / "manifest.json")["status"] == "rejected"
+        assert "verify.nt" in capsys.readouterr().err
+        assert not (out_dir / "summary.json").exists()
 
     def test_probe_mode_never_fails(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

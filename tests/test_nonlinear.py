@@ -6,7 +6,8 @@ import pytest
 from modnls import dispersion as dsp, modspace as ms, nonlinear as nl, spectral as sp
 
 from conftest import (assert_support_sized, band_limited_field, centered_ifft,
-                      reference_apply_to_trajectory, single_mode)
+                      reference_aliasing_residual, reference_apply_to_trajectory, single_mode,
+                      support_stack)
 
 
 def _const_field(grid, value):
@@ -170,6 +171,21 @@ class TestLipschitzWitness:
             assert scalar_lipschitz_ratio(m) <= m + 1 + 1e-9
 
 
+ALIASING_SPECS = [nl.NonlinSpec.cubic(-1.0 + 0.5j),
+                  nl.NonlinSpec(kind="exponential", lam=-1.0, rho=0.5)]
+# support W as a function of n: the cubic's pass is alias-free with reach
+# 3n/16 inside the 2/3 boundary, alias-free with reach 3n/8 beyond it, or aliased
+ALIASING_CASES = {"alias_free": lambda n: n // 16, "spread": lambda n: n // 8,
+                  "aliased": lambda n: n // 2 - 1}
+
+
+def _aliasing_input(d, n, width):
+    """A field of L^2 norm 1, built from its spectrum, filling |k|_inf <= width(n)."""
+    grid, stack = support_stack(d, n, width(n), seed=d, count=1)
+    norm = math.sqrt(sp._plancherel(stack, grid, n // 2)[0])
+    return sp.SpectralField(grid, spectrum=stack[0] / norm)
+
+
 class TestAliasingResidual:
     def test_band_limited_input_clean(self, grid2d_small):
         # quartic of a band-1 field spreads to band 4 < (2/3) Nyquist at M=4
@@ -189,6 +205,38 @@ class TestAliasingResidual:
     def test_zero_field(self, grid2d_small):
         spec = nl.NonlinSpec.cubic()
         assert nl.aliasing_residual(spec, sp.SpectralField.zero(grid2d_small)) == 0.0
+
+    @pytest.mark.parametrize("spec", ALIASING_SPECS, ids=["cubic", "exponential"])
+    @pytest.mark.parametrize("case", sorted(ALIASING_CASES))
+    @pytest.mark.parametrize("d, n", [(1, 256), (2, 64), (3, 32)])
+    def test_matches_the_full_grid_formula(self, spec, case, d, n):
+        """The pass and two Plancherel sums give the full-grid formula's
+        fraction: to 1e-12 relative where it exceeds 1e-12, absolute below."""
+        u = _aliasing_input(d, n, ALIASING_CASES[case])
+        got, ref = nl.aliasing_residual(spec, u), reference_aliasing_residual(spec, u)
+        assert abs(got - ref) <= 1e-12 * (ref if ref > 1e-12 else 1.0)
+        if case == "aliased":
+            assert ref > 1e-3
+        if case == "spread" and spec.kind == "power":
+            assert ref > 1e-3  # alias-free, but reaching beyond n // 3
+
+    @pytest.mark.parametrize("d, n", [(1, 256), (2, 64), (3, 32)])
+    def test_alias_free_product_reads_exactly_zero(self, d, n):
+        # cubic of support n/16: reach 3n/16 <= n // 3, so no roundoff is kept
+        u = _aliasing_input(d, n, ALIASING_CASES["alias_free"])
+        assert nl.aliasing_residual(ALIASING_SPECS[0], u) == 0.0
+
+    def test_makes_no_centered_transform(self, monkeypatch):
+        u = _aliasing_input(2, 64, ALIASING_CASES["aliased"])
+
+        def banned(*args, **kwargs):
+            raise AssertionError("a centered transform was made")
+
+        # the names, not _centered: the partial objects bound it at import
+        monkeypatch.setattr(sp, "_centered_ifft", banned)
+        monkeypatch.setattr(sp, "_centered_fft", banned)
+        for spec in ALIASING_SPECS:
+            assert nl.aliasing_residual(spec, u) > 1e-3
 
 
 STACK_SPECS = [
@@ -223,12 +271,27 @@ class TestTrajectoryApplication:
                                         np.linspace(0, 1, 17), u0)
         out = nl.apply_to_trajectory(spec, traj)
         ref = reference_apply_to_trajectory(spec, traj)
-        if spec.kind == "power" and d == 1:
-            # support W = M = 4: the quartic runs on 64 points instead of 4096
-            assert_support_sized(out.spectra, ref, spec.degree * grid.M)
+        if spec.kind == "power" and 2 * spec.degree * traj.support < grid.n:
+            # support W = M = 4: the quartic is alias-free, on 64 points
+            # instead of 4096 at d = 1 and on all 64 at d = 2, with reach 4 W
+            assert_support_sized(out.spectra, ref, spec.degree * traj.support)
         else:
             assert np.array_equal(out.spectra, ref)
         assert np.array_equal(out.field(3).values, centered_ifft(out.spectra[3], grid))
+
+    def test_alias_free_reach_on_the_full_grid(self):
+        """picard_full's shape: a band-2 datum (W = 16 at M = 8) under the
+        quartic has 2 D W = 128 < 256, so the pass runs on the full grid and
+        its free flow is stored at reach D W = 64, on a 129-wide box."""
+        grid = sp.make_grid(2, 8 * math.pi, 256)
+        u0 = band_limited_field(grid, 2, np.random.default_rng(5), amplitude=0.1)
+        traj = dsp.propagate_trajectory(dsp.EquationCoeffs(1.0, 0.0, 1.0),
+                                        np.linspace(0, 1, 3), u0)
+        spec = STACK_SPECS[0]
+        assert traj.support == 16 and sp._pass_grid(grid, 16, spec.degree)[0] == grid
+        out = nl.apply_to_trajectory(spec, traj)
+        assert out.support == 64 and out.box.shape == (3, 129, 129)
+        assert_support_sized(out.spectra, reference_apply_to_trajectory(spec, traj), 64)
 
     @pytest.mark.parametrize("spec", STACK_SPECS, ids=STACK_SPEC_IDS)
     def test_full_band_d1_matches_centered_reference_bitwise(self, spec):

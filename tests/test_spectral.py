@@ -190,7 +190,9 @@ _SUPPORT_CASES = dict(
 class TestSupportSizedPass:
     """The pass runs on n' = 2^j points, n' > 2 degree W for products and
     n' > p W for even L^p sums, whenever that is below n: the result then
-    matches the full-grid references to roundoff."""
+    matches the full-grid references to roundoff. A product is alias-free
+    wherever 2 degree W < n, on n' or on the full grid, and its output is
+    then exactly zero beyond degree W."""
 
     @settings(max_examples=60, deadline=None)
     @given(**_SUPPORT_CASES, degree=st.sampled_from([2, 3, 4]))
@@ -203,7 +205,7 @@ class TestSupportSizedPass:
         traj = sp.Trajectory(grid, np.arange(3.0), stack)
         out = nl.apply_to_trajectory(spec, traj).spectra
         ref = reference_apply_to_trajectory(spec, traj)
-        if _reduced_size(2 * degree * w) < n:
+        if 2 * degree * w < n:  # alias-free, on the reduced or the full grid
             assert_support_sized(out, ref, degree * w)
         else:
             assert np.array_equal(out, ref)

@@ -429,14 +429,16 @@ def _cmd_verify(args, run: _Run) -> int:
     run.config_text = json.dumps(cfg, sort_keys=True)
     v = _block(cfg, "verify")
     grid = _read_grid(v)
-    nt = _integer(v, "nt", 33)
+    nt, t_max = _integer(v, "nt", 33), _number(v, "t_max", 8.0)
     if nt < 2:  # one sample has trapezoid weight 0: every time integral would read 0
         raise ValueError(f"verify.nt must be >= 2, got {nt}")
+    if t_max <= 0:  # the samples run from t = 0
+        raise ValueError(f"verify.t_max must be > 0, got {t_max}")
     c = SimpleNamespace(
         grid=grid, coeffs=_read_coeffs(v, gamma=1.0), q=1, s=0.0,
         partition=modspace.build_partition(
             modspace.PartitionSpec(*_read_partition(v, 5)), grid),
-        times=np.linspace(0.0, _number(v, "t_max", 8.0), nt),
+        times=np.linspace(0.0, t_max, nt),
         ens=harness.EnsembleSpec(count=_integer(v, "count", 25), seed=args.seed,
                                  law=_string(v, "law", "gaussian-spectrum"),
                                  decay=_number(v, "decay", 2.0),
@@ -477,7 +479,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None, help="JSON config path")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--threads", type=int, default=1, help="worker threads (default: 1)")
+        p.add_argument("--threads", type=int, default=1,
+                       help="worker threads (default: 1); only verify takes more than 1")
 
     p = sub.add_parser("params", help="exact-rational parameter ledger")
     common(p)
@@ -526,8 +529,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     run = _Run(args, args.subcommand)
     try:
-        if args.threads < 1:
-            raise ValueError(f"--threads must be >= 1, got {args.threads}")
+        if not 1 <= args.threads <= (math.inf if args.subcommand == "verify" else 1):
+            raise ValueError(f"--threads must be 1, or more for verify, got {args.threads}")
         code = args.func(args, run)
     except HypothesisError as exc:
         print(f"rejected: hypothesis violation: {exc}", file=sys.stderr)

@@ -311,10 +311,8 @@ def check_hoelder_like(grid: GridSpec, coeffs: disp.EquationCoeffs,
 
     def product(*trajs):
         """The pointwise product of the factor trajectories, with its support."""
-        out, reach = _pointwise_map(lambda *vals: reduce(np.multiply, vals), grid,
-                                    *(tr.box for tr in trajs), degree=len(trajs),
-                                    support=max(tr.support for tr in trajs))
-        return Trajectory(grid, trajs[0].times, out, support=reach)
+        return _pointwise_map(lambda *vals: reduce(np.multiply, vals), *trajs,
+                              degree=len(trajs))
 
     def one(i):
         if mode == "modulation":
@@ -391,10 +389,9 @@ def check_embeddings(grid: GridSpec, coeffs: disp.EquationCoeffs,
     def one(i):
         u = sample_trajectory(grid, coeffs, ens, i, times)
         per_t = modspace.mod_norm_series(u, mod1, partition)
-        mink = (time_lp_norm(per_t, u.times, r),
-                modspace.planchon_norm(u, pl1, partition).value)
-        bern = (modspace.planchon_norm(u, pl2, partition).value,
-                modspace.planchon_norm(u, pl1, partition).value)
+        n1 = modspace.planchon_norm(u, pl1, partition).value
+        mink = (time_lp_norm(per_t, u.times, r), n1)
+        bern = (modspace.planchon_norm(u, pl2, partition).value, n1)
         return mink, bern
 
     results = _map_indices(one, ens.count, threads)

@@ -489,6 +489,5 @@ def truncation_residual(obj, partition: Partition) -> float:
     cov = np.zeros(grid.n)  # per axis: sum of the retained translates
     for j in range(-partition.k_max, partition.k_max + 1):
         cov[partition.box_slices((j,))[0]] += partition.window_1d
-    mult = 1.0 - reduce(np.multiply.outer, [cov] * grid.d)
     stacks, support = _as_stack(obj, grid)
-    return math.sqrt(float(_plancherel(stacks, grid, support, mult).max()))
+    return math.sqrt(float(_plancherel(stacks, grid, support, cov).max()))

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -167,8 +166,7 @@ def aliasing_residual(spec: NonlinSpec, u: SpectralField) -> float:
     if total == 0.0:
         return 0.0
     inner = np.abs(np.arange(grid.n) - grid.n // 2) <= grid.n // 3  # per axis
-    outer = 1.0 - reduce(np.multiply.outer, [inner] * grid.d)
-    return math.sqrt(float(_plancherel(fu.box, grid, fu.support, outer)[0]) / total)
+    return math.sqrt(float(_plancherel(fu.box, grid, fu.support, inner)[0]) / total)
 
 
 def apply_to_trajectory(spec: NonlinSpec, u: Trajectory,
@@ -179,9 +177,7 @@ def apply_to_trajectory(spec: NonlinSpec, u: Trajectory,
     result carries its support. It is written into `out`, a stack nothing
     else reads, when that has its shape."""
     degree = spec.degree if spec.kind == "power" else None
-    out, reach = _pointwise_map(lambda vals: evaluate(spec, vals), u.grid, u.box,
-                                degree=degree, support=u.support, out=out)
-    return Trajectory(u.grid, u.times, out, support=reach)
+    return _pointwise_map(lambda vals: evaluate(spec, vals), u, degree=degree, out=out)
 
 
 def _f_chunks(spec: NonlinSpec, u: Trajectory):
@@ -215,14 +211,11 @@ def power_lipschitz_witness(u: Trajectory, v: Trajectory, spec: NonlinSpec,
     """
     if spec.kind != "power" or spec.m != exps.m:
         raise ValueError("nonlinearity spec does not match the exponent bundle")
-    W = max(u.support, v.support)
     # f(u) - f(v) in one pass: one forward transform per chunk, no second stack
-    diff, reach = _pointwise_map(lambda a, b: evaluate(spec, a) - evaluate(spec, b),
-                                 u.grid, u.box, v.box, degree=spec.degree,
-                                 support=W)
+    diff = _pointwise_map(lambda a, b: evaluate(spec, a) - evaluate(spec, b), u, v,
+                          degree=spec.degree)
     inner = PlanchonNormSpec(s=exps.s, q=exps.q, r=exps.r_tilde, p=exps.p_tilde)
-    lhs = planchon_norm(Trajectory(u.grid, u.times, diff, support=reach), inner,
-                        partition).value
+    lhs = planchon_norm(diff, inner, partition).value
 
     lp1 = exps.l + 1
 
@@ -232,6 +225,7 @@ def power_lipschitz_witness(u: Trajectory, v: Trajectory, spec: NonlinSpec,
     scaled = PlanchonNormSpec(s=exps.s, q=exps.q,
                               r=scale(exps.r_tilde), p=scale(exps.p_tilde))
     sup2 = PlanchonNormSpec(s=exps.s, q=exps.q, r=math.inf, p=2)
+    W = max(u.support, v.support)
     dvu = _stack_rows((u.box, v.box), slice(None), u.grid.d, _box_width(u.grid, W))
     dvu = Trajectory(u.grid, u.times, dvu, support=W)
     du = planchon_norm(dvu, scaled, partition).value

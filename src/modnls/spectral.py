@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
 from itertools import product
 
 import numpy as np
@@ -285,18 +285,20 @@ def _pointwise_chunks(fn, grid: GridSpec, *stacks: np.ndarray, support: int,
         yield rows, dest
 
 
-def _pointwise_map(fn, grid: GridSpec, *stacks: np.ndarray, support: int,
-                   degree: int | None = None,
-                   out: np.ndarray | None = None) -> tuple[np.ndarray, int]:
-    """(the spectral stack of _pointwise_chunks at every sample, its reach),
-    written into `out`, a stack nothing else reads, when it has the shape."""
+def _pointwise_map(fn, *trajs: Trajectory, degree: int | None = None,
+                   out: np.ndarray | None = None) -> Trajectory:
+    """fn over the samples of Trajectories on one grid and times, by the pass
+    of _pointwise_chunks: a Trajectory whose support is the reach, its stack
+    written into `out`, a stack nothing else reads, when that has the shape."""
+    grid, support = trajs[0].grid, max(tr.support for tr in trajs)
     reach = _pass_grid(grid, support, degree)[1]
-    shape = (stacks[0].shape[0],) + (_box_width(grid, reach),) * grid.d
+    shape = (trajs[0].n_samples,) + (_box_width(grid, reach),) * grid.d
     if out is None or out.shape != shape:
         out = np.empty(shape, dtype=np.complex128)
-    for _ in _pointwise_chunks(fn, grid, *stacks, support=support, degree=degree, out=out):
+    for _ in _pointwise_chunks(fn, grid, *(tr.box for tr in trajs), support=support,
+                               degree=degree, out=out):
         pass
-    return out, reach
+    return Trajectory(grid, trajs[0].times, out, support=reach)
 
 
 def _lp_series(stack: np.ndarray, grid: GridSpec, p, support: int) -> np.ndarray:
@@ -318,19 +320,20 @@ def _lp_series(stack: np.ndarray, grid: GridSpec, p, support: int) -> np.ndarray
 
 
 def _plancherel(stacks, grid: GridSpec, support: int,
-                weight: np.ndarray | None = None) -> np.ndarray:
+                keep: np.ndarray | None = None) -> np.ndarray:
     """Squared L^2 norm of every sample of a spectral stack, or of A - B for
-    a pair (A, B), with no transform: (dxi/(2 pi))^d sum |w F|^2, where the
-    spectral weight w (a full-grid array) defaults to 1. The sum runs over
-    the box |k|_inf <= W of the stacks' `support` W only."""
+    a pair (A, B), with no transform: (dxi/(2 pi))^d sum |w F|^2, summed over
+    the box |k|_inf <= W of the stacks' `support` W only. The spectral weight
+    w is 1, or 1 - keep (x) .. (x) keep for a per-axis (n,) vector `keep` in
+    math order, built on that box only."""
     width = _box_width(grid, support)
-    if weight is not None:
-        weight = _rebox(weight, grid.d, width)
+    if keep is not None:
+        weight = 1.0 - reduce(np.multiply.outer, [_rebox(keep, 1, width)] * grid.d)
     T = _n_samples(stacks)
     out = np.empty(T)
     for t0, t1 in _chunks(T, _CHUNK_BYTES // (16 * width**grid.d)):
         x = _stack_rows(stacks, slice(t0, t1), grid.d, width)
-        if weight is not None:
+        if keep is not None:
             x = x * weight
         out[t0:t1] = _abs2(x).reshape(t1 - t0, -1).sum(axis=1)
     return out * (grid.dxi / (2.0 * math.pi)) ** grid.d

@@ -170,7 +170,7 @@ def reference_pointwise_map(fn, grid, *stacks, degree=None):
     """spectral._pointwise_map as it was with the shifted pair: a roll of the
     spectra before the inverse transform and after the forward one, and
     fresh arrays for every chunk, for the joint support it scans. Returns
-    (stack, reach) like the pass."""
+    (stack, reach): the box and the support of the pass's Trajectory."""
     W = max(spectral._scan_support(grid, s) for s in stacks)
     sub = spectral._support_grid(grid, 2 * degree, W) if degree else grid
     reach = degree * W if degree and 2 * degree * W < sub.n else grid.n // 2

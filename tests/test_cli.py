@@ -288,6 +288,30 @@ class TestConfigValues:
             assert read_json(tmp_path / "manifest.json")["status"] == "rejected"
             assert "--threads" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("subcommand", ["params", "norm", "evolve", "picard", "scatter"])
+    def test_threads_above_one_only_for_verify_exit_2(self, tmp_path, capsys, subcommand):
+        """Only verify runs worker threads; the others reject more than one
+        before they read their inputs."""
+        args = {"params": ["-d", "2", "-m", "3"], "norm": ["--field", "absent.bin"]}
+        argv = [subcommand, *args.get(subcommand, ["--config", "absent.json"])]
+        code = run_cli([*argv, "--threads", "2", "--out", str(tmp_path)])
+        assert code == 2
+        assert read_json(tmp_path / "manifest.json")["status"] == "rejected"
+        assert "--threads must be 1, or more for verify, got 2" in capsys.readouterr().err
+
+    def test_threads_one_is_accepted_and_verify_takes_more(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**PICARD_CONFIG, **VERIFY_CONFIG}))
+        assert run_cli(["params", "-d", "2", "-m", "3", "--threads", "1",
+                        "--out", str(tmp_path / "params")]) == 0
+        for subcommand in ("scatter", "verify"):
+            extra = ["--check", "strichartz-hom"] if subcommand == "verify" else []
+            code = run_cli([subcommand, "--config", str(cfg_path), *extra, "--threads", "1",
+                            "--out", str(tmp_path / subcommand)])
+            assert code == 0, subcommand
+        assert run_cli(["verify", "--config", str(cfg_path), "--check", "strichartz-hom",
+                        "--threads", "2", "--out", str(tmp_path / "two")]) == 0
+
     def test_thread_count_is_read_from_the_option_only(self, tmp_path, monkeypatch):
         monkeypatch.setenv("MODNLS_THREADS", "two")
         assert run_cli(["params", "-d", "2", "-m", "3", "--out", str(tmp_path)]) == 0
@@ -688,6 +712,20 @@ class TestVerify:
         assert code == 2
         assert read_json(out_dir / "manifest.json")["status"] == "rejected"
         assert "verify.nt" in capsys.readouterr().err
+        assert not (out_dir / "summary.json").exists()
+
+    @pytest.mark.parametrize("t_max", [0, -1])
+    def test_nonpositive_t_max_exit_2(self, tmp_path, capsys, t_max):
+        """The samples run from t = 0 to t_max: t_max <= 0 is named as its key."""
+        cfg = json.loads(json.dumps(VERIFY_CONFIG))
+        cfg["verify"]["t_max"] = t_max
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out_dir = tmp_path / "out"
+        code = run_cli(["verify", "--config", str(cfg_path), "--out", str(out_dir)])
+        assert code == 2
+        assert read_json(out_dir / "manifest.json")["status"] == "rejected"
+        assert f"rejected: verify.t_max must be > 0, got {t_max}" in capsys.readouterr().err
         assert not (out_dir / "summary.json").exists()
 
     def test_probe_mode_never_fails(self, tmp_path):

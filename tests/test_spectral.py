@@ -225,6 +225,12 @@ class TestSupportSizedPass:
             assert np.array_equal(series, full)
 
 
+def trajectories(grid, stacks, support):
+    """Each stack as a Trajectory of `support`, stored as its box."""
+    return [sp.Trajectory(grid, np.arange(float(s.shape[0])), s, support=support)
+            for s in stacks]
+
+
 class TestRollFreePass:
     """The pass transforms in place and applies the half-period shift as the
     exact sign (-1)^(x_1 + .. + x_d): bit for bit the shifted pass, on the
@@ -242,12 +248,16 @@ class TestRollFreePass:
         w = 1 if reduced else n // 4  # 2 degree W >= n: the full grid
         grid = sp.make_grid(d, 4 * math.pi, n)
         stacks = [support_stack(d, n, w, seed, count=5)[1] for seed in range(count)]
-        # the first input stored as its box, as a Trajectory keeps it
-        stacks[0] = sp._rebox(stacks[0], d, 2 * w + 1)
-        got, reach = sp._pointwise_map(fn, grid, *stacks, degree=degree, support=w)
+        # the first input stored as its box; on the full grid the others are
+        # stored whole (support n/2, which reaches the grid there as w does)
+        trajs = trajectories(grid, stacks, w)
+        if not reduced:
+            trajs[1:] = trajectories(grid, stacks[1:], n // 2)
+        assert trajs[0].box.shape[-1] == 2 * w + 1
+        got = sp._pointwise_map(fn, *trajs, degree=degree)
         ref, ref_reach = reference_pointwise_map(fn, grid, *stacks, degree=degree)
-        assert reach == ref_reach and np.array_equal(got, ref)
-        assert (reach < n // 2) == (reduced and degree is not None)
+        assert got.support == ref_reach and np.array_equal(got.box, ref)
+        assert (got.support < n // 2) == (reduced and degree is not None)
 
     def test_calls_no_roll_or_shift(self, monkeypatch):
         def banned(*args, **kwargs):
@@ -257,7 +267,8 @@ class TestRollFreePass:
             monkeypatch.setattr(owner, name, banned)
         grid, stack = support_stack(2, 64, 12, 0)
         W = sp._scan_support(grid, stack)
-        sp._pointwise_map(lambda v: nl.evaluate(QUARTIC, v), grid, stack, degree=4, support=W)
+        sp._pointwise_map(lambda v: nl.evaluate(QUARTIC, v), *trajectories(grid, [stack], W),
+                          degree=4)
         for p in (6, 3):  # the reduced and the full grid
             sp._lp_series(stack, grid, p, W)
 
@@ -276,7 +287,7 @@ class TestRollFreePass:
             return g
 
         with np.errstate(invalid="ignore"):
-            got = sp._pointwise_map(with_inf, grid, stack, support=grid.n // 2)[0]
+            got = sp._pointwise_map(with_inf, *trajectories(grid, [stack], grid.n // 2)).box
             ref = reference_pointwise_map(with_inf, grid, stack)[0]
         got, ref = got.view(np.float64), ref.view(np.float64)  # (re, im) pairs
         assert 0 < np.isnan(got).sum() == np.isnan(ref).sum() < got.size
@@ -318,10 +329,10 @@ class TestParityPass:
         w = 1 if reduced else n // 4
         grid = sp.make_grid(d, 4 * math.pi, n)
         stacks = [support_stack(d, n, w, seed, count=5)[1] for seed in range(count)]
-        got, reach = sp._pointwise_map(fn, grid, *stacks, degree=degree, support=w)
+        got = sp._pointwise_map(fn, *trajectories(grid, stacks, w), degree=degree)
         ref, ref_reach = flip_both_pass(fn, grid, *stacks, support=w, degree=degree)
-        assert reach == ref_reach
-        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+        assert got.support == ref_reach
+        assert np.array_equal(got.box.view(np.uint64), ref.view(np.uint64))
 
     @pytest.mark.parametrize("kind, flips", [("cubic", 0), ("quintic", 0), ("hoelder3", 0),
                                              ("witness_cubic", 0), ("quartic", 1),
@@ -334,7 +345,7 @@ class TestParityPass:
         grid, stack = support_stack(2, 64, 1, 0, count=3)
         flipped, flip = [], sp._flip_odd
         monkeypatch.setattr(sp, "_flip_odd", lambda x, d: (flipped.append(d), flip(x, d)))
-        sp._pointwise_map(fn, grid, *([stack] * count), degree=degree, support=1)
+        sp._pointwise_map(fn, *trajectories(grid, [stack] * count, 1), degree=degree)
         assert len(flipped) == flips  # one chunk
 
 

@@ -10,6 +10,7 @@ The split-step oracle, blocked over rows, matches the unblocked reference.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,8 @@ from hypothesis import given, settings, strategies as st
 from modnls import dispersion as dsp, harness as hn, modspace as ms, nonlinear as nl
 from modnls import solver as sv, spectral as sp
 
-from conftest import assert_rel_close, reference_split_step, support_stack
+from conftest import (assert_rel_close, reference_pointwise_map, reference_split_step,
+                      support_stack)
 
 COEFFS = dsp.EquationCoeffs(alpha=1.0, beta=0.0, gamma=1.0)
 
@@ -74,10 +76,9 @@ class TestProducers:
         assert_vanishes_beyond(fu)
 
         v = sp.Trajectory(grid, times, stack, support=w)
-        diff, reach = sp._pointwise_map(lambda a, b: a * b - b * b, grid, flow.spectra, v.spectra,
-                                        degree=2, support=w)
-        assert reach in (2 * w, grid.n // 2)
-        assert_vanishes_beyond(sp.Trajectory(grid, times, diff, support=reach))
+        diff = sp._pointwise_map(lambda a, b: a * b - b * b, flow, v, degree=2)
+        assert diff.support in (2 * w, grid.n // 2)
+        assert_vanishes_beyond(diff)
 
         integral = hn.duhamel_integral(COEFFS, times, v)
         assert integral.support == w
@@ -176,12 +177,12 @@ class TestConsumers:
     def test_bitwise_where_the_arithmetic_is_unchanged(self, d, log_n, w, seed, degree):
         grid, w, stack, times = _case(d, log_n, w, seed)
         fn = _power(degree)
-        got, reach = sp._pointwise_map(lambda v: nl.evaluate(fn, v), grid, stack,
-                                       degree=degree, support=w)
+        got = sp._pointwise_map(lambda v: nl.evaluate(fn, v),
+                                sp.Trajectory(grid, times, stack, support=w), degree=degree)
+        ref, ref_reach = reference_pointwise_map(lambda v: nl.evaluate(fn, v), grid, stack,
+                                                 degree=degree)
+        assert got.support == ref_reach and np.array_equal(got.box, ref)
         scanned = sp._scan_support(grid, stack)
-        ref, ref_reach = sp._pointwise_map(lambda v: nl.evaluate(fn, v), grid, stack,
-                                           degree=degree, support=scanned)
-        assert reach == ref_reach and np.array_equal(got, ref)
         for p in (4, 6, 3):
             assert np.array_equal(sp._lp_series(stack, grid, p, w),
                                   sp._lp_series(stack, grid, p, scanned))
@@ -238,6 +239,28 @@ class TestConsumers:
         assert_rel_close(np.array(got), np.array(ref), 1e-13)
 
 
+class TestResidualMemory:
+    """The truncation and aliasing residuals of a box-supported field build
+    their complement weight on the support box, not on the n^d grid."""
+
+    def test_peak_stays_box_sized(self):
+        grid, stack = support_stack(2, 1024, 4, seed=0, count=1)
+        f = sp.SpectralField(grid, spectrum=stack[0])
+        assert f.support == 4  # scanned before tracing starts
+        part = ms.build_partition(ms.PartitionSpec("trigonometric-window", 4), grid)
+        cubic = nl.NonlinSpec.cubic(-1.0)
+        tracemalloc.start()
+        try:
+            for residual in (lambda: ms.truncation_residual(f, part),
+                             lambda: nl.aliasing_residual(cubic, f)):
+                tracemalloc.reset_peak()
+                assert math.isfinite(residual())
+                # an n^d float64 weight alone is 8 MiB
+                assert tracemalloc.get_traced_memory()[1] < 2 << 20
+        finally:
+            tracemalloc.stop()
+
+
 def _boxed(stack, grid, w):
     """The stack as a Trajectory stores it for support w: its box, contiguous."""
     return np.ascontiguousarray(sp._rebox(stack, grid.d, sp._box_width(grid, w)))
@@ -281,12 +304,12 @@ class TestBoxStorage:
         fn = _power(degree)
 
         # the pass, and the L^p series that run it: bitwise
-        got, reach = sp._pointwise_map(lambda v: nl.evaluate(fn, v), grid, box,
-                                       degree=degree, support=w)
+        got = sp._pointwise_map(lambda v: nl.evaluate(fn, v),
+                                sp.Trajectory(grid, times, box, support=w), degree=degree)
+        ref, ref_reach = reference_pointwise_map(lambda v: nl.evaluate(fn, v), grid, stack,
+                                                 degree=degree)
+        assert got.support == ref_reach and np.array_equal(got.box, ref)
         scanned = sp._scan_support(grid, stack)
-        ref, ref_reach = sp._pointwise_map(lambda v: nl.evaluate(fn, v), grid, stack,
-                                           degree=degree, support=scanned)
-        assert reach == ref_reach and np.array_equal(got, ref)
         for p in (4, 6, 3):
             assert np.array_equal(sp._lp_series(box, grid, p, w),
                                   sp._lp_series(stack, grid, p, scanned))

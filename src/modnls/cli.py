@@ -251,8 +251,7 @@ def _build_solve_config(cfg: dict) -> solver.SolveConfig:
     )
 
 
-def _initial_datum(cfg: dict, scfg: solver.SolveConfig, seed: int,
-                   partition: modspace.Partition) -> SpectralField:
+def _initial_datum(cfg: dict, scfg: solver.SolveConfig, seed: int) -> SpectralField:
     """The `initial_data` block: a field file, or harness.sample_field's draw
     rescaled to the target modulation norm (delta / 2 by default)."""
     spec = _block(cfg, "initial_data")
@@ -266,7 +265,7 @@ def _initial_datum(cfg: dict, scfg: solver.SolveConfig, seed: int,
         band=_integer(spec, "band", 1),
     )
     f = harness.sample_field(scfg.grid, ens, 0)
-    norm = modspace.mod_norm(f, scfg.mod_spec(), partition).value
+    norm = modspace.mod_norm(f, scfg.mod_spec(), scfg.partition()).value
     if norm == 0.0:
         raise ValueError(f"initial_data: the draw lies outside every box |k| <= {scfg.k_max}")
     target = _number(spec, "mod_norm", scfg.delta / 2.0)
@@ -274,19 +273,19 @@ def _initial_datum(cfg: dict, scfg: solver.SolveConfig, seed: int,
 
 
 def _solve_setup(args, run: _Run):
-    """The preamble of the solve subcommands: the SolveConfig, its partition
-    and the initial datum read from the config (its text kept for the manifest)."""
+    """The preamble of the solve subcommands: the SolveConfig and the initial
+    datum read from the config (its text kept for the manifest)."""
     cfg = _load_config(args)
     run.config_text = json.dumps(cfg, sort_keys=True)
     scfg = _build_solve_config(cfg)
-    partition = scfg.partition()
-    return scfg, partition, _initial_datum(cfg, scfg, args.seed, partition)
+    scfg.partition()  # a k_max beyond the grid's Nyquist limit is rejected before any work
+    return scfg, _initial_datum(cfg, scfg, args.seed)
 
 
-def _series_csv(run: _Run, name: str, cfg: solver.SolveConfig, traj,
-                partition: modspace.Partition) -> np.ndarray:
+def _series_csv(run: _Run, name: str, cfg: solver.SolveConfig, traj) -> np.ndarray:
     """Write the per-sample mass and modulation norms; returns the masses."""
     spec = cfg.mod_spec()  # p = 2 and the q, s of both norms
+    partition = cfg.partition()
     norm_l2 = modspace.mod_norm_series(traj, spec, partition)
     norm_lp = modspace.mod_norm_series(traj, replace(spec, p=cfg.p), partition)
     masses = solver.mass_series(traj)
@@ -334,10 +333,10 @@ def _cmd_norm(args, run: _Run) -> int:
 
 
 def _cmd_evolve(args, run: _Run) -> int:
-    scfg, partition, u0 = _solve_setup(args, run)
+    scfg, u0 = _solve_setup(args, run)
     traj = solver.split_step_oracle(scfg, u0)
     write_trajectory(run.path("trajectory.bin"), traj)
-    masses = _series_csv(run, "series.csv", scfg, traj, partition)
+    masses = _series_csv(run, "series.csv", scfg, traj)
     report = {
         "samples": traj.n_samples,
         "mass_initial": float(masses[0]),
@@ -350,9 +349,9 @@ def _cmd_evolve(args, run: _Run) -> int:
 
 
 def _cmd_picard(args, run: _Run) -> int:
-    scfg, partition, u0 = _solve_setup(args, run)
+    scfg, u0 = _solve_setup(args, run)
     if args.bisect_delta:
-        result = solver.delta_bisection(scfg, u0, partition=partition)
+        result = solver.delta_bisection(scfg, u0)
         rep = result["report"]
         out = {
             "delta": result["delta"],
@@ -363,10 +362,10 @@ def _cmd_picard(args, run: _Run) -> int:
         print(json.dumps({"delta": result["delta"],
                           "theta_hat": rep.theta_hat}, sort_keys=True))
         return EXIT_OK
-    traj, rep = solver.picard_solve(scfg, u0, partition)
+    traj, rep = solver.picard_solve(scfg, u0)
     rep.oracle_deviation = solver.oracle_deviation(traj, solver.split_step_oracle(scfg, u0))
     write_trajectory(run.path("trajectory.bin"), traj)
-    _series_csv(run, "series.csv", scfg, traj, partition)
+    _series_csv(run, "series.csv", scfg, traj)
     _dump_json(run.path("report.json"), rep.to_json())
     print(json.dumps({"iterations": rep.iterations, "theta_hat": rep.theta_hat,
                       "oracle_deviation": rep.oracle_deviation},
@@ -375,8 +374,8 @@ def _cmd_picard(args, run: _Run) -> int:
 
 
 def _cmd_scatter(args, run: _Run) -> int:
-    scfg, partition, u0_minus = _solve_setup(args, run)
-    u0_plus, traj, rep = solver.scattering_map(scfg, u0_minus, partition)
+    scfg, u0_minus = _solve_setup(args, run)
+    u0_plus, traj, rep = solver.scattering_map(scfg, u0_minus)
     write_field(run.path("u0_plus.bin"), u0_plus)
     write_trajectory(run.path("trajectory.bin"), traj)
     with open(run.path("tails.csv"), "w") as fh:

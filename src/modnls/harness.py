@@ -189,6 +189,12 @@ def _map_indices(fn, count: int, threads: int = 1) -> list:
         return list(pool.map(fn, range(count)))
 
 
+def _reports(results: list, probe: bool, *names: str) -> dict:
+    """One RatioReport per name, from per-sample tuples of (lhs, rhs) pairs."""
+    return {name: RatioReport.from_pairs([rr[k] for rr in results], probe)
+            for k, name in enumerate(names)}
+
+
 def duhamel_integral(coeffs: disp.EquationCoeffs, times,
                      source: Trajectory) -> Trajectory:
     """int_0^t W(t - s) F(s) ds via the spectral trapezoid prefix sum, on
@@ -236,11 +242,7 @@ def check_homogeneous_strichartz(grid: GridSpec, coeffs: disp.EquationCoeffs,
         )
         return leb, lift
 
-    results = _map_indices(one, ens.count, threads)
-    return {
-        "lebesgue": RatioReport.from_pairs([rr[0] for rr in results], probe),
-        "lifted": RatioReport.from_pairs([rr[1] for rr in results], probe),
-    }
+    return _reports(_map_indices(one, ens.count, threads), probe, "lebesgue", "lifted")
 
 
 def check_inhomogeneous_strichartz(grid: GridSpec, coeffs: disp.EquationCoeffs,
@@ -273,11 +275,7 @@ def check_inhomogeneous_strichartz(grid: GridSpec, coeffs: disp.EquationCoeffs,
         )
         return leb, lift
 
-    results = _map_indices(one, ens.count, threads)
-    return {
-        "lebesgue": RatioReport.from_pairs([rr[0] for rr in results], probe),
-        "lifted": RatioReport.from_pairs([rr[1] for rr in results], probe),
-    }
+    return _reports(_map_indices(one, ens.count, threads), probe, "lebesgue", "lifted")
 
 
 def _check_split(target, factors, what: str):
@@ -394,11 +392,7 @@ def check_embeddings(grid: GridSpec, coeffs: disp.EquationCoeffs,
         bern = (modspace.planchon_norm(u, pl2, partition).value, n1)
         return mink, bern
 
-    results = _map_indices(one, ens.count, threads)
-    return {
-        "minkowski": RatioReport.from_pairs([rr[0] for rr in results], probe),
-        "bernstein": RatioReport.from_pairs([rr[1] for rr in results], probe),
-    }
+    return _reports(_map_indices(one, ens.count, threads), probe, "minkowski", "bernstein")
 
 
 def probe_hoelder_growth(grid: GridSpec, coeffs: disp.EquationCoeffs,

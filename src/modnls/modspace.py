@@ -79,8 +79,7 @@ class PartitionSpec:
 
 def _window_trig(offsets: np.ndarray) -> np.ndarray:
     """cos^2(pi xi / 2) on [-1, 1]; adjacent translates sum to one."""
-    w = np.where(np.abs(offsets) < 1.0, np.cos(np.pi * offsets / 2.0) ** 2, 0.0)
-    return w
+    return np.where(np.abs(offsets) < 1.0, np.cos(np.pi * offsets / 2.0) ** 2, 0.0)
 
 
 def _window_bump(offsets: np.ndarray) -> np.ndarray:
@@ -459,11 +458,7 @@ def _x_norm_impl(stacks, support, times, s, q, r, p, partition, method) -> XNorm
     weights = partition.weights(s)
     part_l2 = _lq_aggregate(weights * per_box_l2, q)
     part_lp = _lq_aggregate(weights * per_box_lp, q)
-    return XNormResult(
-        value=part_l2 + part_lp,
-        part_l2=part_l2,
-        part_lp=part_lp,
-    )
+    return XNormResult(part_l2 + part_lp, part_l2, part_lp)
 
 
 def x_norm(u: Trajectory, s, q, r, p, partition: Partition,

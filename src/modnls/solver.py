@@ -23,6 +23,7 @@ iterate.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 import numpy as np
@@ -89,8 +90,9 @@ class SolveConfig:
             raise ValueError("need at least two time samples")
         if not 0 < self.delta < math.inf:
             raise ValueError(f"delta must be positive and finite, got {self.delta}")
-        if self.max_iters < 1:
-            raise ValueError(f"solver.max_iters must be >= 1, got {self.max_iters}")
+        for key in ("max_iters", "oracle_substeps"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"solver.{key} must be >= 1, got {getattr(self, key)}")
         if self.exp_s_rule not in ("s>=0", "s>=p"):
             raise ValueError(f"exp_s_rule must be 's>=0' or 's>=p', got {self.exp_s_rule!r}")
 
@@ -98,8 +100,8 @@ class SolveConfig:
         return np.linspace(self.t_min, self.t_max, self.nt)
 
     def partition(self) -> modspace.Partition:
-        spec = modspace.PartitionSpec(kind=self.partition_kind, k_max=self.k_max)
-        return modspace.build_partition(spec, self.grid)
+        """The partition every norm of a solve reads (see _partition)."""
+        return _partition(self.partition_kind, self.k_max, self.grid)
 
     def mod_spec(self) -> modspace.ModNormSpec:
         return modspace.ModNormSpec(p=2, q=self.q, s=self.s)
@@ -115,6 +117,13 @@ class SolveConfig:
         if self.nonlin.kind == "power":
             return self.nonlin.m
         return 3
+
+
+@functools.cache
+def _partition(kind: str, k_max: int, grid: GridSpec) -> modspace.Partition:
+    """One partition per (kind, k_max, grid) in the process, built on first
+    use: configs that differ elsewhere (a bisection's trials) share it."""
+    return modspace.build_partition(modspace.PartitionSpec(kind=kind, k_max=k_max), grid)
 
 
 @dataclass
@@ -215,7 +224,6 @@ _FLOOR_REL = 1e-13  # below this (relative to the first difference) ratios are n
 
 
 def _run_fixed_point(cfg: SolveConfig, u0: SpectralField, ledger: dict,
-                     partition: modspace.Partition,
                      theta_max: float | None = None,
                      first: tuple[Trajectory, float] | None = None
                      ) -> tuple[Trajectory, SolveReport]:
@@ -237,6 +245,7 @@ def _run_fixed_point(cfg: SolveConfig, u0: SpectralField, ledger: dict,
     where malloc put those blocks."""
     grid = cfg.grid
     times = cfg.times()
+    partition = cfg.partition()
     u = disp.propagate_trajectory(cfg.coeffs, times, u0)
     report = SolveReport(hypothesis_ledger=ledger)
 
@@ -314,14 +323,13 @@ def _run_fixed_point(cfg: SolveConfig, u0: SpectralField, ledger: dict,
     return u, report
 
 
-def picard_solve(cfg: SolveConfig, u0: SpectralField,
-                 partition: modspace.Partition | None = None, *,
+def picard_solve(cfg: SolveConfig, u0: SpectralField, *,
                  theta_max: float | None = None,
                  first: tuple[Trajectory, float] | None = None
                  ) -> tuple[Trajectory, SolveReport]:
     """Iterate the Duhamel operator from the free flow until the X-norm of
     successive differences drops below eps_fix; fails loudly otherwise.
-    `partition` defaults to cfg.partition(). With `theta_max` the solve
+    Every norm reads cfg.partition(). With `theta_max` the solve
     also fails as soon as an observed contraction ratio reaches it.
     `first` = (D, ||D||_X) hands in the Duhamel term of the first iterate
     and its X norm when the caller has them (see _run_fixed_point); the
@@ -329,8 +337,7 @@ def picard_solve(cfg: SolveConfig, u0: SpectralField,
     if cfg.t_min != 0.0:
         raise ValueError("picard_solve integrates from t = 0: the window must start there")
     ledger = verify_hypotheses(cfg)
-    return _run_fixed_point(cfg, u0, ledger, partition or cfg.partition(), theta_max,
-                            first)
+    return _run_fixed_point(cfg, u0, ledger, theta_max, first)
 
 
 def mass(f: SpectralField) -> float:
@@ -390,7 +397,7 @@ def split_step_oracle(cfg: SolveConfig, u0: SpectralField) -> Trajectory:
     times = cfg.times()
     grid = cfg.grid
     stack = np.empty((times.size,) + grid.shape, dtype=np.complex128)  # before the tables
-    sub = max(1, int(cfg.oracle_substeps))
+    sub = cfg.oracle_substeps
     axes = tuple(range(-grid.d, 0))
     scale = grid.h**grid.d
     terms = [np.fft.ifftshift(term) for term in disp._axis_terms(cfg.coeffs, grid)]
@@ -458,8 +465,7 @@ def _integrand_sweep(cfg: SolveConfig, u: Trajectory, footprint: int):
             Trajectory(grid, u.times, crops, support=support))
 
 
-def scatter_minus(cfg: SolveConfig, u0_minus: SpectralField,
-                  partition: modspace.Partition | None = None):
+def scatter_minus(cfg: SolveConfig, u0_minus: SpectralField):
     """Fixed point of the Duhamel operator with lower limit -infinity,
     approximated on the window from T_min; reports the tail sequence
     ||u(t) - W(t) u0minus|| near the left end (it must shrink to zero).
@@ -467,13 +473,13 @@ def scatter_minus(cfg: SolveConfig, u0_minus: SpectralField,
 
     Returns (u, report, total, prefix): `total` is the integral of
     W(-s) f(u(s)) over the window, and `prefix` the integrals from T_min to
-    every sample on the partition's footprint, all that a modulation norm
-    reads. One pass over u sums `total` and keeps f(u) on the footprint,
+    every sample on the footprint of cfg.partition(), all that a modulation
+    norm reads. One pass over u sums `total` and keeps f(u) on the footprint,
     which gives the integrand norms and is then summed in place into the
     prefix: after the Picard loop, u is the only full-grid stack."""
     ledger = verify_hypotheses(cfg, scattering=True)
-    partition = partition or cfg.partition()
-    u, report = _run_fixed_point(cfg, u0_minus, ledger, partition)
+    partition = cfg.partition()
+    u, report = _run_fixed_point(cfg, u0_minus, ledger)
 
     mspec = cfg.mod_spec()
     total, f = _integrand_sweep(cfg, u, partition.footprint)
@@ -497,30 +503,29 @@ def scatter_minus(cfg: SolveConfig, u0_minus: SpectralField,
 
 
 def wave_operator_plus(cfg: SolveConfig, u0_minus: SpectralField, total: SpectralField,
-                       prefix: Trajectory, partition: modspace.Partition | None = None):
+                       prefix: Trajectory):
     """u0plus = u0minus + i * total, from the integral over the whole window
     and the prefix integrals that `scatter_minus` returns.
 
     Also returns the outgoing tail sequence ||W(-t)u(t) - u0plus|| in the
-    modulation norm, which must shrink toward the right end of the window.
+    modulation norm on cfg.partition(), which must shrink toward the right
+    end of the window.
     """
     u0_plus = SpectralField._adopt(cfg.grid, u0_minus.spectrum + 1j * total.spectrum,
                                    max(u0_minus.support, total.support))
     tail_plus = modspace.mod_norm_series(
         (np.broadcast_to(prefix.box[-1], prefix.box.shape), prefix.box), cfg.mod_spec(),
-        partition or cfg.partition())
+        cfg.partition())
     return u0_plus, tail_plus.tolist()
 
 
-def scattering_map(cfg: SolveConfig, u0_minus: SpectralField,
-                   partition: modspace.Partition | None = None):
-    """Compose scatter_minus and wave_operator_plus: u0minus -> u0plus.
-    `partition` defaults to cfg.partition(); either way it is built once."""
-    partition = partition or cfg.partition()
-    u, report, total, prefix = scatter_minus(cfg, u0_minus, partition)
-    u0_plus, tail_plus = wave_operator_plus(cfg, u0_minus, total, prefix, partition)
+def scattering_map(cfg: SolveConfig, u0_minus: SpectralField):
+    """Compose scatter_minus and wave_operator_plus: u0minus -> u0plus, the
+    scattered datum's modulation norm read on cfg.partition()."""
+    u, report, total, prefix = scatter_minus(cfg, u0_minus)
+    u0_plus, tail_plus = wave_operator_plus(cfg, u0_minus, total, prefix)
     report.tail_plus = tail_plus
-    out_norm = modspace.mod_norm(u0_plus, cfg.mod_spec(), partition).value
+    out_norm = modspace.mod_norm(u0_plus, cfg.mod_spec(), cfg.partition()).value
     if not math.isfinite(out_norm):
         raise NumericsError("scattered datum has non-finite modulation norm", report)
     report.scattered_mod_norm = out_norm
@@ -532,8 +537,7 @@ _GROWTH = 2.0  # delta_bisection's factor between trials until the first failure
 
 def delta_bisection(cfg: SolveConfig, profile: SpectralField,
                     theta_max: float = 0.9, delta_init: float = 0.05,
-                    bisect_steps: int = 5, delta_cap: float = 16.0,
-                    partition: modspace.Partition | None = None):
+                    bisect_steps: int = 5, delta_cap: float = 16.0):
     """Largest tested delta whose Picard run contracts with theta < theta_max.
 
     The profile is rescaled so that ||u0|| = delta/2 for each trial. Doubles
@@ -550,7 +554,7 @@ def delta_bisection(cfg: SolveConfig, profile: SpectralField,
     The other kinds run every iteration.
     """
     grid = cfg.grid
-    partition = partition or cfg.partition()
+    partition = cfg.partition()
     base = modspace.mod_norm(profile, cfg.mod_spec(), partition).value
     if base <= 0:
         raise ValueError("profile must be nonzero")
@@ -571,8 +575,7 @@ def delta_bisection(cfg: SolveConfig, profile: SpectralField,
             k = (delta / 2.0) ** cfg.nonlin.degree
             first = Trajectory(grid, D1.times, D1.box * k, support=D1.support), k * n1
         try:
-            _, rep = picard_solve(trial_cfg, scaled, partition, theta_max=theta_max,
-                                  first=first)
+            _, rep = picard_solve(trial_cfg, scaled, theta_max=theta_max, first=first)
         except NumericsError as exc:
             return False, exc.report
         ok = rep.converged and rep.theta_hat is not None and rep.theta_hat < theta_max

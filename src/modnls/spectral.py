@@ -20,6 +20,7 @@ With these factors the discrete Plancherel identity reads
 
 from __future__ import annotations
 
+import io
 import math
 import struct
 from dataclasses import dataclass
@@ -571,18 +572,22 @@ def read_field(path_or_fh) -> SpectralField:
         return _read_field_block(fh)
 
 
+def _read_exact(fh, nbytes: int, what: str) -> bytes:
+    """The next nbytes of fh. A header may claim more than the file holds,
+    so the bytes left are counted (seek to the end and back) before the read."""
+    pos = fh.tell()
+    if nbytes > fh.seek(0, io.SEEK_END) - pos:
+        raise ValueError(f"truncated {what}")
+    fh.seek(pos)
+    return fh.read(nbytes)
+
+
 def _read_field_block(fh) -> SpectralField:
-    raw = fh.read(_FIELD_HEADER.size)
-    if len(raw) != _FIELD_HEADER.size:
-        raise ValueError("truncated field header")
-    d, L, n = _FIELD_HEADER.unpack(raw)
+    d, L, n = _FIELD_HEADER.unpack(_read_exact(fh, _FIELD_HEADER.size, "field header"))
     grid = make_grid(int(d), float(L), int(n))
-    count = grid.size
-    buf = fh.read(16 * count)
-    if len(buf) != 16 * count:
-        raise ValueError("truncated field data")
-    values = np.frombuffer(buf, dtype="<c16").reshape(grid.shape)
-    return SpectralField(grid, values=values)
+    # n^d >= 2^d, so no file holds d >= 64: the claim is not formed from such a d
+    buf = _read_exact(fh, 16 * grid.size if grid.d < 64 else math.inf, "field data")
+    return SpectralField(grid, values=np.frombuffer(buf, dtype="<c16").reshape(grid.shape))
 
 
 def write_trajectory(path, traj: Trajectory) -> None:
@@ -599,8 +604,11 @@ def write_trajectory(path, traj: Trajectory) -> None:
 
 def read_trajectory(path) -> Trajectory:
     with open(path, "rb") as fh:
-        (nt,) = struct.unpack("<q", fh.read(8))
-        times = np.frombuffer(fh.read(8 * nt), dtype="<f8").copy()
+        (nt,) = struct.unpack("<q", _read_exact(fh, 8, "trajectory header"))
+        if nt < 0:
+            raise ValueError(f"trajectory header claims N_t = {nt} < 0")
+        times = np.frombuffer(_read_exact(fh, 8 * nt, f"trajectory times (N_t = {nt})"),
+                              dtype="<f8").copy()
         fields = [_read_field_block(fh) for _ in range(nt)]
     return Trajectory.from_fields(times, fields)
 

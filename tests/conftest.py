@@ -204,7 +204,7 @@ def reference_split_step(cfg, u0):
     """split_step_oracle with the centered pair around each nonlinear
     substep; returns the spectra stack."""
     times, grid = cfg.times(), cfg.grid
-    sub = max(1, int(cfg.oracle_substeps))
+    sub = cfg.oracle_substeps
     stack = np.empty((times.size,) + grid.shape, dtype=np.complex128)
     spec = u0.spectrum.copy()
     stack[0] = spec

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import struct
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -91,6 +92,18 @@ class TestNorm:
         err = capsys.readouterr().err
         assert err.startswith(f"rejected: {flag[1]} must be in [1, inf], got ")
         assert not (tmp_path / "out" / "norm.json").exists()
+
+    @pytest.mark.parametrize("d, n", [(2, 2**16), (3, 2**31)])
+    def test_field_header_claiming_more_than_the_file_exit_2(self, tmp_path, capsys, d, n):
+        """The header's 16 n^d bytes are checked against the file before the
+        read is tried: 64 GiB at n = 2^16, d = 2 (a MemoryError), more than
+        an index holds at n = 2^31, d = 3 (an OverflowError)."""
+        field_path = tmp_path / "f.bin"
+        field_path.write_bytes(struct.pack("<qdq", d, 4 * math.pi, n) + bytes(64))
+        code = run_cli(["norm", "--field", str(field_path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == "rejected: truncated field data\n"
+        assert read_json(tmp_path / "out" / "manifest.json")["status"] == "rejected"
 
 
 class TestDumpJson:
@@ -311,6 +324,15 @@ class TestConfigValues:
             assert code == 0, subcommand
         assert run_cli(["verify", "--config", str(cfg_path), "--check", "strichartz-hom",
                         "--threads", "2", "--out", str(tmp_path / "two")]) == 0
+
+    @pytest.mark.parametrize("subcommand", ["picard", "evolve"])
+    @pytest.mark.parametrize("substeps", [0, -3])
+    def test_oracle_substeps_below_one_exit_2(self, tmp_path, capsys, subcommand, substeps):
+        """Rejected, not run as one substep."""
+        cfg = json.loads(json.dumps(PICARD_CONFIG))
+        cfg["solver"]["oracle_substeps"] = substeps
+        _assert_rejected(tmp_path, capsys, cfg,
+                         f"solver.oracle_substeps must be >= 1, got {substeps}", subcommand)
 
     def test_thread_count_is_read_from_the_option_only(self, tmp_path, monkeypatch):
         monkeypatch.setenv("MODNLS_THREADS", "two")
@@ -613,8 +635,8 @@ class TestAdmittedRegion:
     1/p in J (rational), q in {1, 2, inf} with s = 0 for q = 1 and s just
     above d/q' otherwise. Each exits 0, or 1 with its report, and the report's
     ledger holds the `modnls params` ledger of the same (d, m, r, p) key for
-    key. At d = 3 only even p are drawn: any other p takes the full-grid box
-    path, 17-24 s a solve at 64^3."""
+    key. At d = 3 only even p are drawn: any other p takes the pruned DFT on
+    R = n points per axis, about 8.4 s of CPU a solve at 64^3."""
 
     @settings(max_examples=12, deadline=None)
     @given(d=st.sampled_from([2, 3]), gamma=st.sampled_from([0.0, 1.0]),

@@ -43,6 +43,35 @@ class TestSolveConfig:
         with pytest.raises(ValueError, match=key):
             small_config(grid2d_small, **{key: value})
 
+    @pytest.mark.parametrize("key, value", [("max_iters", 0), ("oracle_substeps", 0),
+                                            ("oracle_substeps", -3)])
+    def test_counts_below_one_rejected(self, grid2d_small, key, value):
+        with pytest.raises(ValueError, match=f"solver.{key} must be >= 1, got {value}"):
+            small_config(grid2d_small, **{key: value})
+
+    def test_one_partition_build_per_run(self, grid2d_small, monkeypatch):
+        """Configs that agree on (partition_kind, k_max, grid) share one
+        partition, built on first use: two solves, a bisection (whose trials
+        are configs of their own) and a scattering map on a second config
+        make one build in all."""
+        build, builds = ms.build_partition, []
+
+        def counted(*args):
+            builds.append(args)
+            return build(*args)
+
+        sv._partition.cache_clear()
+        monkeypatch.setattr(ms, "build_partition", counted)
+        cfg = small_config(grid2d_small, nt=5, t_max=1.0)
+        u0 = small_datum(cfg, seed=2)
+        sv.picard_solve(cfg, u0)
+        sv.picard_solve(cfg, small_datum(cfg, seed=3))
+        sv.delta_bisection(cfg, u0, delta_init=0.2, bisect_steps=1, delta_cap=1.0)
+        scfg = small_config(grid2d_small, nt=5, t_min=-1.0, t_max=1.0)
+        sv.scattering_map(scfg, u0)
+        assert len(builds) == 1
+        assert scfg.partition() is cfg.partition()
+
 
 class TestHypothesisGate:
     def test_m_below_m0_rejected(self, grid2d_small):
@@ -470,7 +499,7 @@ class TestScattering:
         monkeypatch.setattr(sv, "_run_fixed_point", traced)
         tracemalloc.start()
         try:
-            u, _, total, prefix = sv.scatter_minus(cfg, u0, partition)
+            u, _, total, prefix = sv.scatter_minus(cfg, u0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -559,7 +588,7 @@ class TestDeltaBisection:
         profile = small_datum(cfg, seed=13, mod_norm=1.0)
         part = cfg.partition()
         result = sv.delta_bisection(cfg, profile, delta_init=4.5, bisect_steps=3,
-                                    delta_cap=64.0, partition=part)
+                                    delta_cap=64.0)
         # delta = 36 and 33.75 are rejected early, on a ratio above 0.9
         assert sum(h["theta_hat"] >= 0.9 for h in result["history"]) == 2
         base = ms.mod_norm(profile, cfg.mod_spec(), part).value
@@ -568,7 +597,7 @@ class TestDeltaBisection:
             scaled = sp.SpectralField(cfg.grid,
                                       spectrum=profile.spectrum * (h["delta"] / 2 / base))
             try:
-                _, rep = sv.picard_solve(trial, scaled, part)
+                _, rep = sv.picard_solve(trial, scaled)
                 ok = rep.converged and rep.theta_hat < 0.9
             except NumericsError:
                 ok = False
@@ -609,7 +638,7 @@ class TestDeltaBisection:
         monkeypatch.setattr(sv, "picard_solve", spy_solve)
         monkeypatch.setattr(sv, "duhamel_apply", spy_apply)
         result = sv.delta_bisection(cfg, profile, delta_init=0.5, bisect_steps=2,
-                                    delta_cap=64.0, partition=part)
+                                    delta_cap=64.0)
         monkeypatch.undo()
         assert len(trials) == len(result["history"]) >= 4
         for t in trials:
@@ -639,7 +668,7 @@ class TestDeltaBisection:
 
         monkeypatch.setattr(sv, "picard_solve", spy)
         result = sv.delta_bisection(cfg, profile, delta_init=0.5, bisect_steps=2,
-                                    delta_cap=64.0, partition=part)
+                                    delta_cap=64.0)
         monkeypatch.undo()
         assert firsts == [None] * len(result["history"])
         base = ms.mod_norm(profile, cfg.mod_spec(), part).value
@@ -647,7 +676,7 @@ class TestDeltaBisection:
             scaled = sp.SpectralField(cfg.grid,
                                       spectrum=profile.spectrum * (h["delta"] / 2.0 / base))
             try:
-                _, rep = sv.picard_solve(replace(cfg, delta=h["delta"]), scaled, part,
+                _, rep = sv.picard_solve(replace(cfg, delta=h["delta"]), scaled,
                                          theta_max=0.9)
             except NumericsError as exc:
                 rep = exc.report

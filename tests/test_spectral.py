@@ -1,4 +1,6 @@
+import io
 import math
+import struct
 from fractions import Fraction
 
 import numpy as np
@@ -415,6 +417,50 @@ class TestSerialization:
             assert np.max(np.abs(back.values(j) - traj.values(j))) < 1e-13 * scale
         scale = np.max(np.abs(traj.spectra))
         assert np.max(np.abs(back.spectra - traj.spectra)) < 1e-12 * scale
+
+    @pytest.mark.parametrize("d, n", [(2, 2**16), (3, 2**31), (10**12, 2)])
+    def test_field_header_claiming_more_than_the_file_rejected(self, tmp_path, d, n):
+        """The 16 n^d bytes a header claims are checked against the bytes
+        left before any is read (64 GiB at n = 2^16, d = 2; more than an
+        index holds at n = 2^31, d = 3), from a path and from a file object;
+        at d = 10^12 without forming n^d, a number of 10^12 bits."""
+        data = struct.pack("<qdq", d, 4 * math.pi, n) + bytes(64)
+        path = tmp_path / "f.bin"
+        path.write_bytes(data)
+        for source in (path, io.BytesIO(data)):
+            with pytest.raises(ValueError, match="^truncated field data$"):
+                sp.read_field(source)
+
+    def test_field_blocks_read_from_one_file_object(self, grid1d):
+        """The check of the bytes left keeps the position: consecutive
+        reads from one file object return consecutive fields, and a block
+        one byte short is rejected."""
+        rng = np.random.default_rng(9)
+        fields = [band_limited_field(grid1d, 3, rng) for _ in range(2)]
+        buf = io.BytesIO()
+        for f in fields:
+            sp._write_field_block(buf, f)
+        data = buf.getvalue()
+        fh = io.BytesIO(data)
+        for f in fields:
+            assert np.array_equal(sp.read_field(fh).values, f.values)
+        with pytest.raises(ValueError, match="^truncated field data$"):
+            sp.read_field(io.BytesIO(data[:len(data) // 2 - 1]))
+
+    @pytest.mark.parametrize("nt, match", [
+        (-1, r"^trajectory header claims N_t = -1 < 0$"),
+        (10**12, r"^truncated trajectory times \(N_t = 1000000000000\)$")])
+    def test_trajectory_header_claiming_what_the_file_cannot_hold_rejected(
+            self, tmp_path, grid2d_small, nt, match):
+        traj = sp.Trajectory.from_fields(
+            np.linspace(0.0, 1.0, 3),
+            [band_limited_field(grid2d_small, 2, np.random.default_rng(j)) for j in range(3)])
+        path = tmp_path / "traj.bin"
+        sp.write_trajectory(path, traj)
+        with open(path, "r+b") as fh:
+            fh.write(struct.pack("<q", nt))
+        with pytest.raises(ValueError, match=match):
+            sp.read_trajectory(path)
 
     @pytest.mark.parametrize("d,n,nt", [(2, 128, 65), (1, 512, 7), (3, 32, 5)])
     def test_chunked_writer_matches_per_sample_writer(self, tmp_path, d, n, nt):
